@@ -44,26 +44,6 @@ def momentum_grid(n_sites: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MomentumSector:
-    """One center-of-momentum sector: K, its hopping J_K and reduced interaction U/J_K."""
-
-    momentum: float
-    hop: float
-    reduced_u: float
-
-    @classmethod
-    def build(cls, momentum: float, kappa: float, interaction: float) -> "MomentumSector":
-        hop = 2.0 * kappa * np.cos(momentum / 2.0)
-        if abs(hop) < 1e-12:
-            raise ValueError(f"sector at K={momentum} is flat (J_K = 0)")
-        return cls(momentum=momentum, hop=hop, reduced_u=interaction / hop)
-
-    @property
-    def interaction(self) -> float:
-        return self.reduced_u * self.hop
-
-
-@dataclass(frozen=True)
 class BoundState:
     """One bound-pair solution at momentum K.
 
@@ -228,19 +208,26 @@ def bound_state_realspace(
 
     y = state.decay_ratio
     psi0 = SQRT2 * state.hop * y / (state.interaction - state.energy)
-    reach = (n_sites - 1) // 2
     k = state.momentum
-    site_phase = np.exp(1j * k * np.arange(1, n_sites + 1))
-
+    sites = np.arange(1, n_sites + 1)
+    site_phase = np.exp(1j * k * sites)
+    reach = (n_sites - 1) // 2
+    r = np.arange(1, reach + 1)[:, np.newaxis]
+    # scalar powers and products formed from real and imaginary parts: numpy's
+    # vectorised power and complex multiply can round differently in the last
+    # bit, and the vectors stay bitwise equal to an element-by-element build
+    decay = np.array([[y**p] for p in range(1, reach + 1)])
+    half = np.exp(1j * k * r / 2.0)
+    pref_re, pref_im = decay * half.real, decay * half.imag
+    # every (separation r, left site j) pair of the ring is one configuration
+    other = (sites + r - 1) % n_sites + 1
+    pairs = basis.rank(np.minimum(sites, other), np.maximum(sites, other))
+    diagonal = basis.rank(sites, sites)
     amp = np.zeros(basis.dim, dtype=complex)
-    for j in range(1, n_sites + 1):
-        amp[basis.index[(j, j)]] += psi0 * site_phase[j - 1]
-    for r in range(1, reach + 1):
-        pref = (y**r) * np.exp(1j * k * r / 2.0)
-        for j in range(1, n_sites + 1):
-            other = ((j + r - 1) % n_sites) + 1
-            key = (j, other) if j <= other else (other, j)
-            amp[basis.index[key]] += pref * site_phase[j - 1]
+    amp.real[diagonal] = psi0 * site_phase.real
+    amp.imag[diagonal] = psi0 * site_phase.imag
+    amp.real[pairs] = pref_re * site_phase.real - pref_im * site_phase.imag
+    amp.imag[pairs] = pref_re * site_phase.imag + pref_im * site_phase.real
     return amp / np.linalg.norm(amp)
 
 
@@ -254,12 +241,6 @@ class BandStructure:
     momenta: np.ndarray
     states: tuple[tuple[BoundState, ...], ...]
     _matrix_cache: dict = field(default_factory=dict, repr=False)
-
-    def states_at(self, momentum: float) -> tuple[BoundState, ...]:
-        idx = int(np.argmin(np.abs(self.momenta - momentum)))
-        if abs(self.momenta[idx] - momentum) > _GRID_ATOL:
-            raise ValueError(f"momentum {momentum} is not on the grid")
-        return self.states[idx]
 
     def select(self, branch: str) -> list[BoundState | None]:
         out = []

@@ -13,6 +13,8 @@ import configparser
 import copy
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,36 +25,44 @@ from .quench import QuenchWorkspace, WavePacketSpec, run_quench, sweep_transfer
 
 EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 
-_MODEL_KEYS = {
-    "n_sites": int,
-    "kappa": float,
-    "u": float,
-    "v": float,
-    "field": float,
-    "boundary": str,
-}
 
-# (section, key, type, required) per experiment
-SCHEMA: dict[str, list[tuple[str, str, type, bool]]] = {
+def _odd_sites(raw: str) -> int:
+    value = int(raw)
+    if value % 2 == 0:
+        raise ValueError("the ring momentum grid needs an odd site count")
+    return value
+
+
+def _open_boundary(raw: str) -> str:
+    if raw != "open":
+        raise ValueError("every experiment runs on the open chain")
+    return raw
+
+
+# (section, key, parser, required) per experiment; a parser raises ValueError
+SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     "three-site": [
         ("model", "n_sites", int, True),
         ("model", "kappa", float, True),
         ("model", "u", float, True),
         ("model", "v", float, True),
+        ("model", "boundary", _open_boundary, False),
         ("three_site", "fields", str, True),
         ("three_site", "t_max", float, True),
         ("three_site", "dt", float, True),
     ],
     "band": [
-        ("model", "n_sites", int, True),
+        ("model", "n_sites", _odd_sites, True),
         ("model", "kappa", float, True),
         ("model", "u", float, True),
+        ("model", "boundary", _open_boundary, False),
     ],
     "spectrum": [
         ("model", "n_sites", int, True),
         ("model", "kappa", float, True),
         ("model", "u", float, True),
         ("model", "v", float, True),
+        ("model", "boundary", _open_boundary, False),
         ("spectrum", "f_start", float, True),
         ("spectrum", "f_stop", float, True),
         ("spectrum", "f_count", int, True),
@@ -61,11 +71,12 @@ SCHEMA: dict[str, list[tuple[str, str, type, bool]]] = {
         ("spectrum", "window_hi", float, False),
     ],
     "quench": [
-        ("model", "n_sites", int, True),
+        ("model", "n_sites", _odd_sites, True),
         ("model", "kappa", float, True),
         ("model", "u", float, True),
         ("model", "v", float, True),
         ("model", "field", float, True),
+        ("model", "boundary", _open_boundary, False),
         ("packet", "k0_pi", float, True),
         ("packet", "width", float, True),
         ("packet", "center_site", int, True),
@@ -74,10 +85,11 @@ SCHEMA: dict[str, list[tuple[str, str, type, bool]]] = {
         ("time", "dt", float, True),
     ],
     "sweep": [
-        ("model", "n_sites", int, True),
+        ("model", "n_sites", _odd_sites, True),
         ("model", "kappa", float, True),
         ("model", "u", float, True),
         ("model", "v", float, True),
+        ("model", "boundary", _open_boundary, False),
         ("packet", "k0_pi", float, True),
         ("packet", "width", float, True),
         ("packet", "center_site", int, True),
@@ -138,12 +150,10 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
             raw = parser.get(section, key)
             try:
                 config.setdefault(section, {})[key] = typ(raw)
-            except ValueError:
-                problems.append(f"invalid value for [{section}] {key}: {raw!r}")
+            except ValueError as exc:
+                problems.append(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
         elif required:
             problems.append(f"missing [{section}] {key}")
-    if parser.has_option("model", "boundary"):
-        config.setdefault("model", {})["boundary"] = parser.get("model", "boundary")
     if problems:
         raise ConfigError(problems)
     return config
@@ -157,7 +167,6 @@ def _model_params(config: dict, field: float | None = None) -> ModelParams:
         u=section["u"],
         v=section.get("v", 0.0),
         field=section.get("field", 0.0) if field is None else field,
-        boundary=section.get("boundary", "open"),
     )
 
 
@@ -232,7 +241,7 @@ def _run_spectrum(config, out: Path, args) -> list[str]:
 
 def _run_quench(config, out: Path, args) -> list[str]:
     params = _model_params(config)
-    workspace = QuenchWorkspace.prepare(params.replace(field=0.0), _packet_spec(config))
+    workspace = QuenchWorkspace.prepare(replace(params, field=0.0), _packet_spec(config))
     section = config["time"]
     times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
     trajectory = run_quench(workspace, params.field, times)

@@ -55,36 +55,30 @@ class ModelParams:
             if self.n_sites < 3:
                 raise ValueError("ring boundary needs at least 3 sites")
 
-    def replace(self, **changes) -> "ModelParams":
-        values = {
-            "n_sites": self.n_sites,
-            "kappa": self.kappa,
-            "u": self.u,
-            "v": self.v,
-            "field": self.field,
-            "boundary": self.boundary,
-        }
-        values.update(changes)
-        return ModelParams(**values)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoBosonBasis:
-    """Lexicographically ordered configurations (i, j), 1 <= i <= j <= n_sites."""
+    """Lexicographically ordered configurations (i, j), 1 <= i <= j <= n_sites.
+
+    ``i`` and ``j`` are read-only integer arrays: configuration ``k`` is
+    ``(i[k], j[k])``.
+    """
 
     n_sites: int
-    pairs: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int] = field(repr=False)
+    i: np.ndarray = field(repr=False)
+    j: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.pairs)
+        return self.i.size
 
-    def rank(self, i: int, j: int) -> int:
-        return self.index[(i, j)]
-
-    def unrank(self, k: int) -> tuple[int, int]:
-        return self.pairs[k]
+    def rank(self, i, j):
+        """Position of configuration (i, j); integers or integer arrays."""
+        i, j = np.asarray(i), np.asarray(j)
+        if np.any((i < 1) | (i > j) | (j > self.n_sites)):
+            raise ValueError(f"not a configuration 1 <= i <= j <= {self.n_sites}: ({i}, {j})")
+        k = (i - 1) * (2 * self.n_sites + 2 - i) // 2 + (j - i)
+        return int(k) if k.ndim == 0 else k
 
     def unit_state(self, i: int, j: int) -> np.ndarray:
         """State vector of the single configuration (i, j)."""
@@ -97,22 +91,12 @@ def build_basis(n_sites: int) -> TwoBosonBasis:
     """Enumerate all two-boson configurations on ``n_sites`` sites."""
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites, got {n_sites}")
-    pairs = tuple(
-        (i, j) for i in range(1, n_sites + 1) for j in range(i, n_sites + 1)
-    )
-    index = {p: k for k, p in enumerate(pairs)}
-    return TwoBosonBasis(n_sites=n_sites, pairs=pairs, index=index)
-
-
-def _neighbours(site: int, n_sites: int, boundary: Boundary) -> list[int]:
-    if boundary is Boundary.RING:
-        return [((site - 2) % n_sites) + 1, (site % n_sites) + 1]
-    out = []
-    if site > 1:
-        out.append(site - 1)
-    if site < n_sites:
-        out.append(site + 1)
-    return out
+    i, j = np.triu_indices(n_sites)
+    i += 1
+    j += 1
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return TwoBosonBasis(n_sites=n_sites, i=i, j=j)
 
 
 def build_h0(params: ModelParams, basis: TwoBosonBasis | None = None) -> sparse.csr_array:
@@ -125,24 +109,35 @@ def build_h0(params: ModelParams, basis: TwoBosonBasis | None = None) -> sparse.
         basis = build_basis(params.n_sites)
     n = params.n_sites
     ring = params.boundary is Boundary.RING
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for a, (i, j) in enumerate(basis.pairs):
-        adjacent = (j - i == 1) or (ring and (i, j) == (1, n))
-        diag = (params.u if i == j else 0.0) + (params.v if adjacent else 0.0)
-        rows.append(a)
-        cols.append(a)
-        vals.append(diag)
-        moves = [(i, j)] if i == j else [(i, j), (j, i)]
-        for src, other in moves:
-            for dst in _neighbours(src, n, params.boundary):
-                new = (dst, other) if dst <= other else (other, dst)
-                amp = SQRT2 if (i == j or new[0] == new[1]) else 1.0
-                rows.append(basis.index[new])
-                cols.append(a)
-                vals.append(-params.kappa * amp)
-    mat = sparse.coo_array((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    i, j = basis.i, basis.j
+    same = i == j
+    adjacent = j - i == 1
+    if ring:
+        adjacent |= (i == 1) & (j == n)
+    configs = np.arange(basis.dim)
+    rows = [configs]
+    cols = [configs]
+    vals = [np.where(same, params.u, 0.0) + np.where(adjacent, params.v, 0.0)]
+    # hops of the particle on i and, when i < j, of the particle on j
+    start = np.concatenate([configs, configs[~same]])
+    src = np.concatenate([i, j[~same]])
+    other = np.concatenate([j, i[~same]])
+    for step in (-1, 1):
+        dst = src + step
+        if ring:
+            dst = (dst - 1) % n + 1
+            keep = slice(None)
+        else:
+            keep = (dst >= 1) & (dst <= n)
+        lo = np.minimum(dst[keep], other[keep])
+        hi = np.maximum(dst[keep], other[keep])
+        rows.append(basis.rank(lo, hi))
+        cols.append(start[keep])
+        vals.append(-params.kappa * np.where(same[start[keep]] | (lo == hi), SQRT2, 1.0))
+    mat = sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
     return mat.tocsr()
 
 
@@ -166,12 +161,12 @@ def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis | None = None) -
 
 def separations(basis: TwoBosonBasis) -> np.ndarray:
     """Particle separation j - i per configuration (0 for a same-site pair)."""
-    return np.array([j - i for (i, j) in basis.pairs], dtype=float)
+    return (basis.j - basis.i).astype(float)
 
 
 def site_sums(basis: TwoBosonBasis) -> np.ndarray:
     """Sum of occupied site labels i + j per configuration."""
-    return np.array([i + j for (i, j) in basis.pairs], dtype=float)
+    return (basis.i + basis.j).astype(float)
 
 
 def _check_normalized(state: np.ndarray) -> None:

@@ -11,7 +11,7 @@ and extracts the dominant periodicity of that curve.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -82,10 +82,14 @@ def prepare_wavepacket(
     return psi / nrm
 
 
+def _bound_weight(psi: np.ndarray, matrix: np.ndarray) -> float:
+    """Total weight of ``psi`` on the columns of a bound matrix (read, never copied)."""
+    return float(np.sum(np.abs(psi.conj() @ matrix) ** 2))
+
+
 def transfer_rate(psi: np.ndarray, band: BandStructure, basis: TwoBosonBasis | None = None) -> float:
     """Total weight of a state on every existing bound-pair state of the band."""
-    matrix, _ = band.bound_matrix(basis)
-    return float(np.sum(np.abs(matrix.conj().T @ psi) ** 2))
+    return _bound_weight(psi, band.bound_matrix(basis)[0])
 
 
 @dataclass
@@ -122,7 +126,6 @@ def evolve(
     if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing and start at 0")
     bound_matrix, _ = band.bound_matrix(basis)
-    bound_rows = bound_matrix.conj().T
     sep = model.separations(basis)
     prop = make_propagator(hamiltonian, method=method, tol=tol)
 
@@ -135,7 +138,7 @@ def evolve(
     psi = psi0
     for s, psi in enumerate(prop.samples(psi0, times)):
         density = np.abs(psi) ** 2
-        transfer[s] = np.sum(np.abs(bound_rows @ psi) ** 2)
+        transfer[s] = _bound_weight(psi, bound_matrix)
         distance[s] = sep @ density
         energy[s] = np.real(np.vdot(psi, h0 @ psi))
         norm[s] = np.linalg.norm(psi)
@@ -161,7 +164,6 @@ class QuenchWorkspace:
     band: BandStructure
     psi0: np.ndarray
     h0: sparse.csr_array
-    site_weight: np.ndarray
 
     @classmethod
     def prepare(cls, params: ModelParams, packet: WavePacketSpec) -> "QuenchWorkspace":
@@ -173,8 +175,7 @@ class QuenchWorkspace:
         basis = build_basis(params.n_sites)
         band = band_scan(params.kappa, params.u, params.n_sites)
         psi0 = prepare_wavepacket(packet, band, basis)
-        open_params = params.replace(field=0.0, boundary=Boundary.OPEN)
-        h0 = build_h0(open_params, basis)
+        h0 = build_h0(replace(params, field=0.0, boundary=Boundary.OPEN), basis)
         return cls(
             params=params,
             packet=packet,
@@ -182,7 +183,6 @@ class QuenchWorkspace:
             band=band,
             psi0=psi0,
             h0=h0,
-            site_weight=model.site_sums(basis),
         )
 
     def hamiltonian(self, field_value: float) -> sparse.csr_array:
@@ -284,26 +284,25 @@ class SweepResult:
     failures: list[tuple[float, str]]
 
 
-_SWEEP_CTX: dict = {}
+#: (workspace, t_final, tol) of the running sweep; set in pool worker processes only
+_WORKER_CTX: tuple = ()
 
 
-def _sweep_init(h0, site_weight, psi0, bound_rows, t_final, tol):
-    _SWEEP_CTX.update(
-        h0=h0, site_weight=site_weight, psi0=psi0, bound_rows=bound_rows,
-        t_final=t_final, tol=tol,
-    )
+def _sweep_init(*ctx) -> None:
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
 
 
-def _sweep_point(field_value: float) -> float:
-    ctx = _SWEEP_CTX
-    dim = ctx["h0"].shape[0]
-    stark = sparse.dia_array(
-        ((field_value * ctx["site_weight"])[np.newaxis, :], [0]), shape=(dim, dim)
-    )
-    h = (ctx["h0"] + stark).tocsr()
-    prop = ChebyshevPropagator(h, tol=ctx["tol"])
-    psi = prop.at(ctx["psi0"], ctx["t_final"])
-    return float(np.sum(np.abs(ctx["bound_rows"] @ psi) ** 2))
+def _sweep_point(field_value: float, ctx: tuple = ()) -> float:
+    """Bound weight at ``t_final`` after a quench to ``field_value``.
+
+    ``ctx`` is ``(workspace, t_final, tol)``; a pool worker passes none and
+    reads the one its initializer stored.
+    """
+    workspace, t_final, tol = ctx or _WORKER_CTX
+    prop = ChebyshevPropagator(workspace.hamiltonian(field_value), tol=tol)
+    psi = prop.at(workspace.psi0, t_final)
+    return _bound_weight(psi, workspace.band.bound_matrix(workspace.basis)[0])
 
 
 def sweep_transfer(
@@ -325,27 +324,18 @@ def sweep_transfer(
         raise ValueError("t_final must be positive")
     if np.any(f_values == 0.0):
         raise ValueError("every field value in the sweep grid must be nonzero")
-    bound_matrix, _ = workspace.band.bound_matrix(workspace.basis)
-    ctx_args = (
-        workspace.h0,
-        workspace.site_weight,
-        workspace.psi0,
-        bound_matrix.conj().T.copy(),
-        float(t_final),
-        tol,
-    )
+    ctx = (workspace, float(t_final), tol)
     transfer = np.full(f_values.size, np.nan)
     failures: list[tuple[float, str]] = []
     if workers <= 1:
-        _sweep_init(*ctx_args)
         for idx, f in enumerate(f_values):
             try:
-                transfer[idx] = _sweep_point(float(f))
+                transfer[idx] = _sweep_point(float(f), ctx)
             except Exception as exc:  # record and continue per grid point
                 failures.append((float(f), str(exc)))
     else:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_sweep_init, initargs=ctx_args
+            max_workers=workers, initializer=_sweep_init, initargs=ctx
         ) as pool:
             futures = {idx: pool.submit(_sweep_point, float(f)) for idx, f in enumerate(f_values)}
             for idx, fut in futures.items():

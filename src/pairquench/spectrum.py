@@ -8,7 +8,7 @@ near-degenerate minima split out as true crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -72,7 +72,7 @@ def spectrum_vs_field(
     sep = separations(basis)
     slices = []
     for f in np.asarray(f_values, dtype=float):
-        h = build_hamiltonian(params.replace(field=float(f)), basis)
+        h = build_hamiltonian(replace(params, field=float(f)), basis)
         if window is None or basis.dim <= dense_limit:
             vals, vecs = np.linalg.eigh(h.toarray())
             if window is not None:

@@ -15,7 +15,6 @@ from pairquench import (
     build_h0,
     prepare_wavepacket,
 )
-from pairquench.model import site_sums
 
 REF_N = 111
 REF_KAPPA = 1.0
@@ -66,5 +65,4 @@ def ref_workspace(ref_basis, ref_band, ref_psi0, ref_h0_open, ref_packet_spec):
         band=ref_band,
         psi0=ref_psi0,
         h0=ref_h0_open,
-        site_weight=site_sums(ref_basis),
     )

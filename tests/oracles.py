@@ -3,12 +3,82 @@
 The Fock-space builder assembles the Hamiltonian from literal site operators
 on the full (0, 1, 2)-occupancy product space and projects onto two-particle
 configurations, sharing no code with the pair-basis assembly under test.
+The loop builders enumerate configurations one at a time into a dict index
+and keep the element-by-element arithmetic the array code must reproduce.
 """
 
 import numpy as np
 from scipy import sparse
 
-from pairquench.model import Boundary, ModelParams, TwoBosonBasis
+from pairquench.bound_band import BoundState
+from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
+
+
+def loop_pairs(n_sites: int) -> list[tuple[int, int]]:
+    """Configurations (i, j), 1 <= i <= j <= n_sites, in lexicographic order."""
+    return [(i, j) for i in range(1, n_sites + 1) for j in range(i, n_sites + 1)]
+
+
+def _loop_index(n_sites: int) -> dict[tuple[int, int], int]:
+    return {p: k for k, p in enumerate(loop_pairs(n_sites))}
+
+
+def _neighbours(site: int, n_sites: int, boundary: Boundary) -> list[int]:
+    if boundary is Boundary.RING:
+        return [((site - 2) % n_sites) + 1, (site % n_sites) + 1]
+    out = []
+    if site > 1:
+        out.append(site - 1)
+    if site < n_sites:
+        out.append(site + 1)
+    return out
+
+
+def loop_build_h0(params: ModelParams) -> sparse.csr_array:
+    """Field-free Hamiltonian assembled configuration by configuration."""
+    n = params.n_sites
+    index = _loop_index(n)
+    ring = params.boundary is Boundary.RING
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for a, (i, j) in enumerate(loop_pairs(n)):
+        adjacent = (j - i == 1) or (ring and (i, j) == (1, n))
+        diag = (params.u if i == j else 0.0) + (params.v if adjacent else 0.0)
+        rows.append(a)
+        cols.append(a)
+        vals.append(diag)
+        moves = [(i, j)] if i == j else [(i, j), (j, i)]
+        for src, other in moves:
+            for dst in _neighbours(src, n, params.boundary):
+                new = (dst, other) if dst <= other else (other, dst)
+                amp = SQRT2 if (i == j or new[0] == new[1]) else 1.0
+                rows.append(index[new])
+                cols.append(a)
+                vals.append(-params.kappa * amp)
+    mat = sparse.coo_array((vals, (rows, cols)), shape=(len(index), len(index)))
+    return mat.tocsr()
+
+
+def loop_bound_state_realspace(state: BoundState, n_sites: int) -> np.ndarray:
+    """Normalized ring vector of a bound state, one configuration at a time."""
+    index = _loop_index(n_sites)
+    y = state.decay_ratio
+    psi0 = SQRT2 * state.hop * y / (state.interaction - state.energy)
+    reach = (n_sites - 1) // 2
+    k = state.momentum
+    site_phase = np.exp(1j * k * np.arange(1, n_sites + 1))
+
+    amp = np.zeros(len(index), dtype=complex)
+    for j in range(1, n_sites + 1):
+        amp[index[(j, j)]] += psi0 * site_phase[j - 1]
+    for r in range(1, reach + 1):
+        pref = (y**r) * np.exp(1j * k * r / 2.0)
+        for j in range(1, n_sites + 1):
+            other = ((j + r - 1) % n_sites) + 1
+            key = (j, other) if j <= other else (other, j)
+            amp[index[key]] += pref * site_phase[j - 1]
+    return amp / np.linalg.norm(amp)
 
 
 def _lowering(n_max: int = 2) -> np.ndarray:
@@ -61,7 +131,7 @@ def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis) -> np.ndarr
     Fock basis vectors, so projection is a row/column selection)."""
     h = fock_hamiltonian(params).toarray()
     indices = []
-    for i, j in basis.pairs:
+    for i, j in loop_pairs(basis.n_sites):
         occ = [0] * params.n_sites
         occ[i - 1] += 1
         occ[j - 1] += 1
@@ -76,7 +146,7 @@ def free_scattering_state(basis: TwoBosonBasis, k1: int, k2: int) -> tuple[np.nd
     modes = np.sin(np.pi * np.outer((k1, k2), np.arange(1, n + 1)) / (n + 1))
     f, g = modes
     amp = np.zeros(basis.dim)
-    for a, (i, j) in enumerate(basis.pairs):
+    for a, (i, j) in enumerate(loop_pairs(n)):
         if i == j:
             amp[a] = np.sqrt(2.0) * f[i - 1] * g[i - 1]
         else:

@@ -10,6 +10,7 @@ pass).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def _sum_rule_deviation(n_sites: int, seeds) -> float:
         psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         psi /= np.linalg.norm(psi)
         embed = np.zeros(num[0].shape[0], dtype=complex)
-        for amp, (i, j) in zip(psi, basis.pairs):
+        for amp, i, j in zip(psi, basis.i, basis.j):
             occ = [0] * n_sites
             occ[i - 1] += 1
             occ[j - 1] += 1
@@ -110,7 +111,7 @@ def test_criterion_1_three_site_two_level_dynamics():
     period = humps[1] - humps[0]
     period_ref = 3 * 6.0 * np.pi / (np.sqrt(76) * 0.4**2)
 
-    detuned = params.replace(field=-1.0)
+    detuned = replace(params, field=-1.0)
     _, unpair = exact_pair_dynamics(detuned, np.arange(0.0, 200.0, 0.01))
     peak_detuned = float(unpair.max())
     elapsed = time.perf_counter() - started

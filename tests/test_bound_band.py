@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from pairquench import (
-    MomentumSector,
     band_scan,
     bound_state_realspace,
     build_heq,
@@ -13,6 +12,8 @@ from pairquench import (
     solve_bound_states,
 )
 from pairquench.reporting import write_band_csv
+
+from oracles import loop_bound_state_realspace
 
 
 def chain_isolated_energies(hop, interaction, length):
@@ -32,9 +33,12 @@ def test_momentum_grid_excludes_zone_edge():
 
 
 def test_momentum_sector_relations():
-    sector = MomentumSector.build(0.4 * np.pi, kappa=1.0, interaction=-6.24)
-    assert sector.hop == pytest.approx(2.0 * np.cos(0.2 * np.pi), abs=1e-12)
-    assert sector.reduced_u * sector.hop == pytest.approx(-6.24, abs=1e-12)
+    # J_K = 2 kappa cos(K/2) and u = U / J_K on every solution of the sector
+    states = solve_bound_states(0.4 * np.pi, 1.0, -6.24)
+    assert states
+    for state in states:
+        assert state.hop == pytest.approx(2.0 * np.cos(0.2 * np.pi), abs=1e-12)
+        assert state.reduced_u * state.hop == pytest.approx(-6.24, abs=1e-12)
 
 
 def test_heq_small_chain_matrix():
@@ -127,6 +131,13 @@ def test_realspace_reconstruction(ref_basis, ref_h0_ring):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(ref_h0_ring @ v - s.energy * v) < 1e-6
     assert abs(np.vdot(vecs[0], vecs[1])) < 1e-6
+
+
+def test_bound_matrix_matches_loop_reference(ref_band, ref_basis):
+    matrix, states = ref_band.bound_matrix(ref_basis)
+    assert matrix.shape == (ref_basis.dim, len(states))
+    for column, state in zip(matrix.T, states):
+        assert np.max(np.abs(column - loop_bound_state_realspace(state, 111))) <= 1e-15
 
 
 def test_realspace_rejects_off_grid_momentum():

@@ -23,6 +23,13 @@ t_max = 20
 dt = 1.0
 """
 
+SMALL_BAND = """
+[model]
+n_sites = 15
+kappa = 1.0
+u = -6.24
+"""
+
 SMALL_SWEEP = """
 [model]
 n_sites = 15
@@ -87,6 +94,24 @@ def test_invalid_value_reported(tmp_path, capsys):
     cfg.write_text(SMALL_QUENCH.replace("n_sites = 15", "n_sites = many"))
     assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "invalid value for [model] n_sites" in capsys.readouterr().err
+
+
+def test_ring_boundary_rejected_at_config_time(tmp_path, capsys):
+    cfg = tmp_path / "torus.ini"
+    cfg.write_text("[model]\nn_sites = 111\nkappa = 1.0\nu = -6.24\nboundary = torus\n")
+    assert run(["band", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "invalid value for [model] boundary: 'torus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["band", "quench", "sweep"])
+def test_even_site_count_rejected_at_config_time(tmp_path, capsys, experiment):
+    text = {"band": SMALL_BAND, "quench": SMALL_QUENCH, "sweep": SMALL_SWEEP}[experiment]
+    cfg = tmp_path / "even.ini"
+    cfg.write_text(text.replace("n_sites = 15", "n_sites = 110"))
+    assert run([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "invalid value for [model] n_sites: '110'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_three_site_run_writes_expected_artifacts(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from pairquench import ModelParams, build_basis, build_h0, build_hamiltonian, build_stark
 
-from oracles import fock_two_boson_matrix
+from oracles import fock_two_boson_matrix, loop_build_h0
 
 
 def test_two_site_free_spectrum():
@@ -13,6 +13,16 @@ def test_two_site_free_spectrum():
     expected = np.array([[0, -np.sqrt(2), 0], [-np.sqrt(2), 0, -np.sqrt(2)], [0, -np.sqrt(2), 0]])
     assert np.allclose(h, expected, atol=1e-14)
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, 0.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("n", [3, 4, 15, 111])
+def test_array_assembly_matches_loop_reference(n, boundary):
+    params = ModelParams(n, kappa=1.3, u=-6.24, v=-2.5, boundary=boundary)
+    h, ref = build_h0(params), loop_build_h0(params)
+    assert np.array_equal(h.indptr, ref.indptr)
+    assert np.array_equal(h.indices, ref.indices)
+    assert np.array_equal(h.data, ref.data)
 
 
 def test_interaction_diagonal():

@@ -64,7 +64,7 @@ def test_probability_sum_rule(seed):
     num = [op.conj().T @ op for op in ops]
     fock_dim = num[0].shape[0]
     embed = np.zeros(fock_dim, dtype=complex)
-    for amp, (i, j) in zip(psi, basis.pairs):
+    for amp, i, j in zip(psi, basis.i, basis.j):
         occ = [0] * n
         occ[i - 1] += 1
         occ[j - 1] += 1

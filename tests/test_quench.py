@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -39,7 +42,7 @@ def test_packet_is_tightly_bound(ref_basis, ref_psi0):
 
 
 def test_packet_sits_at_requested_site(ref_basis, ref_psi0):
-    centers = np.array([(i + j) / 2 for (i, j) in ref_basis.pairs])
+    centers = (ref_basis.i + ref_basis.j) / 2
     weight = np.abs(ref_psi0) ** 2
     assert weight[np.abs(centers - 36) <= 12].sum() > 0.99
 
@@ -169,3 +172,14 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
         sweep_transfer(small_workspace, [0.0, -0.1], t_final=50.0)
     with pytest.raises(ValueError):
         sweep_transfer(small_workspace, f_values, t_final=-1.0)
+
+
+def test_serial_sweep_keeps_no_reference_to_the_workspace():
+    params = ModelParams(15, kappa=1.0, u=-6.24, v=-6.24)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8)
+    workspace = QuenchWorkspace.prepare(params, packet)
+    sweep_transfer(workspace, [-0.2, -0.19], t_final=5.0, workers=1)
+    psi0 = weakref.ref(workspace.psi0)
+    del workspace
+    gc.collect()
+    assert psi0() is None

@@ -30,8 +30,7 @@ def test_zero_hopping_levels_are_linear_with_integer_slopes():
     f_a, f_b = -4.0, -3.9
     slice_a, slice_b = spectrum_vs_field([f_a, f_b], params, basis=basis)
     # diagonal Hamiltonian: each configuration is an eigenstate with slope i+j
-    for (i, j) in basis.pairs:
-        idx = basis.rank(i, j)
+    for idx, (i, j) in enumerate(zip(basis.i, basis.j)):
         e_a = slice_a.energies[np.argmax(np.abs(slice_a.vectors[idx, :]))]
         e_b = slice_b.energies[np.argmax(np.abs(slice_b.vectors[idx, :]))]
         slope = (e_b - e_a) / (f_b - f_a)
@@ -53,7 +52,7 @@ def test_classify_extended_scattering_state():
     # oracle state is an exact eigenstate of the free chain
     res = np.linalg.norm(build_h0(params, basis) @ psi - energy * psi)
     assert res < 1e-9
-    rbar = float(np.array([j - i for (i, j) in basis.pairs]) @ np.abs(psi) ** 2)
+    rbar = float((basis.j - basis.i) @ np.abs(psi) ** 2)
     slc = SpectrumSlice(
         field=0.0,
         energies=np.array([energy]),
