@@ -33,16 +33,47 @@ def _odd_sites(raw: str) -> int:
     return value
 
 
+def _three_sites(raw: str) -> int:
+    value = int(raw)
+    if value != 3:
+        raise ValueError("the three-site model has n_sites = 3")
+    return value
+
+
 def _open_boundary(raw: str) -> str:
     if raw != "open":
         raise ValueError("every experiment runs on the open chain")
     return raw
 
 
+def _k0_pi(raw: str) -> float:
+    value = float(raw)
+    if not -1.0 <= value <= 1.0:
+        raise ValueError("the center momentum in units of pi must lie in [-1, 1]")
+    return value
+
+
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
+_BRANCH_ALIASES = {"upper": "+", "lower": "-", "+": "+", "-": "-"}
+
+
+def _branch(raw: str) -> str:
+    try:
+        return _BRANCH_ALIASES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"choose one of {', '.join(_BRANCH_ALIASES)}") from None
+
+
 # (section, key, parser, required) per experiment; a parser raises ValueError
 SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     "three-site": [
-        ("model", "n_sites", int, True),
+        ("model", "n_sites", _three_sites, True),
         ("model", "kappa", float, True),
         ("model", "u", float, True),
         ("model", "v", float, True),
@@ -77,10 +108,10 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
         ("model", "v", float, True),
         ("model", "field", float, True),
         ("model", "boundary", _open_boundary, False),
-        ("packet", "k0_pi", float, True),
-        ("packet", "width", float, True),
+        ("packet", "k0_pi", _k0_pi, True),
+        ("packet", "width", _positive, True),
         ("packet", "center_site", int, True),
-        ("packet", "branch", str, False),
+        ("packet", "branch", _branch, False),
         ("time", "t_max", float, True),
         ("time", "dt", float, True),
     ],
@@ -90,10 +121,10 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
         ("model", "u", float, True),
         ("model", "v", float, True),
         ("model", "boundary", _open_boundary, False),
-        ("packet", "k0_pi", float, True),
-        ("packet", "width", float, True),
+        ("packet", "k0_pi", _k0_pi, True),
+        ("packet", "width", _positive, True),
         ("packet", "center_site", int, True),
-        ("packet", "branch", str, False),
+        ("packet", "branch", _branch, False),
         ("sweep", "f_start", float, True),
         ("sweep", "f_stop", float, True),
         ("sweep", "f_step", float, True),
@@ -102,7 +133,7 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
 }
 
 _PAPER_MODEL = {"n_sites": 111, "kappa": 1.0, "u": -6.24, "v": -6.24}
-_PAPER_PACKET = {"k0_pi": -0.9, "width": 0.2, "center_site": 36, "branch": "upper"}
+_PAPER_PACKET = {"k0_pi": -0.9, "width": 0.2, "center_site": 36, "branch": "+"}
 
 DEFAULTS: dict[str, dict[str, dict]] = {
     "three-site": {
@@ -125,8 +156,6 @@ DEFAULTS: dict[str, dict[str, dict]] = {
         "sweep": {"f_start": -0.0995, "f_stop": -0.0950, "f_step": 7.5e-5, "t_f": 800.0},
     },
 }
-
-_BRANCH_ALIASES = {"upper": "+", "lower": "-", "+": "+", "-": "-"}
 
 
 class ConfigError(Exception):
@@ -154,6 +183,10 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                 problems.append(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
         elif required:
             problems.append(f"missing [{section}] {key}")
+    site = config.get("packet", {}).get("center_site")
+    n_sites = config.get("model", {}).get("n_sites")
+    if site is not None and n_sites is not None and not 1 <= site <= n_sites:
+        problems.append(f"invalid value for [packet] center_site: {site} (outside sites 1..{n_sites})")
     if problems:
         raise ConfigError(problems)
     return config
@@ -172,14 +205,11 @@ def _model_params(config: dict, field: float | None = None) -> ModelParams:
 
 def _packet_spec(config: dict) -> WavePacketSpec:
     section = config["packet"]
-    branch = _BRANCH_ALIASES.get(str(section.get("branch", "upper")).lower())
-    if branch is None:
-        raise ConfigError([f"invalid value for [packet] branch: {section['branch']!r}"])
     return WavePacketSpec(
         center_momentum=section["k0_pi"] * np.pi,
         width=section["width"],
         center_site=section["center_site"],
-        branch=branch,
+        branch=section.get("branch", "+"),
     )
 
 
@@ -324,11 +354,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outputs = _RUNNERS[args.experiment](config, out, args)
-    except ConfigError as exc:
-        print("configuration error:", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

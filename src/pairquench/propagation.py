@@ -4,7 +4,10 @@ Two interchangeable engines: full spectral decomposition (exact per sample,
 dense cost) and Chebyshev polynomial expansion of ``exp(-iHt)`` (sparse
 matrix-vector cost, truncation controlled by ``tol``).  Both are
 deterministic; the Chebyshev spectral bounds come from a short extremal
-Lanczos run with a fixed start vector and a 5% safety margin.
+Lanczos run with a fixed start vector and a 5% safety margin.  The Chebyshev
+engine casts its rescaled operator to complex once, so no matvec re-casts a
+real matrix, and runs the three-term recursion in place: each term allocates
+only the matvec result.
 """
 
 from __future__ import annotations
@@ -72,9 +75,9 @@ class ChebyshevPropagator:
         self.center = 0.5 * (hi + lo)
         self.halfwidth = 0.5 * (hi - lo)
         dim = self.h.shape[0]
-        self._scaled = (self.h - sparse.identity(dim, format="csr") * self.center) * (
-            1.0 / self.halfwidth
-        )
+        self._scaled = (
+            (self.h - sparse.identity(dim, format="csr") * self.center) * (1.0 / self.halfwidth)
+        ).astype(complex)
         self._coeff_cache: dict[float, np.ndarray] = {}
 
     def _coefficients(self, dt: float) -> np.ndarray:
@@ -103,12 +106,18 @@ class ChebyshevPropagator:
 
     def advance(self, psi: np.ndarray, dt: float) -> np.ndarray:
         coef = self._coefficients(dt)
+        scaled = self._scaled
         prev = psi.astype(complex, copy=True)
-        cur = self._scaled @ prev
+        cur = scaled @ prev
         acc = coef[0] * prev + coef[1] * cur
+        term = np.empty_like(acc)
         for c in coef[2:]:
-            prev, cur = cur, 2.0 * (self._scaled @ cur) - prev
-            acc += c * cur
+            nxt = scaled @ cur
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+            np.multiply(c, cur, out=term)
+            acc += term
         drift = abs(np.linalg.norm(acc) - np.linalg.norm(psi))
         if drift > 1e-8:
             raise PropagationAccuracyError(

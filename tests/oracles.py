@@ -11,6 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from pairquench.bound_band import BoundState
+from pairquench.propagation import ChebyshevPropagator
 from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
 
 
@@ -79,6 +80,24 @@ def loop_bound_state_realspace(state: BoundState, n_sites: int) -> np.ndarray:
             key = (j, other) if j <= other else (other, j)
             amp[index[key]] += pref * site_phase[j - 1]
     return amp / np.linalg.norm(amp)
+
+
+def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float) -> np.ndarray:
+    """One Chebyshev step as the recursion on the real rescaled operator.
+
+    Rebuilds the real operator from ``prop``'s bounds and forms each term as a
+    fresh ``2 A cur - prev``; shares only the expansion coefficients.
+    """
+    dim = prop.h.shape[0]
+    scaled = (prop.h - sparse.identity(dim, format="csr") * prop.center) * (1.0 / prop.halfwidth)
+    coef = prop._coefficients(dt)
+    prev = psi.astype(complex, copy=True)
+    cur = scaled @ prev
+    acc = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, 2.0 * (scaled @ cur) - prev
+        acc += c * cur
+    return acc
 
 
 def _lowering(n_max: int = 2) -> np.ndarray:

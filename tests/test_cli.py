@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairquench
 from pairquench.cli import main
 
 SMALL_QUENCH = """
@@ -114,6 +119,41 @@ def test_even_site_count_rejected_at_config_time(tmp_path, capsys, experiment):
     assert not (tmp_path / "out").exists()
 
 
+PACKET_ERRORS = [
+    ("k0_pi = -0.9", "k0_pi = -1.5", "invalid value for [packet] k0_pi: '-1.5'"),
+    ("width = 0.35", "width = 0", "invalid value for [packet] width: '0'"),
+    ("center_site = 8", "center_site = 40", "invalid value for [packet] center_site: 40"),
+    ("center_site = 8", "center_site = 0", "invalid value for [packet] center_site: 0"),
+    ("center_site = 8", "center_site = 8\nbranch = top", "invalid value for [packet] branch: 'top'"),
+]
+
+
+@pytest.mark.parametrize("experiment", ["quench", "sweep"])
+@pytest.mark.parametrize("old, new, message", PACKET_ERRORS)
+def test_packet_rejected_at_config_time(tmp_path, capsys, experiment, old, new, message):
+    text = {"quench": SMALL_QUENCH, "sweep": SMALL_SWEEP}[experiment]
+    cfg = tmp_path / "packet.ini"
+    cfg.write_text(text.replace(old, new))
+    assert run([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("branch", ["lower", "Upper", "+"])
+def test_branch_aliases_accepted(tmp_path, branch):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_QUENCH.replace("center_site = 8", f"center_site = 8\nbranch = {branch}"))
+    assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
+def test_three_site_count_checked_at_config_time(tmp_path, capsys):
+    cfg = tmp_path / "four.ini"
+    cfg.write_text(THREE_SITE.replace("n_sites = 3", "n_sites = 4"))
+    assert run(["three-site", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "invalid value for [model] n_sites: '4'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_three_site_run_writes_expected_artifacts(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(THREE_SITE)
@@ -192,3 +232,26 @@ def test_default_band_config_runs(tmp_path):
     lines = (out / "band.csv").read_text().splitlines()
     assert lines[0] == "K,branch,beta,energy"
     assert len(lines) == 1 + 2 * 111  # complete double band at the default coupling
+
+
+def test_quench_csv_identical_across_blas_threads(tmp_path):
+    # 17 samples at the paper's size: two full projection blocks plus one sample
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[model]\nn_sites = 111\nkappa = 1.0\nu = -6.24\nv = -6.24\nfield = -0.097120\n\n"
+        "[packet]\nk0_pi = -0.9\nwidth = 0.2\ncenter_site = 36\n\n"
+        "[time]\nt_max = 16\ndt = 1.0\n"
+    )
+    src = str(Path(pairquench.__file__).resolve().parents[1])
+    csv = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"blas{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "pairquench", "quench", "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        csv[threads] = (out / "trajectory.csv").read_bytes()
+    assert len(csv["1"].splitlines()) == 18
+    assert csv["1"] == csv["2"]

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from oracles import loop_chebyshev_advance
 from pairquench import (
     ChebyshevPropagator,
+    ModelParams,
     PropagationAccuracyError,
     SpectralPropagator,
+    build_basis,
+    build_h0,
+    build_stark,
     make_propagator,
 )
 
@@ -65,3 +70,17 @@ def test_auto_backend_selection(random_hamiltonian):
     assert isinstance(make_propagator(random_hamiltonian, method="auto"), SpectralPropagator)
     with pytest.raises(ValueError):
         make_propagator(random_hamiltonian, method="magic")
+
+
+@pytest.mark.parametrize("dt", [1.0, 50.0])
+def test_advance_matches_real_operator_recursion(dt):
+    # the complex operator and the in-place recursion change no arithmetic
+    basis = build_basis(31)
+    params = ModelParams(31, 1.0, -6.24, -6.24)
+    h = (build_h0(params, basis) + build_stark(31, -0.2, basis)).tocsr()
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    psi /= np.linalg.norm(psi)
+    cheb = ChebyshevPropagator(h)
+    assert cheb.h.dtype == np.float64
+    assert np.array_equal(cheb.advance(psi, dt), loop_chebyshev_advance(cheb, psi, dt))

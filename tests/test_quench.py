@@ -15,6 +15,7 @@ from pairquench import (
     estimate_period,
     evolve,
     expectation,
+    make_propagator,
     mean_distance,
     prepare_wavepacket,
     run_quench,
@@ -22,6 +23,7 @@ from pairquench import (
     sweep_transfer,
     transfer_rate,
 )
+from pairquench.quench import _bound_weight
 
 
 
@@ -101,6 +103,20 @@ def test_backends_agree_on_small_quench(small_workspace):
     a = run_quench(small_workspace, -0.21, times, method="spectral")
     b = run_quench(small_workspace, -0.21, times, method="chebyshev")
     assert np.linalg.norm(a.final_state - b.final_state) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["spectral", "chebyshev"])
+@pytest.mark.parametrize("samples", [1, 7, 8, 9, 17])
+def test_blocked_transfer_matches_per_sample_projection(small_workspace, method, samples):
+    # evolve projects SAMPLE_BLOCK samples per matrix product; cover full and partial blocks
+    ws = small_workspace
+    times = np.arange(float(samples))
+    traj = run_quench(ws, -0.21, times, method=method)
+    matrix = ws.band.bound_matrix(ws.basis)[0]
+    prop = make_propagator(ws.hamiltonian(-0.21), method=method)
+    single = [_bound_weight(psi, matrix) for psi in prop.samples(ws.psi0, times)]
+    assert traj.transfer.shape == (samples,)
+    assert np.max(np.abs(traj.transfer - single)) < 1e-14
 
 
 def test_energy_constant_after_field_release(small_workspace):
