@@ -19,7 +19,7 @@ from scipy import sparse
 from . import model
 from .bound_band import BandStructure, band_scan
 from .model import Boundary, ModelParams, TwoBosonBasis, build_basis, build_h0, build_stark
-from .propagation import ChebyshevPropagator, make_propagator
+from .propagation import SAMPLE_BLOCK, ChebyshevPropagator, make_propagator
 
 
 class IncompleteBandError(ValueError):
@@ -96,11 +96,6 @@ def transfer_rate(psi: np.ndarray, band: BandStructure, basis: TwoBosonBasis | N
     return float(_bound_weight(psi, band.bound_matrix(basis)[0]))
 
 
-#: samples projected on the bound matrix per matrix product in ``evolve``
-#: (a block of 8 states at dim 6216 is 0.8 MB)
-SAMPLE_BLOCK = 8
-
-
 @dataclass
 class QuenchTrajectory:
     """Sampled observables along one quench evolution."""
@@ -136,6 +131,9 @@ def evolve(
         raise ValueError("times must be strictly increasing and start at 0")
     bound_matrix, _ = band.bound_matrix(basis)
     sep = model.separations(basis)
+    # the quench adds a diagonal field to h0, so the total energy costs a
+    # diagonal product on top of the field-free energy
+    quench_part = sparse.csr_array(hamiltonian - h0)
     prop = make_propagator(hamiltonian, method=method, tol=tol)
 
     n = times.size
@@ -155,7 +153,7 @@ def evolve(
         distance[s] = sep @ density
         energy[s] = np.real(np.vdot(psi, h0 @ psi))
         norm[s] = np.linalg.norm(psi)
-        total[s] = np.real(np.vdot(psi, hamiltonian @ psi))
+        total[s] = energy[s] + np.real(np.vdot(psi, quench_part @ psi))
     rest = n % SAMPLE_BLOCK
     if rest:
         transfer[n - rest :] = _bound_weight(block[:rest], bound_matrix)

@@ -11,6 +11,7 @@ pass).
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from oracles import fock_two_boson_matrix
 from test_three_site import hump_times
 
 TIMES = np.arange(0.0, 801.0, 1.0)
+#: the headline trajectory as the seed engine wrote it (12 significant digits)
+HEADLINE_REFERENCE = Path(__file__).parents[1] / "benchmarks" / "reference" / "trajectory_headline.csv"
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -222,6 +225,15 @@ def test_criterion_4_energy_mean_as_stated(traj_bloch):
     report("criterion 4 energy clause (mean within -6.24 +- 0.3)",
            abs(mean + 6.24) <= 0.3, f"energy mean={mean:.4f}")
     assert abs(mean + 6.24) <= 0.3
+
+
+def test_headline_trajectory_matches_seed_output(traj_bloch):
+    ref = np.loadtxt(HEADLINE_REFERENCE, delimiter=",", skiprows=1)
+    ours = np.column_stack(
+        [traj_bloch.times, traj_bloch.transfer, traj_bloch.distance, traj_bloch.energy, traj_bloch.norm]
+    )
+    assert ours.shape == ref.shape
+    assert np.all(np.abs(ours - ref) <= 1e-10 * (1.0 + np.abs(ref)))
 
 
 def test_criterion_5_decay_quench(traj_decay):

@@ -13,6 +13,7 @@ from pairquench import (
     build_stark,
     make_propagator,
 )
+from pairquench.propagation import SAMPLE_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +73,86 @@ def test_auto_backend_selection(random_hamiltonian):
         make_propagator(random_hamiltonian, method="magic")
 
 
-@pytest.mark.parametrize("dt", [1.0, 50.0])
-def test_advance_matches_real_operator_recursion(dt):
-    # the complex operator and the in-place recursion change no arithmetic
+@pytest.fixture(scope="module")
+def chain31():
     basis = build_basis(31)
     params = ModelParams(31, 1.0, -6.24, -6.24)
     h = (build_h0(params, basis) + build_stark(31, -0.2, basis)).tocsr()
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    psi /= np.linalg.norm(psi)
+    return h, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("dt", [1.0, 50.0])
+def test_advance_matches_real_operator_recursion(chain31, dt):
+    # same terms as the real-operator recursion; the buffered products only
+    # change the order in which the terms are summed
+    h, psi = chain31
     cheb = ChebyshevPropagator(h)
     assert cheb.h.dtype == np.float64
-    assert np.array_equal(cheb.advance(psi, dt), loop_chebyshev_advance(cheb, psi, dt))
+    assert np.max(np.abs(cheb.advance(psi, dt) - loop_chebyshev_advance(cheb, psi, dt))) <= 1e-15
+
+
+def test_advance_rows_match_separate_recursions(chain31):
+    h, psi = chain31
+    cheb = ChebyshevPropagator(h)
+    earlier = [0.5, 1.0, 2.5, 3.0, 7.0]
+    rows = cheb.advance(psi, 8.0, earlier)
+    assert rows.shape == (len(earlier) + 1, psi.size)
+    for row, offset in zip(rows, earlier + [8.0]):
+        assert np.max(np.abs(row - loop_chebyshev_advance(cheb, psi, offset))) <= 1e-15
+
+
+@pytest.mark.parametrize("earlier", [[2.0, 1.0], [0.0, 1.0], [1.0, 8.0], [1.0, 1.0]])
+def test_advance_rejects_misplaced_offsets(chain31, earlier):
+    h, psi = chain31
+    with pytest.raises(ValueError):
+        ChebyshevPropagator(h).advance(psi, 8.0, earlier)
+
+
+def _record_recursions(cheb):
+    """Make ``cheb.advance`` log the number of earlier offsets of every call."""
+    calls = []
+    advance = cheb.advance
+
+    def logged(psi, dt, earlier=()):
+        calls.append(len(earlier))
+        return advance(psi, dt, earlier)
+
+    cheb.advance = logged
+    return calls
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
+def test_windowed_samples_match_spectral(random_hamiltonian, random_state, count):
+    rng = np.random.default_rng(count)
+    times = 0.7 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, count - 1))])
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
+    recursions = _record_recursions(cheb)
+    got = list(cheb.samples(random_state, times))
+    want = list(SpectralPropagator(random_hamiltonian).samples(random_state, times))
+    assert len(got) == count
+    assert len(recursions) == -(-count // SAMPLE_BLOCK)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-10
+
+
+def test_long_steps_are_not_windowed(random_hamiltonian, random_state):
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
+    assert cheb._is_short(1.0) and not cheb._is_short(50.0)
+    recursions = _record_recursions(cheb)
+    list(cheb.samples(random_state, [0.0, 50.0, 100.0, 101.0, 102.0]))
+    assert recursions == [0, 0, 1]
+
+
+def test_samples_reject_unsorted_times(random_hamiltonian, random_state):
+    cheb = ChebyshevPropagator(random_hamiltonian)
+    for times in ([1.0, 1.0], [2.0, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError):
+            list(cheb.samples(random_state, times))
+
+
+def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_state):
+    cheb = ChebyshevPropagator(random_hamiltonian, bounds=(-0.5, 0.5))
+    assert cheb._is_short(1.0)
+    with pytest.raises(PropagationAccuracyError):
+        list(cheb.samples(random_state, np.arange(0.0, 9.0)))

@@ -199,3 +199,29 @@ def test_serial_sweep_keeps_no_reference_to_the_workspace():
     del workspace
     gc.collect()
     assert psi0() is None
+
+
+@pytest.mark.parametrize("method", ["spectral", "chebyshev"])
+@pytest.mark.parametrize("quenched", [True, False])
+def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, method, quenched):
+    ws = small_workspace
+    h = ws.hamiltonian(-0.21) if quenched else ws.h0
+    times = np.arange(0.0, 12.0)
+    traj = evolve(h, ws.psi0, times, h0=ws.h0, band=ws.band, basis=ws.basis, method=method)
+    states = make_propagator(h, method=method).samples(ws.psi0, times)
+    direct = [np.real(np.vdot(psi, h @ psi)) for psi in states]
+    assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
+
+
+def test_chebyshev_transfer_converges_in_tol():
+    params = ModelParams(31, kappa=1.0, u=-6.24, v=-6.24)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=10)
+    ws = QuenchWorkspace.prepare(params, packet)
+    times = np.arange(0.0, 101.0)
+    exact = run_quench(ws, -0.2, times, method="spectral").transfer
+    errors = [
+        np.max(np.abs(run_quench(ws, -0.2, times, method="chebyshev", tol=tol).transfer - exact))
+        for tol in (1e-6, 1e-9, 1e-12)
+    ]
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] <= 1e-10
