@@ -341,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("argument --threads: must be at least 1")
     try:
         config = load_config(args.experiment, args.config)
     except ConfigError as exc:

@@ -8,10 +8,10 @@ Lanczos run with a fixed start vector and a 5% safety margin.  The Chebyshev
 engine casts its rescaled operator to complex once, so no matvec re-casts a
 real matrix.  One recursion returns the states at several offsets: the terms
 go into a fixed buffer of ``TERM_BUFFER`` rows that is added into every
-offset's row with one matrix product per buffer.  ``samples`` advances
-through windows of up to ``SAMPLE_BLOCK`` sample times with one recursion
-each, as long as every step of the window is short enough that its own
-series would be mostly overhead.
+offset's row with one matrix product per buffer.  ``samples`` yields blocks
+of up to ``SAMPLE_BLOCK`` states, one row per sample time and one matrix
+product or recursion per block; a Chebyshev block spans several times only
+while each step of it is short enough that its own series is mostly overhead.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
 
-#: sample times served by one Chebyshev recursion in ``samples``, and samples
-#: projected per matrix product in ``quench.evolve`` (8 states at dim 6216 are 0.8 MB)
+#: most rows of a block yielded by ``samples`` (8 states at dim 6216 are 0.8 MB)
 SAMPLE_BLOCK = 8
 
 #: Chebyshev terms added into the output rows per matrix product
@@ -39,6 +38,13 @@ class PropagationAccuracyError(RuntimeError):
         super().__init__(f"{message} (achieved {achieved:.3e}, target {target:.3e})")
         self.achieved = achieved
         self.target = target
+
+
+def _sample_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.size and (times[0] < 0.0 or np.any(np.diff(times) <= 0.0)):
+        raise ValueError("sample times must be strictly increasing and non-negative")
+    return times
 
 
 def _as_sparse(h) -> sparse.csr_array:
@@ -59,9 +65,12 @@ class SpectralPropagator:
         return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coef)
 
     def samples(self, psi0: np.ndarray, times):
+        """States at strictly increasing ``times`` >= 0, ``SAMPLE_BLOCK`` rows per block."""
+        times = _sample_times(times)
         coef = self.eigenvectors.T @ psi0
-        for t in times:
-            yield self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coef)
+        for start in range(0, times.size, SAMPLE_BLOCK):
+            phases = np.exp(-1j * np.outer(times[start : start + SAMPLE_BLOCK], self.eigenvalues))
+            yield (phases * coef) @ self.eigenvectors.T
 
 
 def spectral_bounds(h, *, margin: float = 0.05) -> tuple[float, float]:
@@ -186,18 +195,16 @@ class ChebyshevPropagator:
         return self.advance(psi0, t) if t != 0.0 else psi0.astype(complex, copy=True)
 
     def samples(self, psi0: np.ndarray, times):
-        """States at strictly increasing ``times`` >= 0, one recursion per window.
+        """States at strictly increasing ``times`` >= 0, one block per recursion.
 
-        A window holds up to ``SAMPLE_BLOCK`` consecutive samples while every
-        step in it is short (``_is_short``); otherwise it holds one sample.
+        A block holds up to ``SAMPLE_BLOCK`` consecutive samples while every step
+        in it is short (``_is_short``), otherwise one; a sample at t = 0 is its own.
         """
-        times = np.asarray(times, dtype=float)
-        if times.size and (times[0] < 0.0 or np.any(np.diff(times) <= 0.0)):
-            raise ValueError("sample times must be strictly increasing and non-negative")
-        psi = psi0.astype(complex, copy=True)
+        times = _sample_times(times)
+        block = psi0.astype(complex, copy=True).reshape(1, -1)
         base, start = 0.0, 0
         if times.size and times[0] == 0.0:
-            yield psi
+            yield block
             start = 1
         while start < times.size:
             stop = start + 1
@@ -206,9 +213,9 @@ class ChebyshevPropagator:
                 while stop < limit and self._is_short(times[stop] - times[stop - 1]):
                     stop += 1
             offsets = times[start:stop] - base
-            block = self.advance(psi, offsets[-1], offsets[:-1]).reshape(offsets.size, -1)
-            yield from block
-            psi, base, start = block[-1], times[stop - 1], stop
+            block = self.advance(block[-1], offsets[-1], offsets[:-1]).reshape(offsets.size, -1)
+            yield block
+            base, start = times[stop - 1], stop
 
 
 def make_propagator(h, *, method: str = "auto", tol: float = 1e-12):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, build_basis, build_hamiltonian
+from .propagation import SpectralPropagator
 
 
 class SingularParameterError(ValueError):
@@ -84,7 +85,8 @@ def transfer_probability(t, constants: EffectiveConstants):
 def exact_pair_dynamics(params: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
     """Exact evolution of the site-1 pair on the full three-site chain.
 
-    Returns ``(pair_loss, unpair_weight)`` where ``pair_loss(t) = 1 -
+    ``times`` must be strictly increasing and non-negative.  Returns
+    ``(pair_loss, unpair_weight)`` where ``pair_loss(t) = 1 -
     |<pair|psi(t)>|^2`` counts every process that moves weight off the
     initial configuration (including pair hopping), while ``unpair_weight(t)
     = |<unpair|psi(t)>|^2`` isolates genuine pair breaking into the edge
@@ -92,14 +94,9 @@ def exact_pair_dynamics(params: ModelParams, times) -> tuple[np.ndarray, np.ndar
     """
     if params.n_sites != 3:
         raise ValueError("exact pair dynamics is defined for the three-site chain")
-    times = np.asarray(times, dtype=float)
     basis = build_basis(3)
-    h = build_hamiltonian(params, basis).toarray()
-    vals, vecs = np.linalg.eigh(h)
-    start = basis.unit_state(1, 1)
-    coef = vecs.T @ start
-    phases = np.exp(-1j * np.outer(times, vals))
-    psi_t = (vecs[np.newaxis, :, :] * phases[:, np.newaxis, :]) @ coef
+    prop = SpectralPropagator(build_hamiltonian(params, basis))
+    psi_t = np.vstack([np.empty((0, basis.dim)), *prop.samples(basis.unit_state(1, 1), times)])
     pair_loss = 1.0 - np.abs(psi_t[:, basis.rank(1, 1)]) ** 2
     unpair_weight = np.abs(psi_t[:, basis.rank(1, 3)]) ** 2
     return pair_loss, unpair_weight

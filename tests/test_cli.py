@@ -154,6 +154,15 @@ def test_three_site_count_checked_at_config_time(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_worker_count_rejected_before_output(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["sweep", "--threads", threads, "--out", tmp_path / "out"])
+    assert exit_info.value.code == 2
+    assert "argument --threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_three_site_run_writes_expected_artifacts(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(THREE_SITE)

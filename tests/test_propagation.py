@@ -50,7 +50,7 @@ def test_stepping_matches_single_jump(random_hamiltonian, random_state):
 def test_unitarity_and_energy_conservation(random_hamiltonian, random_state):
     cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
     e0 = np.real(np.vdot(random_state, random_hamiltonian @ random_state))
-    for psi in cheb.samples(random_state, np.arange(0.0, 30.0, 1.0)):
+    for psi in np.vstack(list(cheb.samples(random_state, np.arange(0.0, 30.0, 1.0)))):
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
         assert abs(np.real(np.vdot(psi, random_hamiltonian @ psi)) - e0) < 1e-9
 
@@ -58,7 +58,8 @@ def test_unitarity_and_energy_conservation(random_hamiltonian, random_state):
 def test_first_sample_is_initial_state(random_hamiltonian, random_state):
     for prop in (SpectralPropagator(random_hamiltonian), ChebyshevPropagator(random_hamiltonian)):
         first = next(iter(prop.samples(random_state, [0.0])))
-        assert np.linalg.norm(first - random_state) < 1e-14
+        assert first.shape == (1, random_state.size)
+        assert np.linalg.norm(first[0] - random_state) < 1e-14
 
 
 def test_underestimated_bounds_raise(random_hamiltonian, random_state):
@@ -129,8 +130,8 @@ def test_windowed_samples_match_spectral(random_hamiltonian, random_state, count
     times = 0.7 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, count - 1))])
     cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
     recursions = _record_recursions(cheb)
-    got = list(cheb.samples(random_state, times))
-    want = list(SpectralPropagator(random_hamiltonian).samples(random_state, times))
+    got = np.vstack(list(cheb.samples(random_state, times)))
+    want = np.vstack(list(SpectralPropagator(random_hamiltonian).samples(random_state, times)))
     assert len(got) == count
     assert len(recursions) == -(-count // SAMPLE_BLOCK)
     assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-10
@@ -140,15 +141,17 @@ def test_long_steps_are_not_windowed(random_hamiltonian, random_state):
     cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
     assert cheb._is_short(1.0) and not cheb._is_short(50.0)
     recursions = _record_recursions(cheb)
-    list(cheb.samples(random_state, [0.0, 50.0, 100.0, 101.0, 102.0]))
+    blocks = list(cheb.samples(random_state, [0.0, 50.0, 100.0, 101.0, 102.0]))
     assert recursions == [0, 0, 1]
+    assert [len(block) for block in blocks] == [1, 1, 1, 2]
 
 
-def test_samples_reject_unsorted_times(random_hamiltonian, random_state):
-    cheb = ChebyshevPropagator(random_hamiltonian)
+@pytest.mark.parametrize("backend", [SpectralPropagator, ChebyshevPropagator])
+def test_samples_reject_unsorted_times(random_hamiltonian, random_state, backend):
+    prop = backend(random_hamiltonian)
     for times in ([1.0, 1.0], [2.0, 1.0], [-1.0, 1.0]):
         with pytest.raises(ValueError):
-            list(cheb.samples(random_state, times))
+            list(prop.samples(random_state, times))
 
 
 def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_state):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import weakref
 
@@ -23,6 +24,7 @@ from pairquench import (
     sweep_transfer,
     transfer_rate,
 )
+from pairquench import quench
 from pairquench.quench import _bound_weight
 
 
@@ -108,15 +110,32 @@ def test_backends_agree_on_small_quench(small_workspace):
 @pytest.mark.parametrize("method", ["spectral", "chebyshev"])
 @pytest.mark.parametrize("samples", [1, 7, 8, 9, 17])
 def test_blocked_transfer_matches_per_sample_projection(small_workspace, method, samples):
-    # evolve projects SAMPLE_BLOCK samples per matrix product; cover full and partial blocks
+    # evolve projects each block of samples with one matrix product; cover full and partial blocks
     ws = small_workspace
     times = np.arange(float(samples))
     traj = run_quench(ws, -0.21, times, method=method)
     matrix = ws.band.bound_matrix(ws.basis)[0]
     prop = make_propagator(ws.hamiltonian(-0.21), method=method)
-    single = [_bound_weight(psi, matrix) for psi in prop.samples(ws.psi0, times)]
+    single = [_bound_weight(psi, matrix) for psi in np.vstack(list(prop.samples(ws.psi0, times)))]
     assert traj.transfer.shape == (samples,)
     assert np.max(np.abs(traj.transfer - single)) < 1e-14
+
+
+def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_workspace):
+    # short steps share a Chebyshev recursion, the step of 50 does not: blocks of 1, 2, 1, 2 rows
+    ws = small_workspace
+    times = np.array([0.0, 1.0, 2.0, 52.0, 53.0, 54.0])
+    h = ws.hamiltonian(-0.21)
+    blocks = list(make_propagator(h, method="chebyshev").samples(ws.psi0, times))
+    assert [len(block) for block in blocks] == [1, 2, 1, 2]
+    cheb = run_quench(ws, -0.21, times, method="chebyshev")
+    exact = run_quench(ws, -0.21, times, method="spectral")
+    for name in ("transfer", "distance", "energy", "norm", "total_energy"):
+        assert np.max(np.abs(getattr(cheb, name) - getattr(exact, name))) < 1e-9, name
+    matrix = ws.band.bound_matrix(ws.basis)[0]
+    single = [_bound_weight(psi, matrix) for psi in np.vstack(blocks)]
+    assert np.max(np.abs(cheb.transfer - single)) < 1e-14
+    assert np.array_equal(cheb.final_state, blocks[-1][-1])
 
 
 def test_energy_constant_after_field_release(small_workspace):
@@ -190,6 +209,37 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
         sweep_transfer(small_workspace, f_values, t_final=-1.0)
 
 
+def test_sweep_starts_at_most_one_worker_per_grid_point(small_workspace, monkeypatch):
+    # a stub executor records the requested pool size and runs every point in this process
+    requested = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(quench, "_WORKER_CTX", ())
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    f_values = [-0.2, -0.19, -0.18]
+    pooled = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=5000)
+    assert requested == [3]
+    serial = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=1)
+    assert np.array_equal(pooled.transfer, serial.transfer)
+    sweep_transfer(small_workspace, [-0.2], t_final=5.0, workers=5000)
+    assert requested == [3]  # one grid point runs serially
+
+
 def test_serial_sweep_keeps_no_reference_to_the_workspace():
     params = ModelParams(15, kappa=1.0, u=-6.24, v=-6.24)
     packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8)
@@ -208,7 +258,7 @@ def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, method,
     h = ws.hamiltonian(-0.21) if quenched else ws.h0
     times = np.arange(0.0, 12.0)
     traj = evolve(h, ws.psi0, times, h0=ws.h0, band=ws.band, basis=ws.basis, method=method)
-    states = make_propagator(h, method=method).samples(ws.psi0, times)
+    states = np.vstack(list(make_propagator(h, method=method).samples(ws.psi0, times)))
     direct = [np.real(np.vdot(psi, h @ psi)) for psi in states]
     assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
 
