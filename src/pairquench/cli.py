@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import reporting, spectrum, three_site
+from . import reporting, three_site
 from .model import ModelParams
 from .quench import QuenchWorkspace, WavePacketSpec, run_quench, sweep_transfer
 
@@ -53,10 +53,31 @@ def _k0_pi(raw: str) -> float:
     return value
 
 
-def _positive(raw: str) -> float:
+def _finite(raw: str) -> float:
     value = float(raw)
-    if not value > 0.0:
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _positive(raw: str) -> float:
+    value = _finite(raw)
+    if value <= 0.0:
         raise ValueError("must be positive")
+    return value
+
+
+def _non_negative(raw: str) -> float:
+    value = _finite(raw)
+    if value < 0.0:
+        raise ValueError("must not be negative")
+    return value
+
+
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
     return value
 
 
@@ -74,61 +95,61 @@ def _branch(raw: str) -> str:
 SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     "three-site": [
         ("model", "n_sites", _three_sites, True),
-        ("model", "kappa", float, True),
-        ("model", "u", float, True),
-        ("model", "v", float, True),
+        ("model", "kappa", _finite, True),
+        ("model", "u", _finite, True),
+        ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
         ("three_site", "fields", str, True),
-        ("three_site", "t_max", float, True),
-        ("three_site", "dt", float, True),
+        ("three_site", "t_max", _non_negative, True),
+        ("three_site", "dt", _positive, True),
     ],
     "band": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", float, True),
-        ("model", "u", float, True),
+        ("model", "kappa", _finite, True),
+        ("model", "u", _finite, True),
         ("model", "boundary", _open_boundary, False),
     ],
     "spectrum": [
         ("model", "n_sites", int, True),
-        ("model", "kappa", float, True),
-        ("model", "u", float, True),
-        ("model", "v", float, True),
+        ("model", "kappa", _finite, True),
+        ("model", "u", _finite, True),
+        ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
-        ("spectrum", "f_start", float, True),
-        ("spectrum", "f_stop", float, True),
-        ("spectrum", "f_count", int, True),
-        ("spectrum", "r_threshold", float, False),
-        ("spectrum", "window_lo", float, False),
-        ("spectrum", "window_hi", float, False),
+        ("spectrum", "f_start", _finite, True),
+        ("spectrum", "f_stop", _finite, True),
+        ("spectrum", "f_count", _count, True),
+        ("spectrum", "r_threshold", _finite, False),
+        ("spectrum", "window_lo", _finite, False),
+        ("spectrum", "window_hi", _finite, False),
     ],
     "quench": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", float, True),
-        ("model", "u", float, True),
-        ("model", "v", float, True),
-        ("model", "field", float, True),
+        ("model", "kappa", _finite, True),
+        ("model", "u", _finite, True),
+        ("model", "v", _finite, True),
+        ("model", "field", _finite, True),
         ("model", "boundary", _open_boundary, False),
         ("packet", "k0_pi", _k0_pi, True),
         ("packet", "width", _positive, True),
         ("packet", "center_site", int, True),
         ("packet", "branch", _branch, False),
-        ("time", "t_max", float, True),
-        ("time", "dt", float, True),
+        ("time", "t_max", _non_negative, True),
+        ("time", "dt", _positive, True),
     ],
     "sweep": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", float, True),
-        ("model", "u", float, True),
-        ("model", "v", float, True),
+        ("model", "kappa", _finite, True),
+        ("model", "u", _finite, True),
+        ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
         ("packet", "k0_pi", _k0_pi, True),
         ("packet", "width", _positive, True),
         ("packet", "center_site", int, True),
         ("packet", "branch", _branch, False),
-        ("sweep", "f_start", float, True),
-        ("sweep", "f_stop", float, True),
-        ("sweep", "f_step", float, True),
-        ("sweep", "t_f", float, True),
+        ("sweep", "f_start", _finite, True),
+        ("sweep", "f_stop", _finite, True),
+        ("sweep", "f_step", _positive, True),
+        ("sweep", "t_f", _positive, True),
     ],
 }
 
@@ -187,6 +208,10 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     n_sites = config.get("model", {}).get("n_sites")
     if site is not None and n_sites is not None and not 1 <= site <= n_sites:
         problems.append(f"invalid value for [packet] center_site: {site} (outside sites 1..{n_sites})")
+    f_start = config.get("sweep", {}).get("f_start")
+    f_stop = config.get("sweep", {}).get("f_stop")
+    if f_start is not None and f_stop is not None and f_stop < f_start:
+        problems.append(f"invalid value for [sweep] f_stop: {f_stop} (below f_start {f_start})")
     if problems:
         raise ConfigError(problems)
     return config
@@ -250,6 +275,8 @@ def _run_band(config, out: Path, args) -> list[str]:
 
 
 def _run_spectrum(config, out: Path, args) -> list[str]:
+    from . import spectrum  # scipy.optimize loads only for this experiment
+
     section = config["spectrum"]
     params = _model_params(config, field=0.0)
     f_values = np.linspace(section["f_start"], section["f_stop"], section["f_count"])

@@ -9,8 +9,9 @@ and keep the element-by-element arithmetic the array code must reproduce.
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 
-from pairquench.bound_band import BoundState
+from pairquench.bound_band import BoundState, _decay_roots
 from pairquench.propagation import ChebyshevPropagator
 from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
 
@@ -80,6 +81,72 @@ def loop_bound_state_realspace(state: BoundState, n_sites: int) -> np.ndarray:
             key = (j, other) if j <= other else (other, j)
             amp[index[key]] += pref * site_phase[j - 1]
     return amp / np.linalg.norm(amp)
+
+
+def chain_bands(hop: float, interaction: float, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the truncated relative chain r = 0 .. length."""
+    diag = np.zeros(length + 1)
+    diag[:2] = interaction
+    off = -hop * np.ones(length)
+    off[0] *= SQRT2
+    return diag, off
+
+
+def build_heq(momentum: float, kappa: float, interaction: float, length: int) -> sparse.csr_array:
+    """Truncated relative-motion chain of the K sector, dimension ``length + 1``.
+
+    Sites are relative separations r = 0 .. length; the 0-1 link carries
+    ``-sqrt(2) J_K``, every further link ``-J_K``, and the interaction sits
+    on r = 0 and r = 1.
+    """
+    if length < 1:
+        raise ValueError("chain length must be at least 1")
+    hop = 2.0 * kappa * np.cos(momentum / 2.0)
+    diag, off = chain_bands(hop, interaction, length)
+    return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1]).tocsr()
+
+
+def chain_isolated_energies(hop: float, interaction: float, length: int) -> np.ndarray:
+    """Eigenvalues of the truncated chain lying outside the scattering band.
+
+    Bisection over the two outer intervals only: the same levels as a full
+    ``eigh_tridiagonal`` at a fraction of its cost on a 401-site chain.
+    """
+    diag, off = chain_bands(hop, interaction, length)
+    edge = 2.0 * abs(hop) + 1e-12
+    reach = abs(interaction) + (1.0 + SQRT2) * abs(hop) + 1.0  # Gershgorin bound
+    return np.concatenate([
+        eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=limits)
+        for limits in ((-reach, -edge), (edge, reach))
+    ])
+
+
+def chain_checked_roots(
+    momentum: float, kappa: float, interaction: float, length: int = 400, match_tol: float = 1e-6
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """``(beta, energy)`` of every decay root, split into the roots an isolated
+    level of the truncated chain matches to ``match_tol`` and the rest.
+
+    This is the truncated-chain check that the analytic decay cutoff of
+    ``solve_bound_states`` replaces.
+    """
+    hop = 2.0 * kappa * np.cos(momentum / 2.0)
+    if abs(hop) < 1e-12 or interaction == 0.0:
+        return [], []
+    roots = sorted(
+        (float(-np.log(abs(y))), float(-hop * (y + 1.0 / y)))
+        for y in _decay_roots(interaction / hop)
+    )
+    if not roots:
+        return [], []
+    levels = chain_isolated_energies(hop, interaction, length)
+    matched = [
+        levels.size > 0 and np.min(np.abs(levels - energy)) < match_tol for _, energy in roots
+    ]
+    return (
+        [r for r, ok in zip(roots, matched) if ok],
+        [r for r, ok in zip(roots, matched) if not ok],
+    )
 
 
 def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float) -> np.ndarray:

@@ -28,10 +28,10 @@ from pairquench import (
     exact_pair_dynamics,
     run_quench,
     solve_bound_states,
-    spectrum_vs_field,
     sweep_transfer,
 )
 from pairquench.propagation import ChebyshevPropagator
+from pairquench.spectrum import spectrum_vs_field
 
 from conftest import F_BLOCH, F_DECAY, REF_KAPPA, REF_N, REF_U
 from oracles import fock_two_boson_matrix

@@ -1,28 +1,23 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
 
 from pairquench import (
     band_scan,
     bound_state_realspace,
-    build_heq,
     cubic_residual,
     momentum_grid,
     solve_bound_states,
 )
+from pairquench.bound_band import decay_cutoff
 from pairquench.reporting import write_band_csv
 
-from oracles import loop_bound_state_realspace
-
-
-def chain_isolated_energies(hop, interaction, length):
-    diag = np.zeros(length + 1)
-    diag[:2] = interaction
-    off = -hop * np.ones(length)
-    off[0] *= np.sqrt(2.0)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-    return vals[np.abs(vals) > 2.0 * abs(hop) + 1e-12]
+from oracles import (
+    build_heq,
+    chain_checked_roots,
+    chain_isolated_energies,
+    loop_bound_state_realspace,
+)
 
 
 def test_momentum_grid_excludes_zone_edge():
@@ -106,8 +101,8 @@ def test_cubic_residual_and_band_gap():
 @given(st.integers(min_value=1, max_value=55))
 def test_momentum_reflection_symmetry(m):
     k = 2.0 * np.pi * m / 111
-    plus = solve_bound_states(k, 1.0, -6.24, validate=False)
-    minus = solve_bound_states(-k, 1.0, -6.24, validate=False)
+    plus = solve_bound_states(k, 1.0, -6.24)
+    minus = solve_bound_states(-k, 1.0, -6.24)
     assert len(plus) == len(minus)
     for a, b in zip(plus, minus):
         assert a.beta == pytest.approx(b.beta, abs=1e-12)
@@ -122,6 +117,64 @@ def test_truncation_convergence():
         long = np.sort(chain_isolated_energies(hop, -6.24, 400))
         assert short.shape == long.shape
         assert np.max(np.abs(short - long)) < 1e-10
+
+
+# the truncated-chain check drops exactly these roots on the grid below:
+# (U, m) with K = 2 pi m / 201, two slow roots per |U| = 6
+CHAIN_DROPPED = {(u, m) for u in (-6.0, 6.0) for m in (-2, -1, 1, 2)}
+
+
+def test_decay_cutoff_reproduces_chain_check():
+    # 125 interactions times the 201-site grid: 25,125 sectors
+    interactions = np.linspace(-12.0, 12.0, 125)
+    momenta = momentum_grid(201)
+    cutoff = decay_cutoff(400, 1e-6)
+    dropped, kept = {}, []
+    for u in interactions:
+        for m, k in enumerate(momenta, start=-100):
+            matched, unmatched = chain_checked_roots(k, 1.0, u)
+            states = solve_bound_states(k, 1.0, u)
+            assert sorted((s.beta, s.energy) for s in states) == matched
+            if unmatched:
+                dropped[(round(float(u), 9), m)] = unmatched
+            kept.extend(beta for beta, _ in matched)
+    assert set(dropped) == CHAIN_DROPPED
+    slowest_dropped = max(beta for roots in dropped.values() for beta, _ in roots)
+    assert slowest_dropped < cutoff < min(kept)
+    assert 0.00435 < cutoff < 0.00965
+
+
+def test_decay_cutoff_limits():
+    sites = 401
+    beta = decay_cutoff(400, 1e-6)
+    assert beta == pytest.approx(0.0063305, rel=1e-4)
+    # the cutoff solves 4 beta^2 exp(-2 beta M) = match_tol on the falling side
+    assert 4.0 * beta**2 * np.exp(-2.0 * beta * sites) == pytest.approx(1e-6, rel=1e-9)
+    assert beta > 1.0 / sites
+    # a looser tolerance or a longer chain keeps slower roots
+    assert decay_cutoff(400, 1e-4) < beta
+    assert decay_cutoff(800, 1e-6) < beta
+    # no root of the shift equation: only the existence bound beta > 1/M is left
+    assert decay_cutoff(400, 1e-3) == 1.0 / sites
+
+
+def test_truncation_shift_matches_leading_order():
+    # the chain level of a slow root sits 4 |J| beta^2 exp(-2 beta M) away
+    # from the semi-infinite energy, the estimate behind decay_cutoff
+    sites = 401
+    checked = 0
+    for u in (-6.0, 6.0, -6.1, 5.9):
+        for k in momentum_grid(201):
+            hop = 2.0 * np.cos(k / 2.0)
+            for s in solve_bound_states(k, 1.0, u):
+                shift = 4.0 * abs(hop) * s.beta**2 * np.exp(-2.0 * s.beta * sites)
+                if shift < 1e-9:
+                    continue
+                levels = chain_isolated_energies(hop, u, 400)
+                measured = np.min(np.abs(levels - s.energy))
+                assert 0.8 < measured / shift < 1.25
+                checked += 1
+    assert checked == 10
 
 
 def test_realspace_reconstruction(ref_basis, ref_h0_ring):

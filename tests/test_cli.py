@@ -72,6 +72,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_python(args, **env_vars):
+    """Run ``python args...`` in a fresh process on this checkout's package."""
+    src = str(Path(pairquench.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, check=True, capture_output=True,
+        text=True, timeout=300,
+    )
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run(["band", "--config", tmp_path / "nope.ini"]) == 2
     assert "config file not found" in capsys.readouterr().err
@@ -137,6 +148,58 @@ def test_packet_rejected_at_config_time(tmp_path, capsys, experiment, old, new, 
     assert run([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SPECTRUM = """
+[model]
+n_sites = 3
+kappa = 0.4
+u = -6.0
+v = -6.0
+
+[spectrum]
+f_start = -4.0
+f_stop = -2.0
+f_count = 21
+"""
+
+CONFIGS = {"quench": SMALL_QUENCH, "sweep": SMALL_SWEEP, "three-site": THREE_SITE, "spectrum": SPECTRUM}
+
+# one entry per checked key: the experiment, the replaced line and the message
+KEY_ERRORS = [
+    ("quench", "t_max = 20", "t_max = -5", "invalid value for [time] t_max: '-5'"),
+    ("quench", "dt = 1.0", "dt = 0", "invalid value for [time] dt: '0'"),
+    ("quench", "dt = 1.0", "dt = -1", "invalid value for [time] dt: '-1'"),
+    ("sweep", "f_step = 0.01", "f_step = 0", "invalid value for [sweep] f_step: '0'"),
+    ("sweep", "f_stop = -0.18", "f_stop = -0.25", "invalid value for [sweep] f_stop: -0.25 (below f_start -0.22)"),
+    ("sweep", "t_f = 30", "t_f = 0", "invalid value for [sweep] t_f: '0'"),
+    ("three-site", "t_max = 50", "t_max = -1", "invalid value for [three_site] t_max: '-1'"),
+    ("three-site", "dt = 0.5", "dt = 0", "invalid value for [three_site] dt: '0'"),
+    ("spectrum", "f_count = 21", "f_count = 0", "invalid value for [spectrum] f_count: '0'"),
+    # non-finite numbers: an infinite f_stop ended in an OverflowError traceback,
+    # an infinite field wrote a trajectory of nan
+    ("sweep", "f_stop = -0.18", "f_stop = inf", "invalid value for [sweep] f_stop: 'inf' (must be finite)"),
+    ("quench", "field = -0.21", "field = inf", "invalid value for [model] field: 'inf' (must be finite)"),
+    ("quench", "dt = 1.0", "dt = nan", "invalid value for [time] dt: 'nan' (must be finite)"),
+]
+
+
+@pytest.mark.parametrize("experiment, old, new, message", KEY_ERRORS)
+def test_run_keys_rejected_at_config_time(tmp_path, capsys, experiment, old, new, message):
+    cfg = tmp_path / "bad.ini"
+    text = CONFIGS[experiment]
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert run([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the spectrum experiment needs scipy.optimize (level assignment)
+    for module in ("pairquench", "pairquench.cli"):
+        probe = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+        assert run_python(["-c", probe]).stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("branch", ["lower", "Upper", "+"])
@@ -206,10 +269,7 @@ def test_sweep_run_with_sidecar(tmp_path):
 
 def test_spectrum_run(tmp_path):
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(
-        "[model]\nn_sites = 3\nkappa = 0.4\nu = -6.0\nv = -6.0\n\n"
-        "[spectrum]\nf_start = -4.0\nf_stop = -2.0\nf_count = 21\n"
-    )
+    cfg.write_text(SPECTRUM)
     out = tmp_path / "out"
     assert run(["spectrum", "--config", cfg, "--out", out]) == 0
     lines = (out / "spectrum.csv").read_text().splitlines()
@@ -251,16 +311,34 @@ def test_quench_csv_identical_across_blas_threads(tmp_path):
         "[packet]\nk0_pi = -0.9\nwidth = 0.2\ncenter_site = 36\n\n"
         "[time]\nt_max = 16\ndt = 1.0\n"
     )
-    src = str(Path(pairquench.__file__).resolve().parents[1])
     csv = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"blas{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "pairquench", "quench", "--config", str(cfg), "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
+        run_python(
+            ["-m", "pairquench", "quench", "--config", cfg, "--out", out],
+            OPENBLAS_NUM_THREADS=threads,
         )
         csv[threads] = (out / "trajectory.csv").read_bytes()
     assert len(csv["1"].splitlines()) == 18
     assert csv["1"] == csv["2"]
+
+
+def test_sweep_csv_identical_across_blas_and_worker_threads(tmp_path):
+    # three fields of the default grid at the paper's size, short final time
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[model]\nn_sites = 111\nkappa = 1.0\nu = -6.24\nv = -6.24\n\n"
+        "[packet]\nk0_pi = -0.9\nwidth = 0.2\ncenter_site = 36\n\n"
+        "[sweep]\nf_start = -0.0995\nf_stop = -0.09935\nf_step = 7.5e-5\nt_f = 50\n"
+    )
+    csv = {}
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"blas{blas}_workers{workers}"
+            run_python(
+                ["-m", "pairquench", "sweep", "--config", cfg, "--out", out, "--threads", workers],
+                OPENBLAS_NUM_THREADS=blas,
+            )
+            csv[blas, workers] = (out / "sweep.csv").read_bytes()
+    assert len(csv["1", "1"].splitlines()) == 4
+    assert len(set(csv.values())) == 1

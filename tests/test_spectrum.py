@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from pairquench import (
-    ModelParams,
-    build_basis,
-    build_h0,
+from pairquench import ModelParams, build_basis, build_h0
+from pairquench.spectrum import (
+    SpectrumSlice,
     classify_levels,
     detect_avoided_crossings,
     spectrum_vs_field,
 )
-from pairquench.spectrum import SpectrumSlice
 
 from oracles import free_scattering_state
 
