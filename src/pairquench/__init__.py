@@ -5,7 +5,6 @@ from .bound_band import (
     BoundState,
     band_scan,
     bound_state_realspace,
-    cubic_residual,
     momentum_grid,
     solve_bound_states,
 )
@@ -17,8 +16,6 @@ from .model import (
     build_h0,
     build_hamiltonian,
     build_stark,
-    expectation,
-    mean_distance,
 )
 from .propagation import (
     ChebyshevPropagator,
@@ -33,7 +30,6 @@ from .quench import (
     QuenchWorkspace,
     SweepResult,
     WavePacketSpec,
-    energy_distribution,
     estimate_period,
     evolve,
     prepare_wavepacket,
@@ -45,7 +41,6 @@ from .three_site import (
     EffectiveConstants,
     SingularParameterError,
     exact_pair_dynamics,
-    pair_unpair_hamiltonian,
     rabi_constants,
     transfer_probability,
 )
@@ -75,16 +70,11 @@ __all__ = [
     "build_h0",
     "build_hamiltonian",
     "build_stark",
-    "cubic_residual",
-    "energy_distribution",
     "estimate_period",
     "evolve",
     "exact_pair_dynamics",
-    "expectation",
     "make_propagator",
-    "mean_distance",
     "momentum_grid",
-    "pair_unpair_hamiltonian",
     "prepare_wavepacket",
     "rabi_constants",
     "run_quench",

@@ -26,12 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import lambertw
 
-from .model import SQRT2, TwoBosonBasis, build_basis
+from .model import SQRT2, TwoBosonBasis
 
 BRANCH_LOWER = "-"
 BRANCH_UPPER = "+"
 
 _GRID_ATOL = 1e-9
+
+#: relative chain r = 0 .. CHAIN_LENGTH that a kept bound root must fit (``decay_cutoff``)
+CHAIN_LENGTH = 400
+#: largest energy error, in units of |J_K|, that truncating a kept root may cause
+MATCH_TOL = 1e-6
 
 
 def momentum_grid(n_sites: int) -> np.ndarray:
@@ -66,19 +71,6 @@ class BoundState:
     @property
     def interaction(self) -> float:
         return self.reduced_u * self.hop
-
-
-def cubic_residual(state: BoundState) -> float:
-    """Residual of the decay-ratio cubic, scaled by its largest monomial.
-
-    The raw polynomial value at large ``exp(beta)`` is dominated by float
-    round-off of huge terms, so the scale-free quantity is what a solver can
-    actually drive to zero.
-    """
-    u = state.reduced_u
-    y = state.decay_ratio
-    terms = np.array([u * y**3, (u * u - 1.0) * y**2, 2.0 * u * y, 1.0])
-    return float(abs(terms.sum()) / np.max(np.abs(terms)))
 
 
 def _decay_roots(reduced_u: float) -> list[float]:
@@ -116,8 +108,8 @@ def decay_cutoff(chain_length: int, match_tol: float) -> float:
     therefore the largest root of 4 beta**2 exp(-2 beta M) = match_tol,
     beta_c = -W_{-1}(-M sqrt(match_tol) / 2) / M with W_{-1} the lower
     Lambert-W branch, and 1/M where that equation has no root.  It depends on
-    beta alone, as does the dimensionless chain H / J_K.  The defaults (400,
-    1e-6) give 0.00633.
+    beta alone, as does the dimensionless chain H / J_K.  ``CHAIN_LENGTH`` and
+    ``MATCH_TOL`` (400, 1e-6) give 0.00633.
     """
     sites = chain_length + 1
     scale = 0.5 * sites * np.sqrt(match_tol)
@@ -126,24 +118,17 @@ def decay_cutoff(chain_length: int, match_tol: float) -> float:
     return float(-lambertw(-scale, k=-1).real) / sites
 
 
-def solve_bound_states(
-    momentum: float,
-    kappa: float,
-    interaction: float,
-    *,
-    chain_length: int = 400,
-    match_tol: float = 1e-6,
-) -> list[BoundState]:
+def solve_bound_states(momentum: float, kappa: float, interaction: float) -> list[BoundState]:
     """Bound-pair solutions of one momentum sector, sorted by energy.
 
     Returns an empty list for a flat sector (K = +-pi) or vanishing
     interaction.  A root is kept when its decay rate exceeds
-    ``decay_cutoff(chain_length, match_tol)``: a root that decays more slowly
-    reaches past the end of a ``chain_length`` relative chain, which then
-    misplaces its energy by more than ``match_tol |J_K|`` (see
+    ``decay_cutoff(CHAIN_LENGTH, MATCH_TOL)``: a root that decays more slowly
+    reaches past the end of a ``CHAIN_LENGTH`` relative chain, which then
+    misplaces its energy by more than ``MATCH_TOL |J_K|`` (see
     ``decay_cutoff`` for the derivation).  This equals matching every root
     against the isolated eigenvalues of that truncated chain to
-    ``match_tol``: on 125 interactions in [-12, 12] times the 201-site
+    ``MATCH_TOL``: on 125 interactions in [-12, 12] times the 201-site
     momentum grid both drop the same 8 roots (beta <= 0.00435, all at
     |U| = 6 next to K = 0) and keep all others (beta >= 0.00965).
     """
@@ -151,7 +136,7 @@ def solve_bound_states(
     if abs(hop) < 1e-12 or interaction == 0.0:
         return []
     reduced_u = interaction / hop
-    cutoff = decay_cutoff(chain_length, match_tol)
+    cutoff = decay_cutoff(CHAIN_LENGTH, MATCH_TOL)
     found = []
     for y in _decay_roots(reduced_u):
         if -np.log(abs(y)) > cutoff:
@@ -177,16 +162,15 @@ def solve_bound_states(
     return states
 
 
-def bound_state_realspace(
-    state: BoundState, n_sites: int, basis: TwoBosonBasis | None = None
-) -> np.ndarray:
-    """Normalized two-boson vector of a bound state on an ``n_sites`` ring.
+def bound_state_realspace(state: BoundState, basis: TwoBosonBasis) -> np.ndarray:
+    """Normalized two-boson vector of a bound state on the ring of ``basis``.
 
     The relative amplitudes are ``psi_0`` fixed by the first row of the chain
     eigenproblem and ``psi_r = y**r`` up to the maximal ring separation
     (n-1)/2; each separation is spread over the ring with phases
     ``exp(i K (j + r/2))``.
     """
+    n_sites = basis.n_sites
     if n_sites % 2 == 0:
         raise ValueError("real-space reconstruction needs an odd ring")
     steps = state.momentum * n_sites / (2.0 * np.pi)
@@ -194,10 +178,6 @@ def bound_state_realspace(
         raise ValueError(
             f"momentum {state.momentum} is not on the {n_sites}-site grid"
         )
-    if basis is None:
-        basis = build_basis(n_sites)
-    elif basis.n_sites != n_sites:
-        raise ValueError("basis does not match n_sites")
 
     y = state.decay_ratio
     psi0 = SQRT2 * state.hop * y / (state.interaction - state.energy)
@@ -228,8 +208,6 @@ def bound_state_realspace(
 class BandStructure:
     """Bound-pair band over the full momentum grid of an odd ring."""
 
-    kappa: float
-    interaction: float
     n_sites: int
     momenta: np.ndarray
     states: tuple[tuple[BoundState, ...], ...]
@@ -249,22 +227,17 @@ class BandStructure:
         mask = np.array([s is None for s in self.select(branch)])
         return self.momenta[mask]
 
-    def continuum_halfwidth(self, momentum: float) -> float:
-        return 2.0 * abs(2.0 * self.kappa * np.cos(momentum / 2.0))
-
     def all_states(self) -> list[BoundState]:
         return [s for group in self.states for s in group]
 
-    def bound_matrix(self, basis: TwoBosonBasis | None = None) -> tuple[np.ndarray, list[BoundState]]:
+    def bound_matrix(self, basis: TwoBosonBasis) -> tuple[np.ndarray, list[BoundState]]:
         """Column matrix of all real-space bound vectors (cached per basis dim)."""
-        if basis is None:
-            basis = build_basis(self.n_sites)
         key = basis.dim
         if key not in self._matrix_cache:
             states = self.all_states()
             cols = np.empty((basis.dim, len(states)), dtype=complex)
             for c, s in enumerate(states):
-                cols[:, c] = bound_state_realspace(s, self.n_sites, basis)
+                cols[:, c] = bound_state_realspace(s, basis)
             self._matrix_cache[key] = (cols, states)
         return self._matrix_cache[key]
 
@@ -273,10 +246,4 @@ def band_scan(kappa: float, interaction: float, n_sites: int) -> BandStructure:
     """Solve every momentum sector of the ring grid."""
     momenta = momentum_grid(n_sites)
     groups = tuple(tuple(solve_bound_states(k, kappa, interaction)) for k in momenta)
-    return BandStructure(
-        kappa=kappa,
-        interaction=interaction,
-        n_sites=n_sites,
-        momenta=momenta,
-        states=groups,
-    )
+    return BandStructure(n_sites=n_sites, momenta=momenta, states=groups)

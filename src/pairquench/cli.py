@@ -25,11 +25,21 @@ from .quench import QuenchWorkspace, WavePacketSpec, run_quench, sweep_transfer
 
 EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 
+#: most sample times, sweep fields or spectrum fields one run may ask for
+MAX_POINTS = 10**6
+
+
+def _sites(raw: str) -> int:
+    value = int(raw)
+    if value < 2:
+        raise ValueError("need at least 2 sites")
+    return value
+
 
 def _odd_sites(raw: str) -> int:
     value = int(raw)
-    if value % 2 == 0:
-        raise ValueError("the ring momentum grid needs an odd site count")
+    if value < 3 or value % 2 == 0:
+        raise ValueError("the ring momentum grid needs an odd site count of at least 3")
     return value
 
 
@@ -74,11 +84,18 @@ def _non_negative(raw: str) -> float:
     return value
 
 
-def _count(raw: str) -> int:
+def _field_count(raw: str) -> int:
     value = int(raw)
-    if value < 1:
-        raise ValueError("must be at least 1")
+    if not 3 <= value <= MAX_POINTS:
+        raise ValueError(f"crossing detection needs 3..{MAX_POINTS} fields")
     return value
+
+
+def _fields(raw: str) -> list[float]:
+    values = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("need at least one field")
+    return values
 
 
 _BRANCH_ALIASES = {"upper": "+", "lower": "-", "+": "+", "-": "-"}
@@ -99,7 +116,7 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
         ("model", "u", _finite, True),
         ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
-        ("three_site", "fields", str, True),
+        ("three_site", "fields", _fields, True),
         ("three_site", "t_max", _non_negative, True),
         ("three_site", "dt", _positive, True),
     ],
@@ -110,14 +127,14 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
         ("model", "boundary", _open_boundary, False),
     ],
     "spectrum": [
-        ("model", "n_sites", int, True),
+        ("model", "n_sites", _sites, True),
         ("model", "kappa", _finite, True),
         ("model", "u", _finite, True),
         ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
         ("spectrum", "f_start", _finite, True),
         ("spectrum", "f_stop", _finite, True),
-        ("spectrum", "f_count", _count, True),
+        ("spectrum", "f_count", _field_count, True),
         ("spectrum", "r_threshold", _finite, False),
         ("spectrum", "window_lo", _finite, False),
         ("spectrum", "window_hi", _finite, False),
@@ -159,7 +176,7 @@ _PAPER_PACKET = {"k0_pi": -0.9, "width": 0.2, "center_site": 36, "branch": "+"}
 DEFAULTS: dict[str, dict[str, dict]] = {
     "three-site": {
         "model": {"n_sites": 3, "kappa": 0.4, "u": -6.0, "v": -6.0},
-        "three_site": {"fields": "-3.0, -1.0", "t_max": 100.0, "dt": 0.05},
+        "three_site": {"fields": [-3.0, -1.0], "t_max": 100.0, "dt": 0.05},
     },
     "band": {"model": dict(_PAPER_MODEL)},
     "spectrum": {
@@ -212,6 +229,27 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     f_stop = config.get("sweep", {}).get("f_stop")
     if f_start is not None and f_stop is not None and f_stop < f_start:
         problems.append(f"invalid value for [sweep] f_stop: {f_stop} (below f_start {f_start})")
+    f_step = config.get("sweep", {}).get("f_step")
+    if None not in (f_start, f_stop, f_step) and (f_stop - f_start) / f_step + 1 > MAX_POINTS:
+        problems.append(
+            f"invalid value for [sweep] f_step: {f_step} (more than {MAX_POINTS} fields from f_start to f_stop)"
+        )
+    for section in ("time", "three_site"):
+        times = config.get(section, {})
+        if {"t_max", "dt"} <= times.keys() and times["t_max"] / times["dt"] + 1 > MAX_POINTS:
+            problems.append(
+                f"invalid value for [{section}] t_max: {times['t_max']} "
+                f"(more than {MAX_POINTS} samples at dt {times['dt']})"
+            )
+    model = config.get("model", {})
+    if {"u", "kappa"} <= model.keys():
+        for f in config.get("three_site", {}).get("fields", []):
+            try:  # a field of 0 or +-u makes a denominator vanish
+                three_site.rabi_constants(f, model["u"], model["kappa"])
+            except three_site.SingularParameterError as exc:
+                problems.append(f"invalid value for [three_site] fields: {f} ({exc})")
+            except OverflowError:
+                problems.append(f"invalid value for [three_site] fields: {f} (too large)")
     if problems:
         raise ConfigError(problems)
     return config
@@ -240,10 +278,9 @@ def _packet_spec(config: dict) -> WavePacketSpec:
 
 def _run_three_site(config, out: Path, args) -> list[str]:
     section = config["three_site"]
-    fields = [float(tok) for tok in section["fields"].split(",") if tok.strip()]
     times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
     outputs = []
-    for f in fields:
+    for f in section["fields"]:
         params = _model_params(config, field=f)
         constants = three_site.rabi_constants(f, params.u, params.kappa)
         analytic = three_site.transfer_probability(times, constants)

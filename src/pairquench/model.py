@@ -16,9 +16,6 @@ from scipy import sparse
 
 SQRT2 = float(np.sqrt(2.0))
 
-#: tolerance used when an operation requires a normalized state
-NORM_ATOL = 1e-8
-
 
 class Boundary(str, Enum):
     OPEN = "open"
@@ -99,14 +96,12 @@ def build_basis(n_sites: int) -> TwoBosonBasis:
     return TwoBosonBasis(n_sites=n_sites, i=i, j=j)
 
 
-def build_h0(params: ModelParams, basis: TwoBosonBasis | None = None) -> sparse.csr_array:
+def build_h0(params: ModelParams, basis: TwoBosonBasis) -> sparse.csr_array:
     """Field-free Hamiltonian: hopping plus on-site and nearest-neighbour interaction.
 
     Bosonic enhancement applies whenever a hop connects a doubly occupied
     site to a singly occupied pair: those elements carry ``sqrt(2) * kappa``.
     """
-    if basis is None:
-        basis = build_basis(params.n_sites)
     n = params.n_sites
     ring = params.boundary is Boundary.RING
     i, j = basis.i, basis.j
@@ -141,21 +136,17 @@ def build_h0(params: ModelParams, basis: TwoBosonBasis | None = None) -> sparse.
     return mat.tocsr()
 
 
-def build_stark(n_sites: int, field: float, basis: TwoBosonBasis | None = None) -> sparse.csr_array:
+def build_stark(field: float, basis: TwoBosonBasis) -> sparse.csr_array:
     """Linear-potential term: diagonal ``field * (i + j)`` per configuration."""
-    if basis is None:
-        basis = build_basis(n_sites)
     diag = field * site_sums(basis)
     return sparse.dia_array((diag[np.newaxis, :], [0]), shape=(basis.dim, basis.dim)).tocsr()
 
 
-def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis | None = None) -> sparse.csr_array:
+def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis) -> sparse.csr_array:
     """Full Hamiltonian including the linear field (open boundary enforced by params)."""
-    if basis is None:
-        basis = build_basis(params.n_sites)
     h = build_h0(params, basis)
     if params.field != 0.0:
-        h = h + build_stark(params.n_sites, params.field, basis)
+        h = h + build_stark(params.field, basis)
     return h.tocsr()
 
 
@@ -167,39 +158,3 @@ def separations(basis: TwoBosonBasis) -> np.ndarray:
 def site_sums(basis: TwoBosonBasis) -> np.ndarray:
     """Sum of occupied site labels i + j per configuration."""
     return (basis.i + basis.j).astype(float)
-
-
-def _check_normalized(state: np.ndarray) -> None:
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > NORM_ATOL:
-        raise ValueError(f"state is not normalized: |psi| = {nrm!r}")
-
-
-def mean_distance(basis: TwoBosonBasis, state: np.ndarray) -> float:
-    """Average separation of the two particles in a normalized state.
-
-    A same-site pair contributes distance 0; the value lies in
-    ``[0, n_sites - 1]``.
-    """
-    state = np.asarray(state)
-    if state.shape != (basis.dim,):
-        raise ValueError(f"state dimension {state.shape} does not match basis dim {basis.dim}")
-    _check_normalized(state)
-    return float(separations(basis) @ np.abs(state) ** 2)
-
-
-def expectation(op, state: np.ndarray) -> float:
-    """Real expectation value <psi|A|psi> of a Hermitian operator.
-
-    Raises if dimensions mismatch, the state is not normalized, or the
-    quadratic form carries a non-real residue above 1e-10.
-    """
-    state = np.asarray(state)
-    dim = op.shape[0]
-    if op.shape != (dim, dim) or state.shape != (dim,):
-        raise ValueError(f"dimension mismatch: operator {op.shape}, state {state.shape}")
-    _check_normalized(state)
-    val = np.vdot(state, op @ state)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation value has non-real residue {val.imag!r}")
-    return float(val.real)

@@ -30,6 +30,9 @@ SAMPLE_BLOCK = 8
 #: (16 terms at dim 6216 are 1.6 MB)
 TERM_BUFFER = 16
 
+#: padding of the Lanczos spectral interval on each side, relative to its width
+BOUNDS_MARGIN = 0.05
+
 
 class PropagationAccuracyError(RuntimeError):
     """Propagation could not meet the requested tolerance."""
@@ -60,10 +63,6 @@ class SpectralPropagator:
         dense = h.toarray() if sparse.issparse(h) else np.asarray(h, dtype=float)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
 
-    def at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        coef = self.eigenvectors.T @ psi0
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coef)
-
     def samples(self, psi0: np.ndarray, times):
         """States at strictly increasing ``times`` >= 0, ``SAMPLE_BLOCK`` rows per block."""
         times = _sample_times(times)
@@ -73,7 +72,7 @@ class SpectralPropagator:
             yield (phases * coef) @ self.eigenvectors.T
 
 
-def spectral_bounds(h, *, margin: float = 0.05) -> tuple[float, float]:
+def spectral_bounds(h) -> tuple[float, float]:
     """Padded interval guaranteed to contain the spectrum of ``h``."""
     h = _as_sparse(h)
     dim = h.shape[0]
@@ -84,7 +83,7 @@ def spectral_bounds(h, *, margin: float = 0.05) -> tuple[float, float]:
         v0 = np.ones(dim) / np.sqrt(dim)
         lo = float(eigsh(h, k=1, which="SA", return_eigenvectors=False, tol=1e-3, v0=v0)[0])
         hi = float(eigsh(h, k=1, which="LA", return_eigenvectors=False, tol=1e-3, v0=v0)[0])
-    pad = margin * max(hi - lo, 1e-9)
+    pad = BOUNDS_MARGIN * max(hi - lo, 1e-9)
     return lo - pad, hi + pad
 
 
@@ -190,9 +189,6 @@ class ChebyshevPropagator:
                 target=1e-8,
             )
         return out if offsets.size > 1 else out[0]
-
-    def at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        return self.advance(psi0, t) if t != 0.0 else psi0.astype(complex, copy=True)
 
     def samples(self, psi0: np.ndarray, times):
         """States at strictly increasing ``times`` >= 0, one block per recursion.

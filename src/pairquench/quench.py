@@ -53,12 +53,8 @@ class WavePacketSpec:
 WEIGHT_FLOOR = 1e-8
 
 
-def prepare_wavepacket(
-    spec: WavePacketSpec, band: BandStructure, basis: TwoBosonBasis | None = None
-) -> np.ndarray:
+def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, basis: TwoBosonBasis) -> np.ndarray:
     """Normalized packet of bound states on the selected branch."""
-    if basis is None:
-        basis = build_basis(band.n_sites)
     if not 1 <= spec.center_site <= band.n_sites:
         raise ValueError(f"center site {spec.center_site} is outside the lattice")
     matrix, states = band.bound_matrix(basis)
@@ -100,7 +96,7 @@ def _expectations(states: np.ndarray, operator) -> np.ndarray:
     return weights[: len(states)] + weights[len(states) :]
 
 
-def transfer_rate(psi: np.ndarray, band: BandStructure, basis: TwoBosonBasis | None = None) -> float:
+def transfer_rate(psi: np.ndarray, band: BandStructure, basis: TwoBosonBasis) -> float:
     """Total weight of a state on every existing bound-pair state of the band."""
     return float(_bound_weight(psi, band.bound_matrix(basis)[0]))
 
@@ -162,10 +158,8 @@ def evolve(
 
 @dataclass
 class QuenchWorkspace:
-    """Shared immutable inputs of a quench study: basis, band, packet, operators."""
+    """Shared immutable inputs of a quench study: basis, band, packet state, operator."""
 
-    params: ModelParams
-    packet: WavePacketSpec
     basis: TwoBosonBasis
     band: BandStructure
     psi0: np.ndarray
@@ -182,17 +176,10 @@ class QuenchWorkspace:
         band = band_scan(params.kappa, params.u, params.n_sites)
         psi0 = prepare_wavepacket(packet, band, basis)
         h0 = build_h0(replace(params, field=0.0, boundary=Boundary.OPEN), basis)
-        return cls(
-            params=params,
-            packet=packet,
-            basis=basis,
-            band=band,
-            psi0=psi0,
-            h0=h0,
-        )
+        return cls(basis=basis, band=band, psi0=psi0, h0=h0)
 
     def hamiltonian(self, field_value: float) -> sparse.csr_array:
-        stark = build_stark(self.params.n_sites, field_value, self.basis)
+        stark = build_stark(field_value, self.basis)
         return (self.h0 + stark).tocsr()
 
 
@@ -217,29 +204,6 @@ def run_quench(
     )
 
 
-def energy_distribution(psi0: np.ndarray, h, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest set of eigenpairs carrying at least ``mass`` of the state.
-
-    ``h`` may be a dense/sparse matrix or a precomputed ``(eigenvalues,
-    eigenvectors)`` pair.  Returns ``(energies, weights)`` sorted by energy.
-    """
-    if not 0.0 < mass <= 1.0:
-        raise ValueError(f"mass must lie in (0, 1], got {mass}")
-    if isinstance(h, tuple):
-        vals, vecs = h
-    else:
-        dense = h.toarray() if sparse.issparse(h) else np.asarray(h, dtype=float)
-        vals, vecs = np.linalg.eigh(dense)
-    weights = np.abs(vecs.conj().T @ psi0) ** 2
-    order = np.argsort(weights)[::-1]
-    cumulative = np.cumsum(weights[order])
-    count = int(np.searchsorted(cumulative, mass * (1.0 - 1e-12)) + 1)
-    count = min(count, weights.size)
-    chosen = order[:count]
-    by_energy = chosen[np.argsort(vals[chosen])]
-    return vals[by_energy], weights[by_energy]
-
-
 @dataclass(frozen=True)
 class PeriodEstimate:
     """Dominant period of a sampled series, or None when no peak is significant."""
@@ -250,12 +214,17 @@ class PeriodEstimate:
     strength: float
 
 
-def estimate_period(values, step: float, *, min_strength: float = 0.2) -> PeriodEstimate:
+#: normalized autocorrelation a peak must exceed to count as a period
+MIN_PERIOD_STRENGTH = 0.2
+
+
+def estimate_period(values, step: float) -> PeriodEstimate:
     """Dominant period via the first autocorrelation peak of the series.
 
     The series is mean-subtracted; the first local maximum of the normalized
-    autocorrelation above ``min_strength`` wins, reported with the sampling
-    step as uncertainty.  A flat or aperiodic series yields period None.
+    autocorrelation above ``MIN_PERIOD_STRENGTH`` wins, reported with the
+    sampling step as uncertainty.  A flat or aperiodic series yields period
+    None.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -269,7 +238,7 @@ def estimate_period(values, step: float, *, min_strength: float = 0.2) -> Period
     acf = np.array([np.dot(x[: n - L], x[L:]) / (n - L) for L in range(lags)])
     acf /= acf[0]
     for lag in range(1, lags - 1):
-        if acf[lag] >= acf[lag - 1] and acf[lag] >= acf[lag + 1] and acf[lag] > min_strength:
+        if acf[lag] >= acf[lag - 1] and acf[lag] >= acf[lag + 1] and acf[lag] > MIN_PERIOD_STRENGTH:
             return PeriodEstimate(
                 period=lag * step,
                 uncertainty=step,
@@ -290,7 +259,7 @@ class SweepResult:
     failures: list[tuple[float, str]]
 
 
-#: (workspace, t_final, tol) of the running sweep; set in pool worker processes only
+#: (workspace, t_final) of the running sweep; set in pool worker processes only
 _WORKER_CTX: tuple = ()
 
 
@@ -302,12 +271,13 @@ def _sweep_init(*ctx) -> None:
 def _sweep_point(field_value: float, ctx: tuple = ()) -> float:
     """Bound weight at ``t_final`` after a quench to ``field_value``.
 
-    ``ctx`` is ``(workspace, t_final, tol)``; a pool worker passes none and
-    reads the one its initializer stored.
+    ``ctx`` is ``(workspace, t_final)``; a pool worker passes none and reads
+    the one its initializer stored.
     """
-    workspace, t_final, tol = ctx or _WORKER_CTX
-    prop = ChebyshevPropagator(workspace.hamiltonian(field_value), tol=tol)
-    return transfer_rate(prop.at(workspace.psi0, t_final), workspace.band, workspace.basis)
+    workspace, t_final = ctx or _WORKER_CTX
+    prop = ChebyshevPropagator(workspace.hamiltonian(field_value))
+    # t_final positional: benchmarks/probe.py counts matvecs from advance's dt argument
+    return transfer_rate(prop.advance(workspace.psi0, t_final), workspace.band, workspace.basis)
 
 
 def sweep_transfer(
@@ -316,7 +286,6 @@ def sweep_transfer(
     t_final: float,
     *,
     workers: int = 1,
-    tol: float = 1e-12,
 ) -> SweepResult:
     """Long-time bound weight across a grid of quench fields.
 
@@ -329,7 +298,7 @@ def sweep_transfer(
         raise ValueError("t_final must be positive")
     if np.any(f_values == 0.0):
         raise ValueError("every field value in the sweep grid must be nonzero")
-    ctx = (workspace, float(t_final), tol)
+    ctx = (workspace, float(t_final))
     transfer = np.full(f_values.size, np.nan)
     failures: list[tuple[float, str]] = []
     workers = min(workers, f_values.size)

@@ -15,13 +15,16 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigsh
 
-from .model import ModelParams, TwoBosonBasis, build_basis, build_hamiltonian, separations
+from .model import ModelParams, build_basis, build_hamiltonian, separations
 
 LABEL_CORRELATED = "correlated"
 LABEL_UNCORRELATED = "uncorrelated"
 
 #: gaps below this (relative to the local energy scale) count as true crossings
 TRUE_CROSSING_TOL = 1e-8
+
+#: eigenvector overlap below which a tracked level step is reported as ambiguous
+OVERLAP_MIN = 0.5
 
 
 @dataclass
@@ -32,7 +35,6 @@ class SpectrumSlice:
     energies: np.ndarray
     correlations: np.ndarray
     vectors: np.ndarray
-    window: tuple[float, float] | None = None
 
 
 def _window_eigenpairs(h: sparse.csr_array, window: tuple[float, float], k_start: int):
@@ -58,7 +60,6 @@ def spectrum_vs_field(
     params: ModelParams,
     window: tuple[float, float] | None = None,
     *,
-    basis: TwoBosonBasis | None = None,
     dense_limit: int = 2048,
     k_start: int = 32,
 ) -> list[SpectrumSlice]:
@@ -67,8 +68,7 @@ def spectrum_vs_field(
     Small problems (or no window) are solved densely; large windowed ones use
     sparse shift-invert around the window center.
     """
-    if basis is None:
-        basis = build_basis(params.n_sites)
+    basis = build_basis(params.n_sites)
     sep = separations(basis)
     slices = []
     for f in np.asarray(f_values, dtype=float):
@@ -81,15 +81,7 @@ def spectrum_vs_field(
         else:
             vals, vecs = _window_eigenpairs(h, window, k_start)
         corr = sep @ (np.abs(vecs) ** 2)
-        slices.append(
-            SpectrumSlice(
-                field=float(f),
-                energies=vals,
-                correlations=corr,
-                vectors=vecs,
-                window=window,
-            )
-        )
+        slices.append(SpectrumSlice(field=float(f), energies=vals, correlations=corr, vectors=vecs))
     return slices
 
 
@@ -131,7 +123,7 @@ class CrossingScan:
     track_ids: list[np.ndarray]
 
 
-def _track_levels(slices: list[SpectrumSlice], overlap_min: float):
+def _track_levels(slices: list[SpectrumSlice]):
     """Assign persistent ids to levels by maximal-overlap matching."""
     ids = [np.arange(slices[0].energies.size)]
     next_id = slices[0].energies.size
@@ -142,7 +134,7 @@ def _track_levels(slices: list[SpectrumSlice], overlap_min: float):
         new_ids = np.full(b.energies.size, -1)
         for r, c in zip(rows, cols):
             new_ids[c] = ids[-1][r]
-            if overlap[r, c] < overlap_min:
+            if overlap[r, c] < OVERLAP_MIN:
                 ambiguous.append(
                     AmbiguousSegment(
                         f_from=a.field,
@@ -159,10 +151,7 @@ def _track_levels(slices: list[SpectrumSlice], overlap_min: float):
 
 
 def detect_avoided_crossings(
-    slices: list[SpectrumSlice],
-    *,
-    overlap_min: float = 0.5,
-    r_threshold: float = 1.0,
+    slices: list[SpectrumSlice], *, r_threshold: float = 1.0
 ) -> CrossingScan:
     """Find local gap minima of energy-adjacent tracked level pairs.
 
@@ -174,7 +163,7 @@ def detect_avoided_crossings(
     """
     if len(slices) < 3:
         raise ValueError("crossing detection needs at least 3 field slices")
-    ids, ambiguous = _track_levels(slices, overlap_min)
+    ids, ambiguous = _track_levels(slices)
 
     energy_of: list[dict[int, float]] = []
     corr_of: list[dict[int, float]] = []

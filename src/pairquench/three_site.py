@@ -26,24 +26,6 @@ def _guard(value: float, label: str, scale: float) -> None:
         raise SingularParameterError(f"denominator {label} vanishes")
 
 
-def pair_unpair_hamiltonian(field: float, u: float, v: float, kappa: float) -> np.ndarray:
-    """Effective 2x2 Hamiltonian over the basis (unpaired, paired).
-
-    The diagonal carries the field energies of the two configurations plus
-    second-order shifts; the off-diagonal is the pair-breaking coupling.
-    Valid deep in the strong-interaction regime.
-    """
-    scale = max(abs(field), abs(u), abs(v))
-    _guard(u - field - v, "u - field - v", scale)
-    _guard(field - v, "field - v", scale)
-    _guard(field**2 - v**2, "field^2 - v^2", scale)
-    k2 = np.sqrt(2.0) * kappa**2
-    coupling = 0.5 * (k2 / (u - field - v) + k2 / (field - v))
-    e_unpair = 4.0 * field + 2.0 * kappa**2 * v / (field**2 - v**2)
-    e_pair = u + 2.0 * field + 2.0 * kappa**2 / (u - v - field)
-    return np.array([[e_unpair, coupling], [coupling, e_pair]])
-
-
 @dataclass(frozen=True)
 class EffectiveConstants:
     """Closed-form two-level constants for equal on-site and neighbour interaction.

@@ -56,13 +56,5 @@ def ref_h0_ring(ref_basis):
 
 
 @pytest.fixture(scope="session")
-def ref_workspace(ref_basis, ref_band, ref_psi0, ref_h0_open, ref_packet_spec):
-    params = ModelParams(REF_N, REF_KAPPA, REF_U, REF_U)
-    return QuenchWorkspace(
-        params=params,
-        packet=ref_packet_spec,
-        basis=ref_basis,
-        band=ref_band,
-        psi0=ref_psi0,
-        h0=ref_h0_open,
-    )
+def ref_workspace(ref_basis, ref_band, ref_psi0, ref_h0_open):
+    return QuenchWorkspace(basis=ref_basis, band=ref_band, psi0=ref_psi0, h0=ref_h0_open)

@@ -14,6 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 from pairquench.bound_band import BoundState, _decay_roots
 from pairquench.propagation import ChebyshevPropagator
 from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
+from pairquench.three_site import _guard
 
 
 def loop_pairs(n_sites: int) -> list[tuple[int, int]]:
@@ -240,3 +241,45 @@ def free_scattering_state(basis: TwoBosonBasis, k1: int, k2: int) -> tuple[np.nd
     amp = amp / np.linalg.norm(amp)
     energy = -2.0 * (np.cos(np.pi * k1 / (n + 1)) + np.cos(np.pi * k2 / (n + 1)))
     return amp.astype(complex), float(energy)
+
+
+def energy_distribution(psi0: np.ndarray, h, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest set of eigenpairs carrying at least ``mass`` of the state.
+
+    ``h`` may be a dense/sparse matrix or a precomputed ``(eigenvalues,
+    eigenvectors)`` pair.  Returns ``(energies, weights)`` sorted by energy.
+    """
+    if not 0.0 < mass <= 1.0:
+        raise ValueError(f"mass must lie in (0, 1], got {mass}")
+    if isinstance(h, tuple):
+        vals, vecs = h
+    else:
+        dense = h.toarray() if sparse.issparse(h) else np.asarray(h, dtype=float)
+        vals, vecs = np.linalg.eigh(dense)
+    weights = np.abs(vecs.conj().T @ psi0) ** 2
+    order = np.argsort(weights)[::-1]
+    cumulative = np.cumsum(weights[order])
+    count = int(np.searchsorted(cumulative, mass * (1.0 - 1e-12)) + 1)
+    count = min(count, weights.size)
+    chosen = order[:count]
+    by_energy = chosen[np.argsort(vals[chosen])]
+    return vals[by_energy], weights[by_energy]
+
+
+def pair_unpair_hamiltonian(field: float, u: float, v: float, kappa: float) -> np.ndarray:
+    """Effective 2x2 Hamiltonian of the three-site chain over (unpaired, paired).
+
+    The diagonal carries the field energies of the two configurations plus
+    second-order shifts; the off-diagonal is the pair-breaking coupling.
+    Valid deep in the strong-interaction regime; its eigenvalues are the
+    reference for ``rabi_constants``.
+    """
+    scale = max(abs(field), abs(u), abs(v))
+    _guard(u - field - v, "u - field - v", scale)
+    _guard(field - v, "field - v", scale)
+    _guard(field**2 - v**2, "field^2 - v^2", scale)
+    k2 = np.sqrt(2.0) * kappa**2
+    coupling = 0.5 * (k2 / (u - field - v) + k2 / (field - v))
+    e_unpair = 4.0 * field + 2.0 * kappa**2 * v / (field**2 - v**2)
+    e_pair = u + 2.0 * field + 2.0 * kappa**2 / (u - v - field)
+    return np.array([[e_unpair, coupling], [coupling, e_pair]])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pairquench import (
     band_scan,
     bound_state_realspace,
-    cubic_residual,
+    build_basis,
     momentum_grid,
     solve_bound_states,
 )
@@ -92,7 +92,11 @@ def test_deep_binding_asymptotics():
 def test_cubic_residual_and_band_gap():
     for group in band_scan(1.0, -6.24, 111).states:
         for s in group:
-            assert cubic_residual(s) < 1e-10
+            # the decay-ratio cubic, scaled by its largest monomial (the raw value at
+            # large exp(beta) is dominated by round-off of huge terms)
+            u, y = s.reduced_u, s.decay_ratio
+            terms = np.array([u * y**3, (u * u - 1.0) * y**2, 2.0 * u * y, 1.0])
+            assert abs(terms.sum()) / np.max(np.abs(terms)) < 1e-10
             assert s.beta > 0
             assert abs(s.energy) > 2.0 * abs(s.hop)
 
@@ -179,7 +183,7 @@ def test_truncation_shift_matches_leading_order():
 
 def test_realspace_reconstruction(ref_basis, ref_h0_ring):
     states = solve_bound_states(2.0 * np.pi * (-50) / 111, 1.0, -6.24)
-    vecs = [bound_state_realspace(s, 111, ref_basis) for s in states]
+    vecs = [bound_state_realspace(s, ref_basis) for s in states]
     for s, v in zip(states, vecs):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(ref_h0_ring @ v - s.energy * v) < 1e-6
@@ -196,7 +200,7 @@ def test_bound_matrix_matches_loop_reference(ref_band, ref_basis):
 def test_realspace_rejects_off_grid_momentum():
     state = solve_bound_states(momentum_grid(111)[3], 1.0, -6.24)[0]
     with pytest.raises(ValueError):
-        bound_state_realspace(state, 109)
+        bound_state_realspace(state, build_basis(109))
 
 
 def test_completeness_threshold():
@@ -214,9 +218,8 @@ def test_completeness_threshold():
 def test_strong_coupling_band_detached():
     band = band_scan(0.4, -6.0, 111)
     assert band.branch_complete("-") and band.branch_complete("+")
-    margin = min(
-        abs(s.energy) - band.continuum_halfwidth(s.momentum) for s in band.all_states()
-    )
+    # the scattering continuum of sector K spans [-2 |J_K|, 2 |J_K|]
+    margin = min(abs(s.energy) - 2.0 * abs(s.hop) for s in band.all_states())
     assert margin > 0
 
 

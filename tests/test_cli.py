@@ -163,7 +163,13 @@ f_stop = -2.0
 f_count = 21
 """
 
-CONFIGS = {"quench": SMALL_QUENCH, "sweep": SMALL_SWEEP, "three-site": THREE_SITE, "spectrum": SPECTRUM}
+CONFIGS = {
+    "band": SMALL_BAND,
+    "quench": SMALL_QUENCH,
+    "sweep": SMALL_SWEEP,
+    "three-site": THREE_SITE,
+    "spectrum": SPECTRUM,
+}
 
 # one entry per checked key: the experiment, the replaced line and the message
 KEY_ERRORS = [
@@ -181,6 +187,26 @@ KEY_ERRORS = [
     ("sweep", "f_stop = -0.18", "f_stop = inf", "invalid value for [sweep] f_stop: 'inf' (must be finite)"),
     ("quench", "field = -0.21", "field = inf", "invalid value for [model] field: 'inf' (must be finite)"),
     ("quench", "dt = 1.0", "dt = nan", "invalid value for [time] dt: 'nan' (must be finite)"),
+    # more samples or fields than MAX_POINTS: an _ArrayMemoryError traceback and a
+    # "Maximum allowed size exceeded" exit 1, both after --out existed
+    ("quench", "t_max = 20", "t_max = 1e15", "invalid value for [time] t_max: 1000000000000000.0"),
+    ("three-site", "t_max = 50", "t_max = 1e6", "invalid value for [three_site] t_max: 1000000.0"),
+    ("sweep", "f_step = 0.01", "f_step = 1e-300", "invalid value for [sweep] f_step: 1e-300"),
+    ("spectrum", "f_count = 21", "f_count = 1000001", "invalid value for [spectrum] f_count: '1000001'"),
+    # fewer than 3 fields failed in crossing detection after --out existed
+    ("spectrum", "f_count = 21", "f_count = 2", "invalid value for [spectrum] f_count: '2'"),
+    # three-site fields: unparsable, empty, non-finite, or a vanishing denominator of
+    # rabi_constants (0, +-u) failed only after --out existed
+    ("three-site", "fields = -3.0", "fields = abc", "invalid value for [three_site] fields: 'abc'"),
+    ("three-site", "fields = -3.0", "fields = ,", "invalid value for [three_site] fields: ',' (need at least one field)"),
+    ("three-site", "fields = -3.0", "fields = nan", "invalid value for [three_site] fields: 'nan' (must be finite)"),
+    ("three-site", "fields = -3.0", "fields = 0.0", "invalid value for [three_site] fields: 0.0 (denominator field vanishes)"),
+    ("three-site", "fields = -3.0", "fields = -3.0, -6.0", "invalid value for [three_site] fields: -6.0 (denominator field - u vanishes)"),
+    ("three-site", "fields = -3.0", "fields = 6.0", "invalid value for [three_site] fields: 6.0 (denominator field + u vanishes)"),
+    # site counts: band wrote an empty band.csv, quench failed after --out existed
+    ("band", "n_sites = 15", "n_sites = -3", "invalid value for [model] n_sites: '-3'"),
+    ("quench", "n_sites = 15", "n_sites = 1", "invalid value for [model] n_sites: '1'"),
+    ("spectrum", "n_sites = 3", "n_sites = 1", "invalid value for [model] n_sites: '1' (need at least 2 sites)"),
 ]
 
 
@@ -200,6 +226,21 @@ def test_import_leaves_scipy_optimize_unloaded():
     for module in ("pairquench", "pairquench.cli"):
         probe = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
         assert run_python(["-c", probe]).stdout.strip() == "False"
+
+
+def test_benchmark_probe_traces_every_layer(tmp_path):
+    # the benchmark's --trace 1 probe wraps pairquench names in place; a one-field
+    # sweep goes through the bound matrix, the Chebyshev steps and the matvec count
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_SWEEP.replace("f_stop = -0.18", "f_stop = -0.22"))
+    probe = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
+    record = tmp_path / "record.json"
+    run_python([probe, record, "1", "--", "sweep", "--config", cfg, "--out", tmp_path / "out"])
+    payload = json.loads(record.read_text())
+    assert payload["exit_code"] == 0
+    names = {span[0] for span in payload["spans"]}
+    assert {"propagation.advance", "bound_band.bound_matrix"} <= names
+    assert payload["counts"]["matvecs"] > 0
 
 
 @pytest.mark.parametrize("branch", ["lower", "Upper", "+"])

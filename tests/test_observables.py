@@ -1,52 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairquench import ModelParams, build_basis, build_h0, expectation, mean_distance
+from pairquench import build_basis
 
 from oracles import fock_operators
-
-
-@pytest.fixture(scope="module")
-def basis3():
-    return build_basis(3)
-
-
-def test_same_site_pair_distance(basis3):
-    assert mean_distance(basis3, basis3.unit_state(1, 1)) == 0.0
-
-
-def test_separated_pair_distance(basis3):
-    assert mean_distance(basis3, basis3.unit_state(1, 3)) == pytest.approx(2.0)
-
-
-def test_distance_is_linear_in_probability(basis3):
-    psi = (basis3.unit_state(1, 1) + basis3.unit_state(1, 3)) / np.sqrt(2)
-    assert mean_distance(basis3, psi) == pytest.approx(1.0)
-
-
-def test_unnormalized_state_rejected(basis3):
-    with pytest.raises(ValueError):
-        mean_distance(basis3, 0.5 * basis3.unit_state(1, 1))
-
-
-def test_expectation_diagonal_terms(basis3):
-    h = build_h0(ModelParams(3, kappa=0.4, u=-6.0, v=-6.0), basis3)
-    assert expectation(h, basis3.unit_state(1, 1)) == pytest.approx(-6.0)
-    assert expectation(h, basis3.unit_state(1, 2)) == pytest.approx(-6.0)
-    assert expectation(np.eye(6), basis3.unit_state(2, 3)) == pytest.approx(1.0)
-
-
-def test_expectation_dimension_mismatch(basis3):
-    with pytest.raises(ValueError):
-        expectation(np.eye(5), basis3.unit_state(1, 1))
-
-
-def test_expectation_rejects_nonreal_quadratic_form():
-    op = np.array([[0.0, 1.0], [0.0, 0.0]])
-    psi = np.array([1.0, 1j]) / np.sqrt(2)
-    with pytest.raises(ValueError):
-        expectation(op, psi)
 
 
 @settings(max_examples=25, deadline=None)

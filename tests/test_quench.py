@@ -12,12 +12,10 @@ from pairquench import (
     WavePacketSpec,
     band_scan,
     bound_state_realspace,
-    energy_distribution,
+    build_basis,
     estimate_period,
     evolve,
-    expectation,
     make_propagator,
-    mean_distance,
     prepare_wavepacket,
     run_quench,
     solve_bound_states,
@@ -25,8 +23,10 @@ from pairquench import (
     transfer_rate,
 )
 from pairquench import quench
+from pairquench.model import separations
 from pairquench.quench import _bound_weight
 
+from oracles import energy_distribution
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_packet_is_normalized_bound_superposition(ref_psi0, ref_band, ref_basis)
 
 
 def test_packet_is_tightly_bound(ref_basis, ref_psi0):
-    assert mean_distance(ref_basis, ref_psi0) < 1.0
+    assert separations(ref_basis) @ np.abs(ref_psi0) ** 2 < 1.0
 
 
 def test_packet_sits_at_requested_site(ref_basis, ref_psi0):
@@ -55,7 +55,7 @@ def test_packet_requires_complete_branch():
     band = band_scan(1.0, -5.0, 41)
     spec = WavePacketSpec(center_momentum=0.0, width=0.2, center_site=21)
     with pytest.raises(IncompleteBandError):
-        prepare_wavepacket(spec, band)
+        prepare_wavepacket(spec, band, build_basis(41))
 
 
 def test_packet_spec_validation():
@@ -77,7 +77,7 @@ def test_workspace_requires_equal_interactions():
 
 def test_transfer_rate_of_single_bound_state(ref_band, ref_basis):
     state = solve_bound_states(2 * np.pi * 17 / 111, 1.0, -6.24)[1]
-    psi = bound_state_realspace(state, 111, ref_basis)
+    psi = bound_state_realspace(state, ref_basis)
     assert transfer_rate(psi, ref_band, ref_basis) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -96,8 +96,8 @@ def test_trajectory_invariants(small_workspace):
     # the first sample reproduces the initial observables exactly
     ws = small_workspace
     assert traj.transfer[0] == pytest.approx(transfer_rate(ws.psi0, ws.band, ws.basis), abs=1e-12)
-    assert traj.distance[0] == pytest.approx(mean_distance(ws.basis, ws.psi0), abs=1e-12)
-    assert traj.energy[0] == pytest.approx(expectation(ws.h0, ws.psi0), abs=1e-10)
+    assert traj.distance[0] == pytest.approx(separations(ws.basis) @ np.abs(ws.psi0) ** 2, abs=1e-12)
+    assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, ws.h0 @ ws.psi0).real, abs=1e-10)
 
 
 def test_backends_agree_on_small_quench(small_workspace):

@@ -26,7 +26,7 @@ def test_zero_hopping_levels_are_linear_with_integer_slopes():
     params = ModelParams(3, kappa=0.0, u=-6.0, v=-6.0)
     basis = build_basis(3)
     f_a, f_b = -4.0, -3.9
-    slice_a, slice_b = spectrum_vs_field([f_a, f_b], params, basis=basis)
+    slice_a, slice_b = spectrum_vs_field([f_a, f_b], params)
     # diagonal Hamiltonian: each configuration is an eigenstate with slope i+j
     for idx, (i, j) in enumerate(zip(basis.i, basis.j)):
         e_a = slice_a.energies[np.argmax(np.abs(slice_a.vectors[idx, :]))]
@@ -107,11 +107,10 @@ def test_tracked_level_swaps_character_through_crossing():
 def test_windowed_scan_matches_dense():
     # large-dimension shift-invert path against the dense oracle
     params = ModelParams(65, kappa=1.0, u=-6.24, v=-6.24)
-    basis = build_basis(65)
     window = (-14.0, -11.0)
     field = -0.12
-    windowed = spectrum_vs_field([field], params, window, basis=basis, dense_limit=64)[0]
-    dense = spectrum_vs_field([field], params, window, basis=basis)[0]
+    windowed = spectrum_vs_field([field], params, window, dense_limit=64)[0]
+    dense = spectrum_vs_field([field], params, window)[0]
     assert windowed.energies.size == dense.energies.size > 0
     assert np.allclose(windowed.energies, dense.energies, atol=1e-8)
     assert np.allclose(windowed.correlations, dense.correlations, atol=1e-8)

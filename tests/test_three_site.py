@@ -7,11 +7,12 @@ from pairquench import (
     build_basis,
     build_hamiltonian,
     exact_pair_dynamics,
-    mean_distance,
-    pair_unpair_hamiltonian,
     rabi_constants,
     transfer_probability,
 )
+from pairquench.model import separations
+
+from oracles import pair_unpair_hamiltonian
 
 KAPPA = 0.4
 U = -6.0
@@ -121,10 +122,11 @@ def test_exact_dynamics_requires_three_sites():
 
 
 def test_top_gap_minimum_near_half_interaction():
+    basis = build_basis(3)
     fields = np.arange(-5.0, -1.0, 0.01)
     gaps = []
     for f in fields:
-        h = build_hamiltonian(ModelParams(3, kappa=KAPPA, u=U, v=U, field=f)).toarray()
+        h = build_hamiltonian(ModelParams(3, kappa=KAPPA, u=U, v=U, field=f), basis).toarray()
         vals = np.linalg.eigvalsh(h)
         gaps.append(vals[-1] - vals[-2])
     assert fields[int(np.argmin(gaps))] == pytest.approx(U / 2, abs=0.2)
@@ -136,8 +138,7 @@ def test_top_levels_exchange_pair_character():
     def top_two_rbar(field):
         h = build_hamiltonian(ModelParams(3, kappa=KAPPA, u=U, v=U, field=field), basis)
         vals, vecs = np.linalg.eigh(h.toarray())
-        return [mean_distance(basis, vecs[:, -1].astype(complex)),
-                mean_distance(basis, vecs[:, -2].astype(complex))]
+        return list(separations(basis) @ np.abs(vecs[:, [-1, -2]]) ** 2)
 
     before = top_two_rbar(-4.0)
     after = top_two_rbar(-2.0)
