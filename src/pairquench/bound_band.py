@@ -21,7 +21,8 @@ bound branch) and a second root -- the upper branch -- exactly when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import lambertw
@@ -162,6 +163,11 @@ def solve_bound_states(momentum: float, kappa: float, interaction: float) -> lis
     return states
 
 
+def _on_site_amplitude(state: BoundState) -> float:
+    """Relative amplitude ``psi_0`` of a same-site pair, with ``psi_r = y**r`` for r >= 1."""
+    return SQRT2 * state.hop * state.decay_ratio / (state.interaction - state.energy)
+
+
 def bound_state_realspace(state: BoundState, basis: TwoBosonBasis) -> np.ndarray:
     """Normalized two-boson vector of a bound state on the ring of ``basis``.
 
@@ -180,7 +186,7 @@ def bound_state_realspace(state: BoundState, basis: TwoBosonBasis) -> np.ndarray
         )
 
     y = state.decay_ratio
-    psi0 = SQRT2 * state.hop * y / (state.interaction - state.energy)
+    psi0 = _on_site_amplitude(state)
     k = state.momentum
     sites = np.arange(1, n_sites + 1)
     site_phase = np.exp(1j * k * sites)
@@ -204,14 +210,47 @@ def bound_state_realspace(state: BoundState, basis: TwoBosonBasis) -> np.ndarray
     return amp / np.linalg.norm(amp)
 
 
-@dataclass
+class BoundProjector(NamedTuple):
+    """Overlaps of two-boson states with every bound state of a band, matrix-free.
+
+    A ring bound state ``(K, y)`` has the amplitude ``P_d(K) exp(i K i)`` on the
+    configuration ``(i, i + d)``, with ``P_0 = psi_0``, ``P_d = y**d exp(i K d / 2)``
+    for ``d <= (n-1)/2`` and ``P_d = y**(n-d) exp(i K (n+d) / 2)`` for a pair
+    that wraps the ring.  So ``<b|psi>`` is ``conj(P_d(K))`` times the discrete
+    Fourier transform of ``psi(i, i + d)`` over the centre site ``i``, summed
+    over the separations ``d``.
+
+    ``table[m, d, slot]`` is ``conj(P_d(K)) exp(-i K) / norm`` of the bound
+    state ``slot`` of the sector ``K = 2 pi m / n``, in FFT order of ``m``
+    (the phase ``exp(-i K)`` shifts the transform to start at site 1); a
+    sector with fewer bound states has zero columns.  ``slots`` is the flat
+    position ``d * n + (i - 1)`` of every basis configuration.
+    """
+
+    table: np.ndarray
+    slots: np.ndarray
+
+    def weights(self, states: np.ndarray) -> np.ndarray:
+        """Total bound-band weight of one state, or of every row of a block."""
+        n = self.table.shape[0]
+        rows = states.reshape(-1, states.shape[-1])
+        grid = np.zeros((len(rows), n * n), dtype=complex)
+        grid[:, self.slots] = rows
+        # one transform over the centre site per (row, separation), then every
+        # momentum's sum over separations as one batched product: (m, row, slot)
+        spectra = np.fft.fft(grid.reshape(-1, n, n), axis=-1)
+        overlaps = np.matmul(spectra.transpose(2, 0, 1), self.table)
+        weights = np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
+        return weights if states.ndim > 1 else weights[0]
+
+
+@dataclass(frozen=True)
 class BandStructure:
     """Bound-pair band over the full momentum grid of an odd ring."""
 
     n_sites: int
     momenta: np.ndarray
     states: tuple[tuple[BoundState, ...], ...]
-    _matrix_cache: dict = field(default_factory=dict, repr=False)
 
     def select(self, branch: str) -> list[BoundState | None]:
         out = []
@@ -230,16 +269,32 @@ class BandStructure:
     def all_states(self) -> list[BoundState]:
         return [s for group in self.states for s in group]
 
-    def bound_matrix(self, basis: TwoBosonBasis) -> tuple[np.ndarray, list[BoundState]]:
-        """Column matrix of all real-space bound vectors (cached per basis dim)."""
-        key = basis.dim
-        if key not in self._matrix_cache:
-            states = self.all_states()
-            cols = np.empty((basis.dim, len(states)), dtype=complex)
-            for c, s in enumerate(states):
-                cols[:, c] = bound_state_realspace(s, basis)
-            self._matrix_cache[key] = (cols, states)
-        return self._matrix_cache[key]
+    def bound_matrix(self, basis: TwoBosonBasis) -> BoundProjector:
+        """Projector onto every bound state of the band, for states in ``basis``.
+
+        Its table holds n x n amplitudes per bound state of a sector, not a
+        basis-sized vector: (n, n, 2) for a double band.
+        """
+        n = self.n_sites
+        if basis.n_sites != n:
+            raise ValueError(f"the band has {n} sites, the basis {basis.n_sites}")
+        reach = (n - 1) // 2
+        separation = np.arange(n)
+        wrapped = separation > reach
+        power = np.where(wrapped, n - separation, separation)
+        # the phase exp(-i K (theta_d + 1)) of conj(P_d) exp(-i K)
+        theta = np.where(wrapped, 0.5 * (n + separation), 0.5 * separation) + 1.0
+        table = np.zeros((n, n, max(map(len, self.states))), dtype=complex)
+        for k, group in zip(self.momenta, self.states):
+            m = round(k * n / (2.0 * np.pi)) % n
+            for slot, state in enumerate(group):
+                y = state.decay_ratio
+                psi0 = _on_site_amplitude(state)
+                amp = y**power
+                amp[0] = psi0
+                norm = np.sqrt(n * (psi0**2 + np.sum(amp[1 : reach + 1] ** 2)))
+                table[m, :, slot] = amp * np.exp(-1j * k * theta) / norm
+        return BoundProjector(table=table, slots=(basis.j - basis.i) * n + basis.i - 1)
 
 
 def band_scan(kappa: float, interaction: float, n_sites: int) -> BandStructure:

@@ -112,7 +112,7 @@ def _branch(raw: str) -> str:
 SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     "three-site": [
         ("model", "n_sites", _three_sites, True),
-        ("model", "kappa", _finite, True),
+        ("model", "kappa", _non_negative, True),
         ("model", "u", _finite, True),
         ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
@@ -122,13 +122,13 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     ],
     "band": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _finite, True),
+        ("model", "kappa", _non_negative, True),
         ("model", "u", _finite, True),
         ("model", "boundary", _open_boundary, False),
     ],
     "spectrum": [
         ("model", "n_sites", _sites, True),
-        ("model", "kappa", _finite, True),
+        ("model", "kappa", _non_negative, True),
         ("model", "u", _finite, True),
         ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
@@ -141,7 +141,7 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     ],
     "quench": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _finite, True),
+        ("model", "kappa", _non_negative, True),
         ("model", "u", _finite, True),
         ("model", "v", _finite, True),
         ("model", "field", _finite, True),
@@ -155,7 +155,7 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     ],
     "sweep": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _finite, True),
+        ("model", "kappa", _non_negative, True),
         ("model", "u", _finite, True),
         ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
@@ -196,6 +196,12 @@ DEFAULTS: dict[str, dict[str, dict]] = {
 }
 
 
+def _sweep_grid(section: dict) -> np.ndarray:
+    """Fields of a ``[sweep]`` section: ``f_start`` plus whole ``f_step`` steps up to ``f_stop``."""
+    count = int(round((section["f_stop"] - section["f_start"]) / section["f_step"])) + 1
+    return section["f_start"] + section["f_step"] * np.arange(count)
+
+
 class ConfigError(Exception):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
@@ -206,8 +212,12 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     """Resolve the run configuration, validating every required field."""
     if path is None:
         return copy.deepcopy(DEFAULTS[experiment])
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # values are numbers and words, so a '%' is a typo, never an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a repeated section or key
+        raise ConfigError([f"config file not readable: {exc}"]) from None
     if not read:
         raise ConfigError([f"config file not found: {path}"])
     problems = []
@@ -230,10 +240,19 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     if f_start is not None and f_stop is not None and f_stop < f_start:
         problems.append(f"invalid value for [sweep] f_stop: {f_stop} (below f_start {f_start})")
     f_step = config.get("sweep", {}).get("f_step")
-    if None not in (f_start, f_stop, f_step) and (f_stop - f_start) / f_step + 1 > MAX_POINTS:
-        problems.append(
-            f"invalid value for [sweep] f_step: {f_step} (more than {MAX_POINTS} fields from f_start to f_stop)"
-        )
+    if None not in (f_start, f_stop, f_step) and f_stop >= f_start:
+        if (f_stop - f_start) / f_step + 1 > MAX_POINTS:
+            problems.append(
+                f"invalid value for [sweep] f_step: {f_step} (more than {MAX_POINTS} fields from f_start to f_stop)"
+            )
+        else:
+            grid = _sweep_grid(config["sweep"])
+            bad = grid[(grid == 0.0) | ~np.isfinite(grid)]
+            if bad.size:
+                problems.append(
+                    f"invalid [sweep] grid: the fields from f_start {f_start} in steps of {f_step} "
+                    f"include F = {bad[0]} (every field must be finite and nonzero)"
+                )
     for section in ("time", "three_site"):
         times = config.get(section, {})
         if {"t_max", "dt"} <= times.keys() and times["t_max"] / times["dt"] + 1 > MAX_POINTS:
@@ -242,6 +261,10 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                 f"(more than {MAX_POINTS} samples at dt {times['dt']})"
             )
     model = config.get("model", {})
+    if experiment in ("quench", "sweep") and {"u", "v"} <= model.keys() and model["u"] != model["v"]:
+        problems.append(
+            f"invalid value for [model] v: {model['v']} (the bound-pair band of {experiment} needs v == u = {model['u']})"
+        )
     if {"u", "kappa"} <= model.keys():
         for f in config.get("three_site", {}).get("fields", []):
             try:  # a field of 0 or +-u makes a denominator vanish
@@ -351,8 +374,7 @@ def _run_sweep(config, out: Path, args) -> list[str]:
     params = _model_params(config, field=0.0)
     workspace = QuenchWorkspace.prepare(params, _packet_spec(config))
     section = config["sweep"]
-    count = int(round((section["f_stop"] - section["f_start"]) / section["f_step"])) + 1
-    f_values = section["f_start"] + section["f_step"] * np.arange(count)
+    f_values = _sweep_grid(section)
     sweep = sweep_transfer(workspace, f_values, section["t_f"], workers=args.threads)
     reporting.write_sweep_csv(out / "sweep.csv", sweep)
     reporting.write_json(

@@ -5,8 +5,9 @@ dense cost) and Chebyshev polynomial expansion of ``exp(-iHt)`` (sparse
 matrix-vector cost, truncation controlled by ``tol``).  Both are
 deterministic; the Chebyshev spectral bounds come from a short extremal
 Lanczos run with a fixed start vector and a 5% safety margin.  The Chebyshev
-engine casts its rescaled operator to complex once, so no matvec re-casts a
-real matrix.  One recursion returns the states at several offsets: the terms
+engine stores twice its rescaled operator, cast to complex once, so no matvec
+re-casts a real matrix and each recursion term is one product and one
+subtraction.  One recursion returns the states at several offsets: the terms
 go into a fixed buffer of ``TERM_BUFFER`` rows that is added into every
 offset's row with one matrix product per buffer.  ``samples`` yields blocks
 of up to ``SAMPLE_BLOCK`` states, one row per sample time and one matrix
@@ -97,8 +98,10 @@ class ChebyshevPropagator:
         self.center = 0.5 * (hi + lo)
         self.halfwidth = 0.5 * (hi - lo)
         dim = self.h.shape[0]
-        self._scaled = (
-            (self.h - sparse.identity(dim, format="csr") * self.center) * (1.0 / self.halfwidth)
+        # 2 A for the rescaled operator A: T_{k+1} = (2 A) T_k - T_{k-1} needs no
+        # doubling pass, and scaling by 2 is exact, so 0.5 (2 A) T_0 is A T_0 bit for bit
+        self._two_a = (
+            (self.h - sparse.identity(dim, format="csr") * self.center) * (2.0 / self.halfwidth)
         ).astype(complex)
         self._coeff_cache: dict[float, np.ndarray] = {}
 
@@ -138,18 +141,18 @@ class ChebyshevPropagator:
         BLAS product that accumulates in place (a matrix-vector product once
         one row is left), so no block-sized temporary is made.
         """
-        scaled = self._scaled
+        two_a = self._two_a
         n_terms = coef.shape[1]
         out = np.zeros((coef.shape[0], psi.size), dtype=complex)
         terms = np.empty((min(TERM_BUFFER, n_terms), psi.size), dtype=complex)
         terms[0] = psi
-        terms[1] = scaled @ terms[0]
+        np.multiply(two_a @ terms[0], 0.5, out=terms[1])
         for k in range(n_terms):
             slot = k % TERM_BUFFER
             if k >= 2:
-                nxt = terms[slot]
-                np.multiply(scaled @ terms[(k - 1) % TERM_BUFFER], 2.0, out=nxt)
-                nxt -= terms[(k - 2) % TERM_BUFFER]
+                np.subtract(
+                    two_a @ terms[(k - 1) % TERM_BUFFER], terms[(k - 2) % TERM_BUFFER], out=terms[slot]
+                )
             if slot == TERM_BUFFER - 1 or k == n_terms - 1:
                 start = k - slot
                 active = int(np.searchsorted(ends, start, side="right"))

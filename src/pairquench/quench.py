@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import model
-from .bound_band import BandStructure, band_scan
+from .bound_band import BandStructure, BoundProjector, band_scan, bound_state_realspace
 from .model import Boundary, ModelParams, TwoBosonBasis, build_basis, build_h0, build_stark
 from .propagation import ChebyshevPropagator, make_propagator
 
@@ -54,15 +54,13 @@ WEIGHT_FLOOR = 1e-8
 
 
 def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, basis: TwoBosonBasis) -> np.ndarray:
-    """Normalized packet of bound states on the selected branch."""
+    """Normalized packet of bound states on the selected branch, summed one state at a time."""
     if not 1 <= spec.center_site <= band.n_sites:
         raise ValueError(f"center site {spec.center_site} is outside the lattice")
-    matrix, states = band.bound_matrix(basis)
     weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * spec.width**2))
     peak = weights.max()
     selected = band.select(spec.branch)
     psi = np.zeros(basis.dim, dtype=complex)
-    columns = {id(s): c for c, s in enumerate(states)}
     for k, w, state in zip(band.momenta, weights, selected):
         if state is None:
             if w > WEIGHT_FLOOR * peak:
@@ -71,20 +69,11 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, basis: TwoBoso
                     f"(relative weight {w / peak:.2e})"
                 )
             continue
-        psi += w * np.exp(-1j * spec.center_site * k) * matrix[:, columns[id(state)]]
+        psi += w * np.exp(-1j * spec.center_site * k) * bound_state_realspace(state, basis)
     nrm = np.linalg.norm(psi)
     if nrm == 0.0:
         raise IncompleteBandError("no bound state carries packet weight")
     return psi / nrm
-
-
-def _bound_weight(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Total weight on the columns of a bound matrix (read, never copied).
-
-    ``states`` is one state or a block with one state per row; the result has
-    one weight per row, so a block costs one matrix product.
-    """
-    return np.sum(np.abs(states.conj() @ matrix) ** 2, axis=-1)
 
 
 def _expectations(states: np.ndarray, operator) -> np.ndarray:
@@ -96,9 +85,9 @@ def _expectations(states: np.ndarray, operator) -> np.ndarray:
     return weights[: len(states)] + weights[len(states) :]
 
 
-def transfer_rate(psi: np.ndarray, band: BandStructure, basis: TwoBosonBasis) -> float:
+def transfer_rate(psi: np.ndarray, bound: BoundProjector) -> float:
     """Total weight of a state on every existing bound-pair state of the band."""
-    return float(_bound_weight(psi, band.bound_matrix(basis)[0]))
+    return float(bound.weights(psi))
 
 
 @dataclass
@@ -120,7 +109,7 @@ def evolve(
     times,
     *,
     h0,
-    band: BandStructure,
+    bound: BoundProjector,
     basis: TwoBosonBasis,
     method: str = "auto",
     tol: float = 1e-12,
@@ -128,13 +117,12 @@ def evolve(
     """Evolve ``psi0`` under a time-independent Hamiltonian, sampling observables.
 
     ``times`` must be strictly increasing and start at 0.  ``h0`` is the
-    field-free Hamiltonian entering the energy observable; the bound band
-    supplies the projection target for the transfer rate.
+    field-free Hamiltonian entering the energy observable; ``bound`` projects
+    onto the bound band for the transfer rate.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise ValueError("times must start at 0")
-    bound_matrix, _ = band.bound_matrix(basis)
     sep = model.separations(basis)
     # the quench adds a diagonal field to h0, so the total energy costs a
     # diagonal product on top of the field-free energy
@@ -145,7 +133,7 @@ def evolve(
     for block in prop.samples(psi0, times):
         field_free = _expectations(block, h0)
         rows.append((
-            _bound_weight(block, bound_matrix),
+            bound.weights(block),
             np.abs(block) ** 2 @ sep,
             field_free,
             np.linalg.norm(block, axis=1),
@@ -158,10 +146,10 @@ def evolve(
 
 @dataclass
 class QuenchWorkspace:
-    """Shared immutable inputs of a quench study: basis, band, packet state, operator."""
+    """Shared immutable inputs of a quench study: basis, bound-band projector, packet state, operator."""
 
     basis: TwoBosonBasis
-    band: BandStructure
+    bound: BoundProjector
     psi0: np.ndarray
     h0: sparse.csr_array
 
@@ -174,9 +162,10 @@ class QuenchWorkspace:
             )
         basis = build_basis(params.n_sites)
         band = band_scan(params.kappa, params.u, params.n_sites)
+        bound = band.bound_matrix(basis)
         psi0 = prepare_wavepacket(packet, band, basis)
         h0 = build_h0(replace(params, field=0.0, boundary=Boundary.OPEN), basis)
-        return cls(basis=basis, band=band, psi0=psi0, h0=h0)
+        return cls(basis=basis, bound=bound, psi0=psi0, h0=h0)
 
     def hamiltonian(self, field_value: float) -> sparse.csr_array:
         stark = build_stark(field_value, self.basis)
@@ -197,7 +186,7 @@ def run_quench(
         workspace.psi0,
         times,
         h0=workspace.h0,
-        band=workspace.band,
+        bound=workspace.bound,
         basis=workspace.basis,
         method=method,
         tol=tol,
@@ -277,7 +266,7 @@ def _sweep_point(field_value: float, ctx: tuple = ()) -> float:
     workspace, t_final = ctx or _WORKER_CTX
     prop = ChebyshevPropagator(workspace.hamiltonian(field_value))
     # t_final positional: benchmarks/probe.py counts matvecs from advance's dt argument
-    return transfer_rate(prop.advance(workspace.psi0, t_final), workspace.band, workspace.basis)
+    return transfer_rate(prop.advance(workspace.psi0, t_final), workspace.bound)
 
 
 def sweep_transfer(

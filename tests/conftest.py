@@ -34,6 +34,11 @@ def ref_band():
 
 
 @pytest.fixture(scope="session")
+def ref_bound(ref_band, ref_basis):
+    return ref_band.bound_matrix(ref_basis)
+
+
+@pytest.fixture(scope="session")
 def ref_packet_spec():
     return WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36)
 
@@ -56,5 +61,5 @@ def ref_h0_ring(ref_basis):
 
 
 @pytest.fixture(scope="session")
-def ref_workspace(ref_basis, ref_band, ref_psi0, ref_h0_open):
-    return QuenchWorkspace(basis=ref_basis, band=ref_band, psi0=ref_psi0, h0=ref_h0_open)
+def ref_workspace(ref_basis, ref_bound, ref_psi0, ref_h0_open):
+    return QuenchWorkspace(basis=ref_basis, bound=ref_bound, psi0=ref_psi0, h0=ref_h0_open)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from pairquench.bound_band import BoundState, _decay_roots
+from pairquench.bound_band import BandStructure, BoundState, _decay_roots, bound_state_realspace
 from pairquench.propagation import ChebyshevPropagator
 from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
 from pairquench.three_site import _guard
@@ -82,6 +82,24 @@ def loop_bound_state_realspace(state: BoundState, n_sites: int) -> np.ndarray:
             key = (j, other) if j <= other else (other, j)
             amp[index[key]] += pref * site_phase[j - 1]
     return amp / np.linalg.norm(amp)
+
+
+def bound_columns(band: BandStructure, basis: TwoBosonBasis):
+    """``(state, vector)`` of every bound state of ``band``, one at a time.
+
+    The vectors are the columns of the dense dim x states bound-state matrix
+    that the table projection of ``BandStructure.bound_matrix`` replaces.
+    """
+    for state in band.all_states():
+        yield state, bound_state_realspace(state, basis)
+
+
+def dense_bound_weight(states: np.ndarray, band: BandStructure, basis: TwoBosonBasis) -> np.ndarray:
+    """Bound-band weight of a state, or of every row of a block, column by column."""
+    total = 0.0
+    for _, column in bound_columns(band, basis):
+        total = total + np.abs(states.conj() @ column) ** 2
+    return total
 
 
 def chain_bands(hop: float, interaction: float, length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,11 @@ from pairquench.bound_band import decay_cutoff
 from pairquench.reporting import write_band_csv
 
 from oracles import (
+    bound_columns,
     build_heq,
     chain_checked_roots,
     chain_isolated_energies,
+    dense_bound_weight,
     loop_bound_state_realspace,
 )
 
@@ -191,10 +193,46 @@ def test_realspace_reconstruction(ref_basis, ref_h0_ring):
 
 
 def test_bound_matrix_matches_loop_reference(ref_band, ref_basis):
-    matrix, states = ref_band.bound_matrix(ref_basis)
-    assert matrix.shape == (ref_basis.dim, len(states))
-    for column, state in zip(matrix.T, states):
+    columns = 0
+    for state, column in bound_columns(ref_band, ref_basis):
         assert np.max(np.abs(column - loop_bound_state_realspace(state, 111))) <= 1e-15
+        columns += 1
+    assert columns == len(ref_band.all_states()) == 222
+
+
+@pytest.mark.parametrize(
+    "n_sites, interaction", [(15, -6.24), (15, -5.5), (111, -6.24), (201, -6.24)]
+)
+def test_projection_matches_dense_oracle(n_sites, interaction):
+    band = band_scan(1.0, interaction, n_sites)
+    basis = build_basis(n_sites)
+    if interaction == -5.5:
+        assert band.missing_momenta("+").size == 3  # the table keeps zero columns there
+    bound = band.bound_matrix(basis)
+    assert bound.table.shape == (n_sites, n_sites, 2)
+    rng = np.random.default_rng(n_sites)
+    block = rng.standard_normal((8, basis.dim)) + 1j * rng.standard_normal((8, basis.dim))
+    block /= np.linalg.norm(block, axis=1)[:, np.newaxis]
+    # rows with weight of order one: bound states, a superposition of two of them,
+    # and pairs at the chain ends, which are neighbours on the ring (wrapped separations)
+    states = band.all_states()
+    block[0] = bound_state_realspace(states[0], basis)
+    block[1] = bound_state_realspace(states[-1], basis)
+    block[2] = (block[0] + 1j * bound_state_realspace(states[len(states) // 2], basis)) / np.sqrt(2)
+    block[3] = basis.unit_state(1, n_sites)
+    block[4] = basis.unit_state(2, n_sites)
+    reference = dense_bound_weight(block, band, basis)
+    assert reference[0] == pytest.approx(1.0, abs=1e-12)
+    assert reference[3] > 0.1
+    assert np.max(np.abs(bound.weights(block) - reference)) < 1e-14
+    for row, expected in zip(block[[0, 3, 5]], reference[[0, 3, 5]]):
+        assert np.ndim(bound.weights(row)) == 0
+        assert abs(bound.weights(row) - expected) < 1e-14
+
+
+def test_projection_rejects_mismatched_basis():
+    with pytest.raises(ValueError):
+        band_scan(1.0, -6.24, 15).bound_matrix(build_basis(17))
 
 
 def test_realspace_rejects_off_grid_momentum():

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -6,9 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pairquench
-from pairquench.cli import main
+from pairquench.cli import (
+    MAX_POINTS,
+    SCHEMA,
+    ConfigError,
+    _model_params,
+    _packet_spec,
+    _sweep_grid,
+    load_config,
+    main,
+)
 
 SMALL_QUENCH = """
 [model]
@@ -207,6 +218,15 @@ KEY_ERRORS = [
     ("band", "n_sites = 15", "n_sites = -3", "invalid value for [model] n_sites: '-3'"),
     ("quench", "n_sites = 15", "n_sites = 1", "invalid value for [model] n_sites: '1'"),
     ("spectrum", "n_sites = 3", "n_sites = 1", "invalid value for [model] n_sites: '1' (need at least 2 sites)"),
+    # quench and sweep need u == v: v = 0 failed in QuenchWorkspace.prepare after --out existed
+    ("quench", "v = -6.24", "v = 0", "invalid value for [model] v: 0.0 (the bound-pair band of quench needs v == u = -6.24)"),
+    ("sweep", "v = -6.24", "v = -3", "invalid value for [model] v: -3.0 (the bound-pair band of sweep needs v == u = -6.24)"),
+    # a negative hopping failed in ModelParams after --out existed, or wrote a band
+    ("quench", "kappa = 1.0", "kappa = -1", "invalid value for [model] kappa: '-1' (must not be negative)"),
+    ("band", "kappa = 1.0", "kappa = -1", "invalid value for [model] kappa: '-1' (must not be negative)"),
+    # a grid through F = 0 failed in sweep_transfer after --out existed
+    ("sweep", "f_start = -0.22\nf_stop = -0.18\nf_step = 0.01", "f_start = -0.1\nf_stop = 0.1\nf_step = 0.05",
+     "invalid [sweep] grid: the fields from f_start -0.1 in steps of 0.05 include F = 0.0"),
 ]
 
 
@@ -219,6 +239,81 @@ def test_run_keys_rejected_at_config_time(tmp_path, capsys, experiment, old, new
     assert run([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n_sites = 15\n", "File contains no section headers"),
+        (SMALL_BAND + "n_sites = 17\n", "option 'n_sites' in section 'model' already exists"),
+        (SMALL_BAND.replace("kappa = 1.0", "kappa = 5%"), "invalid value for [model] kappa: '5%'"),
+    ],
+)
+def test_unreadable_config_rejected_before_output(tmp_path, capsys, text, message):
+    # each of these ended in a configparser traceback
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run(["band", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _sections(text: str) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+#: raw values the fuzz test puts in place of a key: valid and invalid numbers and words
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([
+        "-6.24", "-3", "0", "-0.0", "0.05", "-0.1", "0.1", "1", "3", "8", "15", "16", "-1",
+        "1e-300", "5e-324", "1e308", "-1e308", "1e400", "nan", "inf", "-inf", "",
+        "abc", "upper", "lower", "+", "open", "ring", "5%", "0x10", "1_0",
+    ]),
+    st.integers(-10**4, 10**4).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experiment=st.sampled_from(["quench", "sweep"]),
+    edits=st.dictionaries(st.integers(0, 12), st.none() | FUZZ_VALUES, max_size=4),
+)
+def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment, edits):
+    # in-process: a config is either rejected with ConfigError, or every run input
+    # (model, packet, sweep grid or sample count) builds from it without a ValueError
+    sections = _sections({"quench": SMALL_QUENCH, "sweep": SMALL_SWEEP}[experiment])
+    schema = SCHEMA[experiment]
+    for index, value in edits.items():
+        section, key = schema[index % len(schema)][:2]
+        if value is None:
+            sections.get(section, {}).pop(key, None)
+        else:
+            sections.setdefault(section, {})[key] = value.strip()
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    ))
+    try:
+        config = load_config(experiment, str(path))
+    except ConfigError as exc:
+        assert exc.problems
+        return
+    params = _model_params(config)
+    packet = _packet_spec(config)
+    assert params.u == params.v
+    assert 1 <= packet.center_site <= params.n_sites
+    if experiment == "sweep":
+        grid = _sweep_grid(config["sweep"])
+        assert 1 <= grid.size <= MAX_POINTS
+        assert np.all(np.isfinite(grid) & (grid != 0.0))
+    else:
+        assert np.isfinite(params.field)
+        assert config["time"]["t_max"] / config["time"]["dt"] + 1 <= MAX_POINTS
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -24,9 +24,8 @@ from pairquench import (
 )
 from pairquench import quench
 from pairquench.model import separations
-from pairquench.quench import _bound_weight
 
-from oracles import energy_distribution
+from oracles import dense_bound_weight, energy_distribution
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +35,14 @@ def small_workspace():
     return QuenchWorkspace.prepare(params, packet)
 
 
-def test_packet_is_normalized_bound_superposition(ref_psi0, ref_band, ref_basis):
+@pytest.fixture(scope="module")
+def small_band():
+    return band_scan(1.0, -6.24, 15)
+
+
+def test_packet_is_normalized_bound_superposition(ref_psi0, ref_bound):
     assert np.linalg.norm(ref_psi0) == pytest.approx(1.0, abs=1e-12)
-    assert transfer_rate(ref_psi0, ref_band, ref_basis) == pytest.approx(1.0, abs=1e-6)
+    assert transfer_rate(ref_psi0, ref_bound) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_packet_is_tightly_bound(ref_basis, ref_psi0):
@@ -75,15 +79,15 @@ def test_workspace_requires_equal_interactions():
         )
 
 
-def test_transfer_rate_of_single_bound_state(ref_band, ref_basis):
+def test_transfer_rate_of_single_bound_state(ref_bound, ref_basis):
     state = solve_bound_states(2 * np.pi * 17 / 111, 1.0, -6.24)[1]
     psi = bound_state_realspace(state, ref_basis)
-    assert transfer_rate(psi, ref_band, ref_basis) == pytest.approx(1.0, abs=1e-6)
+    assert transfer_rate(psi, ref_bound) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_transfer_rate_of_distant_unpaired_state(ref_band, ref_basis):
+def test_transfer_rate_of_distant_unpaired_state(ref_bound, ref_basis):
     psi = ref_basis.unit_state(1, 56)
-    assert transfer_rate(psi, ref_band, ref_basis) < 1e-3
+    assert transfer_rate(psi, ref_bound) < 1e-3
 
 
 def test_trajectory_invariants(small_workspace):
@@ -95,7 +99,7 @@ def test_trajectory_invariants(small_workspace):
     assert np.all(traj.distance >= 0.0) and np.all(traj.distance <= 14.0)
     # the first sample reproduces the initial observables exactly
     ws = small_workspace
-    assert traj.transfer[0] == pytest.approx(transfer_rate(ws.psi0, ws.band, ws.basis), abs=1e-12)
+    assert traj.transfer[0] == pytest.approx(transfer_rate(ws.psi0, ws.bound), abs=1e-12)
     assert traj.distance[0] == pytest.approx(separations(ws.basis) @ np.abs(ws.psi0) ** 2, abs=1e-12)
     assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, ws.h0 @ ws.psi0).real, abs=1e-10)
 
@@ -109,19 +113,19 @@ def test_backends_agree_on_small_quench(small_workspace):
 
 @pytest.mark.parametrize("method", ["spectral", "chebyshev"])
 @pytest.mark.parametrize("samples", [1, 7, 8, 9, 17])
-def test_blocked_transfer_matches_per_sample_projection(small_workspace, method, samples):
-    # evolve projects each block of samples with one matrix product; cover full and partial blocks
+def test_blocked_transfer_matches_per_sample_projection(small_workspace, small_band, method, samples):
+    # evolve projects each block of samples at once; cover full and partial blocks
     ws = small_workspace
     times = np.arange(float(samples))
     traj = run_quench(ws, -0.21, times, method=method)
-    matrix = ws.band.bound_matrix(ws.basis)[0]
     prop = make_propagator(ws.hamiltonian(-0.21), method=method)
-    single = [_bound_weight(psi, matrix) for psi in np.vstack(list(prop.samples(ws.psi0, times)))]
+    states = np.vstack(list(prop.samples(ws.psi0, times)))
+    single = [dense_bound_weight(psi, small_band, ws.basis) for psi in states]
     assert traj.transfer.shape == (samples,)
     assert np.max(np.abs(traj.transfer - single)) < 1e-14
 
 
-def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_workspace):
+def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_workspace, small_band):
     # short steps share a Chebyshev recursion, the step of 50 does not: blocks of 1, 2, 1, 2 rows
     ws = small_workspace
     times = np.array([0.0, 1.0, 2.0, 52.0, 53.0, 54.0])
@@ -132,8 +136,7 @@ def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_worksp
     exact = run_quench(ws, -0.21, times, method="spectral")
     for name in ("transfer", "distance", "energy", "norm", "total_energy"):
         assert np.max(np.abs(getattr(cheb, name) - getattr(exact, name))) < 1e-9, name
-    matrix = ws.band.bound_matrix(ws.basis)[0]
-    single = [_bound_weight(psi, matrix) for psi in np.vstack(blocks)]
+    single = [dense_bound_weight(psi, small_band, ws.basis) for psi in np.vstack(blocks)]
     assert np.max(np.abs(cheb.transfer - single)) < 1e-14
     assert np.array_equal(cheb.final_state, blocks[-1][-1])
 
@@ -146,7 +149,7 @@ def test_energy_constant_after_field_release(small_workspace):
         traj.final_state,
         np.arange(0.0, 20.0, 1.0),
         h0=small_workspace.h0,
-        band=small_workspace.band,
+        bound=small_workspace.bound,
         basis=small_workspace.basis,
         method="spectral",
     )
@@ -158,7 +161,7 @@ def test_evolve_validates_time_grid(small_workspace):
     h = ws.hamiltonian(-0.2)
     for bad in ([], [1.0, 2.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError):
-            evolve(h, ws.psi0, bad, h0=ws.h0, band=ws.band, basis=ws.basis)
+            evolve(h, ws.psi0, bad, h0=ws.h0, bound=ws.bound, basis=ws.basis)
 
 
 def test_energy_distribution_completeness(small_workspace):
@@ -257,7 +260,7 @@ def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, method,
     ws = small_workspace
     h = ws.hamiltonian(-0.21) if quenched else ws.h0
     times = np.arange(0.0, 12.0)
-    traj = evolve(h, ws.psi0, times, h0=ws.h0, band=ws.band, basis=ws.basis, method=method)
+    traj = evolve(h, ws.psi0, times, h0=ws.h0, bound=ws.bound, basis=ws.basis, method=method)
     states = np.vstack(list(make_propagator(h, method=method).samples(ws.psi0, times)))
     direct = [np.real(np.vdot(psi, h @ psi)) for psi in states]
     assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
