@@ -4,7 +4,6 @@ from .bound_band import (
     BandStructure,
     BoundState,
     band_scan,
-    bound_state_realspace,
     momentum_grid,
     solve_bound_states,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TwoBosonBasis",
     "WavePacketSpec",
     "band_scan",
-    "bound_state_realspace",
     "build_basis",
     "build_h0",
     "build_hamiltonian",

@@ -32,8 +32,6 @@ from .model import SQRT2, TwoBosonBasis
 BRANCH_LOWER = "-"
 BRANCH_UPPER = "+"
 
-_GRID_ATOL = 1e-9
-
 #: relative chain r = 0 .. CHAIN_LENGTH that a kept bound root must fit (``decay_cutoff``)
 CHAIN_LENGTH = 400
 #: largest energy error, in units of |J_K|, that truncating a kept root may cause
@@ -168,50 +166,8 @@ def _on_site_amplitude(state: BoundState) -> float:
     return SQRT2 * state.hop * state.decay_ratio / (state.interaction - state.energy)
 
 
-def bound_state_realspace(state: BoundState, basis: TwoBosonBasis) -> np.ndarray:
-    """Normalized two-boson vector of a bound state on the ring of ``basis``.
-
-    The relative amplitudes are ``psi_0`` fixed by the first row of the chain
-    eigenproblem and ``psi_r = y**r`` up to the maximal ring separation
-    (n-1)/2; each separation is spread over the ring with phases
-    ``exp(i K (j + r/2))``.
-    """
-    n_sites = basis.n_sites
-    if n_sites % 2 == 0:
-        raise ValueError("real-space reconstruction needs an odd ring")
-    steps = state.momentum * n_sites / (2.0 * np.pi)
-    if abs(steps - round(steps)) > _GRID_ATOL:
-        raise ValueError(
-            f"momentum {state.momentum} is not on the {n_sites}-site grid"
-        )
-
-    y = state.decay_ratio
-    psi0 = _on_site_amplitude(state)
-    k = state.momentum
-    sites = np.arange(1, n_sites + 1)
-    site_phase = np.exp(1j * k * sites)
-    reach = (n_sites - 1) // 2
-    r = np.arange(1, reach + 1)[:, np.newaxis]
-    # scalar powers and products formed from real and imaginary parts: numpy's
-    # vectorised power and complex multiply can round differently in the last
-    # bit, and the vectors stay bitwise equal to an element-by-element build
-    decay = np.array([[y**p] for p in range(1, reach + 1)])
-    half = np.exp(1j * k * r / 2.0)
-    pref_re, pref_im = decay * half.real, decay * half.imag
-    # every (separation r, left site j) pair of the ring is one configuration
-    other = (sites + r - 1) % n_sites + 1
-    pairs = basis.rank(np.minimum(sites, other), np.maximum(sites, other))
-    diagonal = basis.rank(sites, sites)
-    amp = np.zeros(basis.dim, dtype=complex)
-    amp.real[diagonal] = psi0 * site_phase.real
-    amp.imag[diagonal] = psi0 * site_phase.imag
-    amp.real[pairs] = pref_re * site_phase.real - pref_im * site_phase.imag
-    amp.imag[pairs] = pref_re * site_phase.imag + pref_im * site_phase.real
-    return amp / np.linalg.norm(amp)
-
-
 class BoundProjector(NamedTuple):
-    """Overlaps of two-boson states with every bound state of a band, matrix-free.
+    """Every bound state of a band, matrix-free: overlaps with it and superpositions of it.
 
     A ring bound state ``(K, y)`` has the amplitude ``P_d(K) exp(i K i)`` on the
     configuration ``(i, i + d)``, with ``P_0 = psi_0``, ``P_d = y**d exp(i K d / 2)``
@@ -224,7 +180,9 @@ class BoundProjector(NamedTuple):
     state ``slot`` of the sector ``K = 2 pi m / n``, in FFT order of ``m``
     (the phase ``exp(-i K)`` shifts the transform to start at site 1); a
     sector with fewer bound states has zero columns.  ``slots`` is the flat
-    position ``d * n + (i - 1)`` of every basis configuration.
+    position ``d * n + (i - 1)`` of every basis configuration.  The bound state
+    itself is ``conj(table[m, d, slot]) exp(i K (i - 1))`` on ``(i, i + d)``, one
+    inverse transform over the centre site.
     """
 
     table: np.ndarray
@@ -242,6 +200,18 @@ class BoundProjector(NamedTuple):
         overlaps = np.matmul(spectra.transpose(2, 0, 1), self.table)
         weights = np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
         return weights if states.ndim > 1 else weights[0]
+
+    def superpose(self, coef: np.ndarray) -> np.ndarray:
+        """Basis vector ``sum coef[m, slot] |b(m, slot)>``, the adjoint of the overlaps of ``weights``.
+
+        ``coef`` is (n, slots) in the row order of ``table``.
+        """
+        n = self.table.shape[0]
+        # every momentum's sum over its bound states, then one inverse transform
+        # over the centre site per separation: (i - 1, d)
+        spectra = np.sum(coef[:, np.newaxis, :] * self.table.conj(), axis=2)
+        grid = n * np.fft.ifft(spectra, axis=0)
+        return grid.T.reshape(-1)[self.slots]
 
 
 @dataclass(frozen=True)
@@ -265,9 +235,6 @@ class BandStructure:
     def missing_momenta(self, branch: str) -> np.ndarray:
         mask = np.array([s is None for s in self.select(branch)])
         return self.momenta[mask]
-
-    def all_states(self) -> list[BoundState]:
-        return [s for group in self.states for s in group]
 
     def bound_matrix(self, basis: TwoBosonBasis) -> BoundProjector:
         """Projector onto every bound state of the band, for states in ``basis``.

@@ -84,6 +84,20 @@ def _non_negative(raw: str) -> float:
     return value
 
 
+def _pair_hopping(raw: str) -> float:
+    value = _non_negative(raw)
+    if value == 0.0:
+        raise ValueError("a bound-pair packet needs kappa > 0")
+    return value
+
+
+def _pair_interaction(raw: str) -> float:
+    value = _finite(raw)
+    if value == 0.0:
+        raise ValueError("a bound-pair packet needs u != 0")
+    return value
+
+
 def _field_count(raw: str) -> int:
     value = int(raw)
     if not 3 <= value <= MAX_POINTS:
@@ -141,8 +155,8 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     ],
     "quench": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _non_negative, True),
-        ("model", "u", _finite, True),
+        ("model", "kappa", _pair_hopping, True),
+        ("model", "u", _pair_interaction, True),
         ("model", "v", _finite, True),
         ("model", "field", _finite, True),
         ("model", "boundary", _open_boundary, False),
@@ -155,8 +169,8 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     ],
     "sweep": [
         ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _non_negative, True),
-        ("model", "u", _finite, True),
+        ("model", "kappa", _pair_hopping, True),
+        ("model", "u", _pair_interaction, True),
         ("model", "v", _finite, True),
         ("model", "boundary", _open_boundary, False),
         ("packet", "k0_pi", _k0_pi, True),
@@ -438,8 +452,8 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  {problem}", file=sys.stderr)
         return 2
+    # every writer creates the directory, so a run that fails in set-up leaves none
     out = Path(args.out) if args.out else Path("runs") / args.experiment
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
         outputs = _RUNNERS[args.experiment](config, out, args)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import model
-from .bound_band import BandStructure, BoundProjector, band_scan, bound_state_realspace
+from .bound_band import BandStructure, BoundProjector, band_scan
 from .model import Boundary, ModelParams, TwoBosonBasis, build_basis, build_h0, build_stark
 from .propagation import ChebyshevPropagator, make_propagator
 
@@ -53,15 +53,19 @@ class WavePacketSpec:
 WEIGHT_FLOOR = 1e-8
 
 
-def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, basis: TwoBosonBasis) -> np.ndarray:
-    """Normalized packet of bound states on the selected branch, summed one state at a time."""
-    if not 1 <= spec.center_site <= band.n_sites:
+def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundProjector) -> np.ndarray:
+    """Normalized packet of bound states on the selected branch.
+
+    ``bound`` is ``band.bound_matrix(basis)``: the packet is one superposition
+    of its table.
+    """
+    n = band.n_sites
+    if not 1 <= spec.center_site <= n:
         raise ValueError(f"center site {spec.center_site} is outside the lattice")
     weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * spec.width**2))
     peak = weights.max()
-    selected = band.select(spec.branch)
-    psi = np.zeros(basis.dim, dtype=complex)
-    for k, w, state in zip(band.momenta, weights, selected):
+    coef = np.zeros((n, bound.table.shape[2]), dtype=complex)
+    for k, w, group, state in zip(band.momenta, weights, band.states, band.select(spec.branch)):
         if state is None:
             if w > WEIGHT_FLOOR * peak:
                 raise IncompleteBandError(
@@ -69,7 +73,9 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, basis: TwoBoso
                     f"(relative weight {w / peak:.2e})"
                 )
             continue
-        psi += w * np.exp(-1j * spec.center_site * k) * bound_state_realspace(state, basis)
+        row = round(k * n / (2.0 * np.pi)) % n  # the FFT-order row of K in the table
+        coef[row, group.index(state)] = w * np.exp(-1j * spec.center_site * k)
+    psi = bound.superpose(coef)
     nrm = np.linalg.norm(psi)
     if nrm == 0.0:
         raise IncompleteBandError("no bound state carries packet weight")
@@ -163,7 +169,7 @@ class QuenchWorkspace:
         basis = build_basis(params.n_sites)
         band = band_scan(params.kappa, params.u, params.n_sites)
         bound = band.bound_matrix(basis)
-        psi0 = prepare_wavepacket(packet, band, basis)
+        psi0 = prepare_wavepacket(packet, band, bound)
         h0 = build_h0(replace(params, field=0.0, boundary=Boundary.OPEN), basis)
         return cls(basis=basis, bound=bound, psi0=psi0, h0=h0)
 

@@ -44,8 +44,8 @@ def ref_packet_spec():
 
 
 @pytest.fixture(scope="session")
-def ref_psi0(ref_packet_spec, ref_band, ref_basis):
-    return prepare_wavepacket(ref_packet_spec, ref_band, ref_basis)
+def ref_psi0(ref_packet_spec, ref_band, ref_bound):
+    return prepare_wavepacket(ref_packet_spec, ref_band, ref_bound)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from pairquench.bound_band import BandStructure, BoundState, _decay_roots, bound_state_realspace
+from pairquench.bound_band import BandStructure, BoundState, _decay_roots, _on_site_amplitude
 from pairquench.propagation import ChebyshevPropagator
 from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
 from pairquench.three_site import _guard
+
+_GRID_ATOL = 1e-9
 
 
 def loop_pairs(n_sites: int) -> list[tuple[int, int]]:
@@ -84,13 +86,60 @@ def loop_bound_state_realspace(state: BoundState, n_sites: int) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
+def bound_state_realspace(state: BoundState, basis: TwoBosonBasis) -> np.ndarray:
+    """Normalized two-boson vector of a bound state on the ring of ``basis``.
+
+    The relative amplitudes are ``psi_0`` fixed by the first row of the chain
+    eigenproblem and ``psi_r = y**r`` up to the maximal ring separation
+    (n-1)/2; each separation is spread over the ring with phases
+    ``exp(i K (j + r/2))``.  The array build of ``loop_bound_state_realspace``.
+    """
+    n_sites = basis.n_sites
+    if n_sites % 2 == 0:
+        raise ValueError("real-space reconstruction needs an odd ring")
+    steps = state.momentum * n_sites / (2.0 * np.pi)
+    if abs(steps - round(steps)) > _GRID_ATOL:
+        raise ValueError(
+            f"momentum {state.momentum} is not on the {n_sites}-site grid"
+        )
+
+    y = state.decay_ratio
+    psi0 = _on_site_amplitude(state)
+    k = state.momentum
+    sites = np.arange(1, n_sites + 1)
+    site_phase = np.exp(1j * k * sites)
+    reach = (n_sites - 1) // 2
+    r = np.arange(1, reach + 1)[:, np.newaxis]
+    # scalar powers and products formed from real and imaginary parts: numpy's
+    # vectorised power and complex multiply can round differently in the last
+    # bit, and the vectors stay bitwise equal to an element-by-element build
+    decay = np.array([[y**p] for p in range(1, reach + 1)])
+    half = np.exp(1j * k * r / 2.0)
+    pref_re, pref_im = decay * half.real, decay * half.imag
+    # every (separation r, left site j) pair of the ring is one configuration
+    other = (sites + r - 1) % n_sites + 1
+    pairs = basis.rank(np.minimum(sites, other), np.maximum(sites, other))
+    diagonal = basis.rank(sites, sites)
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp.real[diagonal] = psi0 * site_phase.real
+    amp.imag[diagonal] = psi0 * site_phase.imag
+    amp.real[pairs] = pref_re * site_phase.real - pref_im * site_phase.imag
+    amp.imag[pairs] = pref_re * site_phase.imag + pref_im * site_phase.real
+    return amp / np.linalg.norm(amp)
+
+
+def all_states(band: BandStructure) -> list[BoundState]:
+    """Every bound state of ``band``, sector by sector."""
+    return [s for group in band.states for s in group]
+
+
 def bound_columns(band: BandStructure, basis: TwoBosonBasis):
     """``(state, vector)`` of every bound state of ``band``, one at a time.
 
     The vectors are the columns of the dense dim x states bound-state matrix
     that the table projection of ``BandStructure.bound_matrix`` replaces.
     """
-    for state in band.all_states():
+    for state in all_states(band):
         yield state, bound_state_realspace(state, basis)
 
 
@@ -100,6 +149,17 @@ def dense_bound_weight(states: np.ndarray, band: BandStructure, basis: TwoBosonB
     for _, column in bound_columns(band, basis):
         total = total + np.abs(states.conj() @ column) ** 2
     return total
+
+
+def dense_superpose(coef: np.ndarray, band: BandStructure, basis: TwoBosonBasis) -> np.ndarray:
+    """``sum coef[m, slot]`` times the bound state ``slot`` of the sector ``K = 2 pi m / n``,
+    column by column: the reference of ``BoundProjector.superpose``."""
+    n = band.n_sites
+    psi = np.zeros(basis.dim, dtype=complex)
+    for k, group in zip(band.momenta, band.states):
+        for slot, state in enumerate(group):
+            psi += coef[round(k * n / (2.0 * np.pi)) % n, slot] * bound_state_realspace(state, basis)
+    return psi
 
 
 def chain_bands(hop: float, interaction: float, length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ from scipy.linalg import eigh_tridiagonal
 from pairquench import (
     ModelParams,
     band_scan,
-    bound_state_realspace,
     build_basis,
     build_hamiltonian,
     estimate_period,
@@ -33,7 +32,7 @@ from pairquench.propagation import ChebyshevPropagator
 from pairquench.spectrum import spectrum_vs_field
 
 from conftest import F_BLOCH, F_DECAY, REF_KAPPA, REF_N, REF_U
-from oracles import energy_distribution, fock_two_boson_matrix
+from oracles import bound_state_realspace, energy_distribution, fock_two_boson_matrix
 from test_three_site import hump_times
 
 TIMES = np.arange(0.0, 801.0, 1.0)

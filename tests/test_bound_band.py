@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from pairquench import (
     band_scan,
-    bound_state_realspace,
     build_basis,
     momentum_grid,
     solve_bound_states,
@@ -13,11 +12,14 @@ from pairquench.bound_band import decay_cutoff
 from pairquench.reporting import write_band_csv
 
 from oracles import (
+    all_states,
     bound_columns,
+    bound_state_realspace,
     build_heq,
     chain_checked_roots,
     chain_isolated_energies,
     dense_bound_weight,
+    dense_superpose,
     loop_bound_state_realspace,
 )
 
@@ -197,7 +199,7 @@ def test_bound_matrix_matches_loop_reference(ref_band, ref_basis):
     for state, column in bound_columns(ref_band, ref_basis):
         assert np.max(np.abs(column - loop_bound_state_realspace(state, 111))) <= 1e-15
         columns += 1
-    assert columns == len(ref_band.all_states()) == 222
+    assert columns == len(all_states(ref_band)) == 222
 
 
 @pytest.mark.parametrize(
@@ -215,12 +217,17 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     block /= np.linalg.norm(block, axis=1)[:, np.newaxis]
     # rows with weight of order one: bound states, a superposition of two of them,
     # and pairs at the chain ends, which are neighbours on the ring (wrapped separations)
-    states = band.all_states()
+    states = all_states(band)
     block[0] = bound_state_realspace(states[0], basis)
     block[1] = bound_state_realspace(states[-1], basis)
     block[2] = (block[0] + 1j * bound_state_realspace(states[len(states) // 2], basis)) / np.sqrt(2)
     block[3] = basis.unit_state(1, n_sites)
     block[4] = basis.unit_state(2, n_sites)
+    # and the adjoint: every bound state superposed with random coefficients
+    coef = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
+    coef /= np.linalg.norm(coef)
+    block[5] = bound.superpose(coef)
+    assert np.max(np.abs(block[5] - dense_superpose(coef, band, basis))) < 1e-13
     reference = dense_bound_weight(block, band, basis)
     assert reference[0] == pytest.approx(1.0, abs=1e-12)
     assert reference[3] > 0.1
@@ -257,7 +264,7 @@ def test_strong_coupling_band_detached():
     band = band_scan(0.4, -6.0, 111)
     assert band.branch_complete("-") and band.branch_complete("+")
     # the scattering continuum of sector K spans [-2 |J_K|, 2 |J_K|]
-    margin = min(abs(s.energy) - 2.0 * abs(s.hop) for s in band.all_states())
+    margin = min(abs(s.energy) - 2.0 * abs(s.hop) for s in all_states(band))
     assert margin > 0
 
 
@@ -267,7 +274,7 @@ def test_band_csv_columns(tmp_path):
     write_band_csv(path, band)
     lines = path.read_text().splitlines()
     assert lines[0] == "K,branch,beta,energy"
-    assert len(lines) == 1 + len(band.all_states())
+    assert len(lines) == 1 + len(all_states(band))
 
 
 def test_heq_rejects_zero_length():

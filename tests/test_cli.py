@@ -224,6 +224,10 @@ KEY_ERRORS = [
     # a negative hopping failed in ModelParams after --out existed, or wrote a band
     ("quench", "kappa = 1.0", "kappa = -1", "invalid value for [model] kappa: '-1' (must not be negative)"),
     ("band", "kappa = 1.0", "kappa = -1", "invalid value for [model] kappa: '-1' (must not be negative)"),
+    # no hopping or no interaction leaves no bound band for the packet: the run
+    # failed in prepare_wavepacket after --out existed
+    ("quench", "kappa = 1.0", "kappa = 0", "invalid value for [model] kappa: '0' (a bound-pair packet needs kappa > 0)"),
+    ("sweep", "u = -6.24\nv = -6.24", "u = 0\nv = 0", "invalid value for [model] u: '0' (a bound-pair packet needs u != 0)"),
     # a grid through F = 0 failed in sweep_transfer after --out existed
     ("sweep", "f_start = -0.22\nf_stop = -0.18\nf_step = 0.01", "f_start = -0.1\nf_stop = 0.1\nf_step = 0.05",
      "invalid [sweep] grid: the fields from f_start -0.1 in steps of 0.05 include F = 0.0"),
@@ -323,19 +327,47 @@ def test_import_leaves_scipy_optimize_unloaded():
         assert run_python(["-c", probe]).stdout.strip() == "False"
 
 
+def _probe_sweep(tmp_path, f_stop: str, threads: int) -> dict:
+    """Record of a traced ``sweep`` from -0.22 to ``f_stop`` through the benchmark's probe."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_SWEEP.replace("f_stop = -0.18", f"f_stop = {f_stop}"))
+    probe = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
+    record = tmp_path / "record.json"
+    run_python([probe, record, "1", "--", "sweep", "--config", cfg, "--out", tmp_path / "out",
+                "--threads", threads])
+    payload = json.loads(record.read_text())
+    assert payload["exit_code"] == 0
+    return payload
+
+
 def test_benchmark_probe_traces_every_layer(tmp_path):
     # the benchmark's --trace 1 probe wraps pairquench names in place; a one-field
     # sweep goes through the bound matrix, the Chebyshev steps and the matvec count
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text(SMALL_SWEEP.replace("f_stop = -0.18", "f_stop = -0.22"))
-    probe = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
-    record = tmp_path / "record.json"
-    run_python([probe, record, "1", "--", "sweep", "--config", cfg, "--out", tmp_path / "out"])
-    payload = json.loads(record.read_text())
-    assert payload["exit_code"] == 0
+    payload = _probe_sweep(tmp_path, "-0.22", 1)
     names = {span[0] for span in payload["spans"]}
     assert {"propagation.advance", "bound_band.bound_matrix"} <= names
     assert payload["counts"]["matvecs"] > 0
+
+
+def test_benchmark_probe_traces_pool_workers(tmp_path):
+    # a two-field sweep on two processes: each grid point is traced in a worker,
+    # whose spans (element 4 is the process id) and matvecs reach the record
+    payload = _probe_sweep(tmp_path, "-0.21", 2)
+    main_pid = next(span[4] for span in payload["spans"] if span[0] == "cli.main")
+    points = [span for span in payload["spans"] if span[0] == "quench.sweep_point"]
+    assert len(points) == 2
+    assert any(span[4] != main_pid for span in points)
+    assert payload["counts"]["matvecs"] > 0
+
+
+def test_partial_band_packet_fails_before_output(tmp_path, capsys):
+    # the upper branch of u = v = -5 misses the momenta around K = 0, where this
+    # packet sits: the run failed only after --out existed
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_QUENCH.replace("-6.24", "-5").replace("k0_pi = -0.9", "k0_pi = 0"))
+    assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert "branch '+' has no bound state" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("branch", ["lower", "Upper", "+"])

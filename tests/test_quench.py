@@ -11,7 +11,6 @@ from pairquench import (
     QuenchWorkspace,
     WavePacketSpec,
     band_scan,
-    bound_state_realspace,
     build_basis,
     estimate_period,
     evolve,
@@ -25,7 +24,7 @@ from pairquench import (
 from pairquench import quench
 from pairquench.model import separations
 
-from oracles import dense_bound_weight, energy_distribution
+from oracles import bound_state_realspace, dense_bound_weight, energy_distribution
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,31 @@ def test_packet_requires_complete_branch():
     band = band_scan(1.0, -5.0, 41)
     spec = WavePacketSpec(center_momentum=0.0, width=0.2, center_site=21)
     with pytest.raises(IncompleteBandError):
-        prepare_wavepacket(spec, band, build_basis(41))
+        prepare_wavepacket(spec, band, band.bound_matrix(build_basis(41)))
+
+
+@pytest.mark.parametrize(
+    "n_sites, interaction, width, center_site",
+    [(15, -6.24, 0.35, 8), (111, -6.24, 0.2, 36), (201, -6.24, 0.2, 36), (15, -5.5, 0.35, 8)],
+)
+def test_packet_matches_per_state_sum(n_sites, interaction, width, center_site):
+    band = band_scan(1.0, interaction, n_sites)
+    basis = build_basis(n_sites)
+    spec = WavePacketSpec(center_momentum=-0.9 * np.pi, width=width, center_site=center_site)
+    weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * width**2))
+    if interaction == -5.5:
+        # three upper momenta are missing, where the packet weight is below the floor
+        missing = np.array([s is None for s in band.select("+")])
+        assert missing.sum() == 3
+        assert 0.0 < weights[missing].max() < quench.WEIGHT_FLOOR * weights.max()
+    reference = sum(
+        w * np.exp(-1j * center_site * k) * bound_state_realspace(state, basis)
+        for k, w, state in zip(band.momenta, weights, band.select("+"))
+        if state is not None
+    )
+    reference /= np.linalg.norm(reference)
+    psi = prepare_wavepacket(spec, band, band.bound_matrix(basis))
+    assert np.max(np.abs(psi - reference)) < 1e-13
 
 
 def test_packet_spec_validation():
