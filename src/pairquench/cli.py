@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting, three_site
+from .bound_band import band_scan
 from .model import ModelParams
-from .quench import QuenchWorkspace, WavePacketSpec, run_quench, sweep_transfer
+from .quench import QuenchWorkspace, WavePacketSpec, packet_weights, run_quench, sweep_transfer
 
 EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 
@@ -289,6 +290,11 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                 problems.append(f"invalid value for [three_site] fields: {f} (too large)")
     if problems:
         raise ConfigError(problems)
+    if experiment in ("quench", "sweep"):
+        try:  # the packet may sit where its branch has no bound state, or be too narrow
+            packet_weights(_packet_spec(config), band_scan(model["kappa"], model["u"], model["n_sites"]))
+        except ValueError as exc:
+            raise ConfigError([f"invalid [packet] for the bound band of [model]: {exc}"]) from None
     return config
 
 
@@ -336,8 +342,6 @@ def _run_three_site(config, out: Path, args) -> list[str]:
 
 
 def _run_band(config, out: Path, args) -> list[str]:
-    from .bound_band import band_scan
-
     model = config["model"]
     band = band_scan(model["kappa"], model["u"], model["n_sites"])
     reporting.write_band_csv(out / "band.csv", band)

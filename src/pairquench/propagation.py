@@ -3,24 +3,24 @@
 Two interchangeable engines: full spectral decomposition (exact per sample,
 dense cost) and Chebyshev polynomial expansion of ``exp(-iHt)`` (sparse
 matrix-vector cost, truncation controlled by ``tol``).  Both are
-deterministic; the Chebyshev spectral bounds come from a short extremal
-Lanczos run with a fixed start vector and a 5% safety margin.  The Chebyshev
-engine stores twice its rescaled operator, cast to complex once, so no matvec
-re-casts a real matrix and each recursion term is one product and one
-subtraction.  One recursion returns the states at several offsets: the terms
-go into a fixed buffer of ``TERM_BUFFER`` rows that is added into every
-offset's row with one matrix product per buffer.  ``samples`` yields blocks
-of up to ``SAMPLE_BLOCK`` states, one row per sample time and one matrix
-product or recursion per block; a Chebyshev block spans several times only
-while each step of it is short enough that its own series is mostly overhead.
+deterministic.  The Chebyshev spectral interval is the Gershgorin interval
+above 64 states, which contains the spectrum by theorem, and the exact
+interval with a ``BOUNDS_MARGIN`` padding at or below 64 states, where dense
+rows would make Gershgorin loose.  The Chebyshev engine stores twice its
+rescaled operator, cast to complex once, so no matvec re-casts a real matrix
+and each recursion term is one product and one subtraction.  One recursion
+returns the states at several offsets: the terms go into a fixed buffer of
+``TERM_BUFFER`` rows that is added into every offset's row with one numpy
+matrix product per buffer.  ``samples`` yields blocks of up to
+``SAMPLE_BLOCK`` states, one row per sample time and one matrix product or
+recursion per block; a Chebyshev block spans several times only while each
+step of it is short enough that its own series is mostly overhead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import zgemm, zgemv
-from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
 
@@ -31,7 +31,8 @@ SAMPLE_BLOCK = 8
 #: (16 terms at dim 6216 are 1.6 MB)
 TERM_BUFFER = 16
 
-#: padding of the Lanczos spectral interval on each side, relative to its width
+#: padding of the exact spectral interval of at most 64 states on each side,
+#: relative to its width (the Gershgorin interval of larger ones needs none)
 BOUNDS_MARGIN = 0.05
 
 
@@ -74,18 +75,22 @@ class SpectralPropagator:
 
 
 def spectral_bounds(h) -> tuple[float, float]:
-    """Padded interval guaranteed to contain the spectrum of ``h``."""
+    """Interval guaranteed to contain the spectrum of ``h``, at least 1e-9 wide.
+
+    At most 64 states: the exact extremes padded by ``BOUNDS_MARGIN``.  More:
+    the Gershgorin interval ``[min(h_ii - R_i), max(h_ii + R_i)]`` with
+    ``R_i = sum_{j != i} |h_ij|``, which contains the spectrum by theorem.
+    """
     h = _as_sparse(h)
-    dim = h.shape[0]
-    if dim <= 64:
+    if h.shape[0] <= 64:
         vals = np.linalg.eigvalsh(h.toarray())
         lo, hi = float(vals[0]), float(vals[-1])
-    else:
-        v0 = np.ones(dim) / np.sqrt(dim)
-        lo = float(eigsh(h, k=1, which="SA", return_eigenvectors=False, tol=1e-3, v0=v0)[0])
-        hi = float(eigsh(h, k=1, which="LA", return_eigenvectors=False, tol=1e-3, v0=v0)[0])
-    pad = BOUNDS_MARGIN * max(hi - lo, 1e-9)
-    return lo - pad, hi + pad
+        pad = BOUNDS_MARGIN * max(hi - lo, 1e-9)
+        return lo - pad, hi + pad
+    diag = h.diagonal()
+    radius = np.ravel(abs(h).sum(axis=1)) - np.abs(diag)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    return lo, lo + max(hi - lo, 1e-9)
 
 
 class ChebyshevPropagator:
@@ -137,13 +142,14 @@ class ChebyshevPropagator:
         """Rows ``sum_k coef[r, k] T_k(A) psi``, where row ``r`` has ``ends[r]`` (ascending) terms.
 
         The terms go into a fixed buffer of ``TERM_BUFFER`` rows.  Each full
-        buffer is added into the rows whose series has not ended with one
-        BLAS product that accumulates in place (a matrix-vector product once
-        one row is left), so no block-sized temporary is made.
+        buffer is added into the rows whose series has not ended through one
+        matrix product into ``part``, allocated once per call: a new
+        block-sized product per buffer would fault its pages in every time.
         """
         two_a = self._two_a
         n_terms = coef.shape[1]
         out = np.zeros((coef.shape[0], psi.size), dtype=complex)
+        part = np.empty_like(out)
         terms = np.empty((min(TERM_BUFFER, n_terms), psi.size), dtype=complex)
         terms[0] = psi
         np.multiply(two_a @ terms[0], 0.5, out=terms[1])
@@ -156,15 +162,8 @@ class ChebyshevPropagator:
             if slot == TERM_BUFFER - 1 or k == n_terms - 1:
                 start = k - slot
                 active = int(np.searchsorted(ends, start, side="right"))
-                # out[active:] += coef[active:, start : k + 1] @ terms[: slot + 1], written
-                # transposed: the transposes are column-major, so BLAS updates out in place
-                chunk, weights = terms[: slot + 1].T, coef[active:, start : k + 1].T
-                if active == len(out) - 1:
-                    # one row left: a matrix-vector product, which BLAS does not
-                    # first copy into packed panels as it does for a matrix product
-                    zgemv(1.0, chunk, weights[:, 0], beta=1.0, y=out[active], overwrite_y=1)
-                else:
-                    zgemm(1.0, chunk, weights, beta=1.0, c=out[active:].T, overwrite_c=1)
+                np.matmul(coef[active:, start : k + 1], terms[: slot + 1], out=part[active:])
+                out[active:] += part[active:]
         return out
 
     def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:

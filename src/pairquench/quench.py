@@ -53,6 +53,28 @@ class WavePacketSpec:
 WEIGHT_FLOOR = 1e-8
 
 
+def packet_weights(spec: WavePacketSpec, band: BandStructure) -> np.ndarray:
+    """Gaussian weight of the packet at every momentum of the band.
+
+    Raises ``IncompleteBandError`` when the branch has no bound state at a
+    momentum whose weight exceeds ``WEIGHT_FLOOR`` times the peak weight, and
+    ``ValueError`` when no momentum carries weight.
+    """
+    # a width whose square underflows gives inf and nan here, caught as no peak
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * spec.width**2))
+    peak = weights.max()
+    if not peak > 0.0:
+        raise ValueError(f"a packet of width {spec.width} carries no weight on the momentum grid")
+    for k, w, state in zip(band.momenta, weights, band.select(spec.branch)):
+        if state is None and w > WEIGHT_FLOOR * peak:
+            raise IncompleteBandError(
+                f"branch {spec.branch!r} has no bound state at K = {k:.6f} "
+                f"(relative weight {w / peak:.2e})"
+            )
+    return weights
+
+
 def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundProjector) -> np.ndarray:
     """Normalized packet of bound states on the selected branch.
 
@@ -62,16 +84,10 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundPr
     n = band.n_sites
     if not 1 <= spec.center_site <= n:
         raise ValueError(f"center site {spec.center_site} is outside the lattice")
-    weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * spec.width**2))
-    peak = weights.max()
+    weights = packet_weights(spec, band)
     coef = np.zeros((n, bound.table.shape[2]), dtype=complex)
     for k, w, group, state in zip(band.momenta, weights, band.states, band.select(spec.branch)):
         if state is None:
-            if w > WEIGHT_FLOOR * peak:
-                raise IncompleteBandError(
-                    f"branch {spec.branch!r} has no bound state at K = {k:.6f} "
-                    f"(relative weight {w / peak:.2e})"
-                )
             continue
         row = round(k * n / (2.0 * np.pi)) % n  # the FFT-order row of K in the table
         coef[row, group.index(state)] = w * np.exp(-1j * spec.center_site * k)

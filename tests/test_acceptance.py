@@ -248,6 +248,7 @@ def test_criterion_5_decay_quench(traj_decay):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_field_period(sweep_result):
     values = sweep_result.transfer
     est = sweep_result.period
@@ -264,6 +265,7 @@ def test_criterion_6_field_period(sweep_result):
     assert ok_period and ok_spread and ok_time
 
 
+@pytest.mark.slow
 def test_criterion_7_property_suite(ref_workspace, traj_bloch, eig_bloch):
     started = time.perf_counter()
     ws = ref_workspace
@@ -311,6 +313,7 @@ def test_criterion_7_property_suite(ref_workspace, traj_bloch, eig_bloch):
     assert ok
 
 
+@pytest.mark.slow
 def test_physics_check_energy_ladder_unmixed(ref_workspace, eig_bloch):
     energies, weights = energy_distribution(ref_workspace.psi0, eig_bloch, mass=0.95)
     spacing = float(np.median(np.diff(energies)))
@@ -323,6 +326,7 @@ def test_physics_check_energy_ladder_unmixed(ref_workspace, eig_bloch):
     assert ok
 
 
+@pytest.mark.slow
 def test_physics_check_mixed_quench_spreads_over_levels(ref_workspace, eig_bloch, eig_decay):
     unmixed, _ = energy_distribution(ref_workspace.psi0, eig_bloch, mass=0.95)
     mixed, _ = energy_distribution(ref_workspace.psi0, eig_decay, mass=0.95)

@@ -228,6 +228,18 @@ KEY_ERRORS = [
     # failed in prepare_wavepacket after --out existed
     ("quench", "kappa = 1.0", "kappa = 0", "invalid value for [model] kappa: '0' (a bound-pair packet needs kappa > 0)"),
     ("sweep", "u = -6.24\nv = -6.24", "u = 0\nv = 0", "invalid value for [model] u: '0' (a bound-pair packet needs u != 0)"),
+    # a hopping or interaction that is not 0 but below the flat-sector threshold of
+    # solve_bound_states left no bound state under the packet: exit 1 during set-up
+    ("quench", "kappa = 1.0", "kappa = 1e-13",
+     "invalid [packet] for the bound band of [model]: branch '+' has no bound state at K = -2.932153"),
+    ("sweep", "u = -6.24\nv = -6.24", "u = 1e-300\nv = 1e-300",
+     "invalid [packet] for the bound band of [model]: branch '+' has no bound state at K = -2.932153"),
+    # a width whose square underflows: a packet of nan on the momentum grid at K0 = 0
+    # (exit 0, a trajectory of nan) and of zeros elsewhere (exit 1 during set-up)
+    ("quench", "k0_pi = -0.9\nwidth = 0.35", "k0_pi = 0\nwidth = 1e-200",
+     "invalid [packet] for the bound band of [model]: a packet of width 1e-200 carries no weight"),
+    ("sweep", "width = 0.35", "width = 1e-200",
+     "invalid [packet] for the bound band of [model]: a packet of width 1e-200 carries no weight"),
     # a grid through F = 0 failed in sweep_transfer after --out existed
     ("sweep", "f_start = -0.22\nf_stop = -0.18\nf_step = 0.01", "f_start = -0.1\nf_stop = 0.1\nf_step = 0.05",
      "invalid [sweep] grid: the fields from f_start -0.1 in steps of 0.05 include F = 0.0"),
@@ -320,11 +332,29 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
         assert config["time"]["t_max"] / config["time"]["dt"] + 1 <= MAX_POINTS
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only the spectrum experiment needs scipy.optimize (level assignment)
-    for module in ("pairquench", "pairquench.cli"):
-        probe = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
-        assert run_python(["-c", probe]).stdout.strip() == "False"
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # only the spectrum experiment needs scipy.optimize (level assignment) and
+    # scipy.sparse.linalg (shift-invert eigsh); no experiment needs scipy.linalg
+    runs = []
+    for experiment, text in (("quench", SMALL_QUENCH), ("sweep", SMALL_SWEEP)):
+        (tmp_path / f"{experiment}.ini").write_text(text)
+        runs.append([experiment, "--config", str(tmp_path / f"{experiment}.ini"),
+                     "--out", str(tmp_path / experiment)])
+    probe = f"""
+import sys
+def report():
+    unwanted = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+    print("loaded:", [name for name in unwanted if name in sys.modules])
+import pairquench
+report()
+import pairquench.cli
+report()
+for argv in {runs!r}:
+    assert pairquench.cli.main(argv) == 0
+report()
+"""
+    lines = run_python(["-c", probe]).stdout.splitlines()
+    assert [line for line in lines if line.startswith("loaded:")] == ["loaded: []"] * 3
 
 
 def _probe_sweep(tmp_path, f_stop: str, threads: int) -> dict:
@@ -362,10 +392,10 @@ def test_benchmark_probe_traces_pool_workers(tmp_path):
 
 def test_partial_band_packet_fails_before_output(tmp_path, capsys):
     # the upper branch of u = v = -5 misses the momenta around K = 0, where this
-    # packet sits: the run failed only after --out existed
+    # packet sits: a config error now, where the run failed in set-up (exit 1)
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_QUENCH.replace("-6.24", "-5").replace("k0_pi = -0.9", "k0_pi = 0"))
-    assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "branch '+' has no bound state" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -10,10 +10,11 @@ from pairquench import (
     SpectralPropagator,
     build_basis,
     build_h0,
+    build_hamiltonian,
     build_stark,
     make_propagator,
 )
-from pairquench.propagation import SAMPLE_BLOCK
+from pairquench.propagation import SAMPLE_BLOCK, spectral_bounds
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,44 @@ def chain31():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     return h, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(15, 1.0, -6.24, -6.24, field=-0.21),  # the quenched 15-site chain
+        ModelParams(15, 1.0, -6.24, -6.24, boundary="ring"),
+        ModelParams(31, 1.0, -6.24, -6.24, field=-0.2),  # chain31
+    ],
+)
+def test_bounds_contain_dense_spectrum(params):
+    h = build_hamiltonian(params, build_basis(params.n_sites))
+    assert h.shape[0] > 64
+    vals = np.linalg.eigvalsh(h.toarray())
+    lo, hi = spectral_bounds(h)
+    assert lo <= vals[0] and vals[-1] <= hi
+
+
+def test_diagonal_bounds_are_attained_and_advance_exactly():
+    rng = np.random.default_rng(5)
+    d = rng.uniform(-3.0, 2.0, 100)
+    h = sparse.diags_array(d, format="csr")
+    assert spectral_bounds(h) == (d.min(), d.max())
+    psi = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    psi /= np.linalg.norm(psi)
+    cheb = ChebyshevPropagator(h)
+    for t in (0.3, 7.0, 120.0):
+        assert np.max(np.abs(cheb.advance(psi, t) - np.exp(-1j * d * t) * psi)) < 1e-12
+
+
+def test_identity_multiple_gets_a_nonzero_width():
+    # a Gershgorin interval of zero width would divide by zero in the rescaling
+    h = sparse.identity(100, format="csr") * 2.5
+    lo, hi = spectral_bounds(h)
+    assert lo == 2.5 and hi - lo == pytest.approx(1e-9)
+    psi = np.full(100, 0.1, dtype=complex)
+    for t in (0.3, 7.0, 120.0):
+        assert np.max(np.abs(ChebyshevPropagator(h).advance(psi, t) - np.exp(-2.5j * t) * psi)) < 1e-12
 
 
 @pytest.mark.parametrize("dt", [1.0, 50.0])
