@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import lambertw
 
 from .model import SQRT2, TwoBosonBasis
 
@@ -104,17 +103,26 @@ def decay_cutoff(chain_length: int, match_tol: float) -> float:
 
     which falls with beta once beta > 1/M; for beta <= 1/M the truncated
     chain has, to the same order, no isolated level at all.  The cutoff is
-    therefore the largest root of 4 beta**2 exp(-2 beta M) = match_tol,
-    beta_c = -W_{-1}(-M sqrt(match_tol) / 2) / M with W_{-1} the lower
-    Lambert-W branch, and 1/M where that equation has no root.  It depends on
-    beta alone, as does the dimensionless chain H / J_K.  ``CHAIN_LENGTH`` and
+    therefore the largest root of 4 beta**2 exp(-2 beta M) = match_tol.  With
+    w = beta M and s = M sqrt(match_tol) / 2 it is the root w > 1 of
+    w - ln w = L, L = -ln s, solved by Newton's method from L + ln L, which
+    lies below it; the iterates then fall onto it from above.  Where s >=
+    1/e that equation has no root and the cutoff is 1/M.  It depends on beta
+    alone, as does the dimensionless chain H / J_K.  ``CHAIN_LENGTH`` and
     ``MATCH_TOL`` (400, 1e-6) give 0.00633.
     """
     sites = chain_length + 1
     scale = 0.5 * sites * np.sqrt(match_tol)
     if scale >= np.exp(-1.0):
         return 1.0 / sites
-    return float(-lambertw(-scale, k=-1).real) / sites
+    big = -np.log(scale)
+    w = big + np.log(big)
+    for _ in range(100):  # the steps shrink quadratically, or halve next to s = 1/e
+        step = (w - np.log(w) - big) / (1.0 - 1.0 / w)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return float(w) / sites
 
 
 def solve_bound_states(momentum: float, kappa: float, interaction: float) -> list[BoundState]:
@@ -194,9 +202,10 @@ class BoundProjector(NamedTuple):
         rows = states.reshape(-1, states.shape[-1])
         grid = np.zeros((len(rows), n * n), dtype=complex)
         grid[:, self.slots] = rows
-        # one transform over the centre site per (row, separation), then every
-        # momentum's sum over separations as one batched product: (m, row, slot)
-        spectra = np.fft.fft(grid.reshape(-1, n, n), axis=-1)
+        # one transform over the centre site per (row, separation), in place, then
+        # every momentum's sum over separations as one batched product: (m, row, slot)
+        spectra = grid.reshape(-1, n, n)
+        np.fft.fft(spectra, axis=-1, out=spectra)
         overlaps = np.matmul(spectra.transpose(2, 0, 1), self.table)
         weights = np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
         return weights if states.ndim > 1 else weights[0]

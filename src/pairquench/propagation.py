@@ -6,22 +6,25 @@ matrix-vector cost, truncation controlled by ``tol``).  Both are
 deterministic.  The Chebyshev spectral interval is the Gershgorin interval
 above 64 states, which contains the spectrum by theorem, and the exact
 interval with a ``BOUNDS_MARGIN`` padding at or below 64 states, where dense
-rows would make Gershgorin loose.  The Chebyshev engine stores twice its
+rows would make Gershgorin loose.  The expansion coefficients are the Bessel
+values ``J_k(z)``, computed by Miller's backward recurrence
+``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised by ``J_0 + 2 sum_k J_{2k} = 1``
+(Numerical Recipes, ``bessj``).  The Chebyshev engine stores twice its
 rescaled operator, cast to complex once, so no matvec re-casts a real matrix
 and each recursion term is one product and one subtraction.  One recursion
 returns the states at several offsets: the terms go into a fixed buffer of
 ``TERM_BUFFER`` rows that is added into every offset's row with one numpy
-matrix product per buffer.  ``samples`` yields blocks of up to
-``SAMPLE_BLOCK`` states, one row per sample time and one matrix product or
-recursion per block; a Chebyshev block spans several times only while each
-step of it is short enough that its own series is mostly overhead.
+matrix product per buffer, through a block the propagator keeps.
+``samples`` yields blocks of up to ``SAMPLE_BLOCK`` states, one row per
+sample time and one matrix product or recursion per block; a Chebyshev block
+spans several times only while each step of it is short enough that its own
+series is mostly overhead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.special import jv
 
 
 #: most rows of a block yielded by ``samples`` (8 states at dim 6216 are 0.8 MB)
@@ -50,6 +53,32 @@ def _sample_times(times) -> np.ndarray:
     if times.size and (times[0] < 0.0 or np.any(np.diff(times) <= 0.0)):
         raise ValueError("sample times must be strictly increasing and non-negative")
     return times
+
+
+def _bessel_j(n_max: int, z: float) -> np.ndarray:
+    """``J_0(z) .. J_{n_max}(z)`` by Miller's backward recurrence.
+
+    ``J_{k-1} = (2k / z) J_k - J_{k+1}`` runs down from ``20 + 2 sqrt(n_max)``
+    orders above ``n_max``, where the true values are negligible, from the
+    values 0 and 1; the minimal solution ``J`` then dominates.  Every value
+    is rescaled by 1e-250 whenever one passes 1e250, and the result is
+    normalised by ``J_0 + 2 sum_k J_{2k} = 1``.  ``n_max`` must lie well past
+    the turning point ``|z|``, as the series length of ``_coefficients`` does.
+    """
+    out = np.zeros(n_max + 1)
+    if abs(z) < 1e-30:  # J_0 = 1 and J_1 = z / 2 in double precision; 2k / z could overflow
+        out[:2] = 1.0, 0.5 * z
+        return out
+    above, value = 0.0, 1.0
+    for k in range(n_max + 20 + int(2.0 * np.sqrt(n_max)), 0, -1):
+        above, value = value, 2.0 * k / z * value - above
+        if k <= n_max + 1:
+            out[k - 1] = value
+        if abs(value) > 1e250:
+            above *= 1e-250
+            value *= 1e-250
+            out[k - 1 :] *= 1e-250
+    return out / (out[0] + 2.0 * out[2::2].sum())
 
 
 def _as_sparse(h) -> sparse.csr_array:
@@ -109,6 +138,8 @@ class ChebyshevPropagator:
             (self.h - sparse.identity(dim, format="csr") * self.center) * (2.0 / self.halfwidth)
         ).astype(complex)
         self._coeff_cache: dict[float, np.ndarray] = {}
+        # block products of _sum_series, sized by the longest window so far
+        self._part = np.empty((0, dim), dtype=complex)
 
     def _coefficients(self, dt: float) -> np.ndarray:
         key = float(dt)
@@ -116,8 +147,7 @@ class ChebyshevPropagator:
             z = self.halfwidth * dt
             floor = max(self.tol * 1e-3, 1e-16)
             n_max = int(z + 45.0 * (z + 1.0) ** (1.0 / 3.0) + 40.0)
-            orders = np.arange(n_max + 1)
-            bessel = jv(orders, z)
+            bessel = _bessel_j(n_max, z)
             keep = np.nonzero(np.abs(bessel) > floor)[0]
             if keep.size == 0:
                 cut = 2
@@ -129,7 +159,7 @@ class ChebyshevPropagator:
                     achieved=float(np.abs(bessel[cut - 1])),
                     target=self.tol,
                 )
-            coef = 2.0 * (-1j) ** orders[:cut] * bessel[:cut]
+            coef = 2.0 * (-1j) ** np.arange(cut) * bessel[:cut]
             coef[0] = bessel[0]
             self._coeff_cache[key] = coef * np.exp(-1j * self.center * dt)
         return self._coeff_cache[key]
@@ -143,13 +173,18 @@ class ChebyshevPropagator:
 
         The terms go into a fixed buffer of ``TERM_BUFFER`` rows.  Each full
         buffer is added into the rows whose series has not ended through one
-        matrix product into ``part``, allocated once per call: a new
-        block-sized product per buffer would fault its pages in every time.
+        matrix product into ``part``, which the propagator keeps: one allocated
+        per call faulted its pages in on every window.  The term buffer stays
+        per call, as its pages then serve the caller's temporaries between
+        windows, where a kept one would add to the peak memory.  The returned
+        rows are a new array, so a caller may keep them.
         """
         two_a = self._two_a
-        n_terms = coef.shape[1]
-        out = np.zeros((coef.shape[0], psi.size), dtype=complex)
-        part = np.empty_like(out)
+        rows, n_terms = coef.shape
+        if self._part.shape[0] < rows:
+            self._part = np.empty((rows, psi.size), dtype=complex)
+        part = self._part[:rows]
+        out = np.zeros((rows, psi.size), dtype=complex)
         terms = np.empty((min(TERM_BUFFER, n_terms), psi.size), dtype=complex)
         terms[0] = psi
         np.multiply(two_a @ terms[0], 0.5, out=terms[1])

@@ -60,9 +60,11 @@ def packet_weights(spec: WavePacketSpec, band: BandStructure) -> np.ndarray:
     momentum whose weight exceeds ``WEIGHT_FLOOR`` times the peak weight, and
     ``ValueError`` when no momentum carries weight.
     """
-    # a width whose square underflows gives inf and nan here, caught as no peak
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * spec.width**2))
+    # a width whose square underflows gives inf and nan here, caught as no peak; one
+    # whose square overflows gives a flat packet (a Python float square would raise)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spread = 2.0 * np.float64(spec.width) ** 2
+        weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / spread)
     peak = weights.max()
     if not peak > 0.0:
         raise ValueError(f"a packet of width {spec.width} carries no weight on the momentum grid")
@@ -148,7 +150,10 @@ def evolve(
     sep = model.separations(basis)
     # the quench adds a diagonal field to h0, so the total energy costs a
     # diagonal product on top of the field-free energy
-    quench_part = sparse.csr_array(hamiltonian - h0)
+    quench_part = sparse.coo_array(hamiltonian - h0)
+    if np.any(quench_part.data[quench_part.row != quench_part.col]):
+        raise ValueError("the quenched Hamiltonian must differ from h0 on the diagonal only")
+    field_diag = quench_part.diagonal()
     prop = make_propagator(hamiltonian, method=method, tol=tol)
 
     rows = []
@@ -159,7 +164,7 @@ def evolve(
             np.abs(block) ** 2 @ sep,
             field_free,
             np.linalg.norm(block, axis=1),
-            field_free + _expectations(block, quench_part),
+            field_free + np.abs(block) ** 2 @ field_diag,
         ))
     # one column per observable, in the field order of QuenchTrajectory
     observables = map(np.concatenate, zip(*rows))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import lambertw
 
 from pairquench import (
     band_scan,
@@ -164,6 +165,20 @@ def test_decay_cutoff_limits():
     assert decay_cutoff(800, 1e-6) < beta
     # no root of the shift equation: only the existence bound beta > 1/M is left
     assert decay_cutoff(400, 1e-3) == 1.0 / sites
+
+
+@pytest.mark.parametrize("chain_length", [10, 100, 400, 800, 5000])
+def test_decay_cutoff_matches_lambert_w(chain_length):
+    # the Newton solve against scipy's lower Lambert-W branch; the grid holds
+    # tolerances on both sides of the 1/M branch
+    sites = chain_length + 1
+    branches = set()
+    for match_tol in 10.0 ** -np.arange(1.0, 17.0):
+        scale = 0.5 * sites * np.sqrt(match_tol)
+        branches.add(bool(scale >= np.exp(-1.0)))
+        want = 1.0 / sites if scale >= np.exp(-1.0) else -lambertw(-scale, k=-1).real / sites
+        assert decay_cutoff(chain_length, match_tol) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert branches == {True, False}
 
 
 def test_truncation_shift_matches_leading_order():

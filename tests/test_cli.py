@@ -332,18 +332,19 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
         assert config["time"]["t_max"] / config["time"]["dt"] + 1 <= MAX_POINTS
 
 
-def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+def test_runs_leave_unneeded_scipy_unloaded(tmp_path):
     # only the spectrum experiment needs scipy.optimize (level assignment) and
-    # scipy.sparse.linalg (shift-invert eigsh); no experiment needs scipy.linalg
+    # scipy.sparse.linalg (shift-invert eigsh); no experiment needs scipy.linalg,
+    # and no quench, sweep or band run needs scipy.special
     runs = []
-    for experiment, text in (("quench", SMALL_QUENCH), ("sweep", SMALL_SWEEP)):
+    for experiment, text in (("quench", SMALL_QUENCH), ("sweep", SMALL_SWEEP), ("band", SMALL_BAND)):
         (tmp_path / f"{experiment}.ini").write_text(text)
         runs.append([experiment, "--config", str(tmp_path / f"{experiment}.ini"),
                      "--out", str(tmp_path / experiment)])
     probe = f"""
 import sys
 def report():
-    unwanted = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+    unwanted = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.special")
     print("loaded:", [name for name in unwanted if name in sys.modules])
 import pairquench
 report()
@@ -405,6 +406,19 @@ def test_branch_aliases_accepted(tmp_path, branch):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_QUENCH.replace("center_site = 8", f"center_site = 8\nbranch = {branch}"))
     assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("width", ["1e308", "1.3407807929942597e+154"])
+def test_overflowing_packet_width_runs_as_a_flat_packet(tmp_path, width):
+    # the square of such a width overflowed a Python float: an OverflowError
+    # traceback and exit 1; it is inf, so every momentum carries weight 1
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_QUENCH.replace("width = 0.35", f"width = {width}"))
+    out = tmp_path / "out"
+    assert run(["quench", "--config", cfg, "--out", out]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    assert np.max(np.abs(rows[:, 4] - 1.0)) < 1e-8
 
 
 def test_three_site_count_checked_at_config_time(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.special import jv
 
 from oracles import loop_chebyshev_advance
 from pairquench import (
@@ -14,7 +15,7 @@ from pairquench import (
     build_stark,
     make_propagator,
 )
-from pairquench.propagation import SAMPLE_BLOCK, spectral_bounds
+from pairquench.propagation import SAMPLE_BLOCK, _bessel_j, spectral_bounds
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,31 @@ def test_underestimated_bounds_raise(random_hamiltonian, random_state):
     cheb = ChebyshevPropagator(random_hamiltonian, bounds=(-0.5, 0.5))
     with pytest.raises(PropagationAccuracyError):
         cheb.advance(random_state, 5.0)
+
+
+def test_series_that_cannot_reach_tol_raises(random_hamiltonian, random_state):
+    # the coefficients stop at 1e-16, far above a 1e-20 target
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-20)
+    with pytest.raises(PropagationAccuracyError, match="did not decay"):
+        cheb.advance(random_state, 1.0)
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-9, 0.5, 17.9, 143.0, 14302.0])
+def test_chebyshev_coefficients_match_scipy_bessel(z):
+    # Miller's recurrence against scipy's jv over every order the series may
+    # keep; at 1e-300 the recurrence would overflow and is not run.  14302 is
+    # one t = 800 step at n = 111, where jv's own error is about 1.3e-13
+    n_max = int(z + 45.0 * (z + 1.0) ** (1.0 / 3.0) + 40.0)
+    orders = np.arange(n_max + 1)
+    values = _bessel_j(n_max, z)
+    assert np.max(np.abs(values - jv(orders, z))) < 2e-13
+    assert abs(values[0] + 2.0 * values[2::2].sum() - 1.0) <= 1e-15
+    residual = values[:-2] + values[2:] - 2.0 * orders[1:-1] / z * values[1:-1]
+    assert np.max(np.abs(residual)) <= 1e-15
+    # the interval [-1, 1] makes dt the Bessel argument and the centre phase 1
+    coef = ChebyshevPropagator(sparse.identity(2, format="csr"), bounds=(-1.0, 1.0))._coefficients(z)
+    kept = orders[: coef.size]
+    assert np.max(np.abs(coef - np.where(kept == 0, 1.0, 2.0) * (-1j) ** kept * jv(kept, z))) < 4e-13
 
 
 def test_auto_backend_selection(random_hamiltonian):

@@ -187,6 +187,13 @@ def test_evolve_validates_time_grid(small_workspace):
             evolve(h, ws.psi0, bad, h0=ws.h0, bound=ws.bound, basis=ws.basis)
 
 
+def test_evolve_rejects_a_non_diagonal_quench(small_workspace):
+    # the total energy adds only the diagonal of hamiltonian - h0
+    ws = small_workspace
+    with pytest.raises(ValueError, match="diagonal only"):
+        evolve(2.0 * ws.h0, ws.psi0, [0.0, 1.0], h0=ws.h0, bound=ws.bound, basis=ws.basis)
+
+
 def test_energy_distribution_completeness(small_workspace):
     ws = small_workspace
     h = ws.hamiltonian(-0.2)
