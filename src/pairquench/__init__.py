@@ -20,7 +20,6 @@ from .propagation import (
     ChebyshevPropagator,
     PropagationAccuracyError,
     SpectralPropagator,
-    make_propagator,
 )
 from .quench import (
     IncompleteBandError,
@@ -71,7 +70,6 @@ __all__ = [
     "estimate_period",
     "evolve",
     "exact_pair_dynamics",
-    "make_propagator",
     "momentum_grid",
     "prepare_wavepacket",
     "rabi_constants",

@@ -26,7 +26,7 @@ from .quench import QuenchWorkspace, WavePacketSpec, packet_weights, run_quench,
 
 EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 
-#: most sample times, sweep fields or spectrum fields one run may ask for
+#: most sample times, sweep fields, spectrum fields or quench basis states one run may ask for
 MAX_POINTS = 10**6
 
 
@@ -279,6 +279,10 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     if experiment in ("quench", "sweep") and {"u", "v"} <= model.keys() and model["u"] != model["v"]:
         problems.append(
             f"invalid value for [model] v: {model['v']} (the bound-pair band of {experiment} needs v == u = {model['u']})"
+        )
+    if experiment in ("quench", "sweep") and n_sites is not None and n_sites * (n_sites + 1) // 2 > MAX_POINTS:
+        problems.append(
+            f"invalid value for [model] n_sites: {n_sites} (more than {MAX_POINTS} two-boson states)"
         )
     if {"u", "kappa"} <= model.keys():
         for f in config.get("three_site", {}).get("fields", []):

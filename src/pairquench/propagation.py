@@ -1,13 +1,12 @@
-"""Time propagation backends for real-symmetric sparse Hamiltonians.
+"""Time propagation for real-symmetric sparse Hamiltonians.
 
-Two interchangeable engines: full spectral decomposition (exact per sample,
-dense cost) and Chebyshev polynomial expansion of ``exp(-iHt)`` (sparse
-matrix-vector cost, truncation controlled by ``tol``).  Both are
-deterministic.  The Chebyshev spectral interval is the Gershgorin interval
-above 64 states, which contains the spectrum by theorem, and the exact
-interval with a ``BOUNDS_MARGIN`` padding at or below 64 states, where dense
-rows would make Gershgorin loose.  The expansion coefficients are the Bessel
-values ``J_k(z)``, computed by Miller's backward recurrence
+Every quench and sweep point runs on one engine, the Chebyshev polynomial
+expansion of ``exp(-iHt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)): sparse matrix-vector cost, truncation controlled by ``tol``, on the
+Gershgorin interval of ``H``, which contains the spectrum by theorem.  The
+dense spectral decomposition is kept as the exact reference and for the
+three-site model.  Both are deterministic.  The expansion coefficients are
+the Bessel values ``J_k(z)``, computed by Miller's backward recurrence
 ``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised by ``J_0 + 2 sum_k J_{2k} = 1``
 (Numerical Recipes, ``bessj``).  The Chebyshev engine stores twice its
 rescaled operator, cast to complex once, so no matvec re-casts a real matrix
@@ -33,10 +32,6 @@ SAMPLE_BLOCK = 8
 #: Chebyshev terms added into the output rows per matrix product
 #: (16 terms at dim 6216 are 1.6 MB)
 TERM_BUFFER = 16
-
-#: padding of the exact spectral interval of at most 64 states on each side,
-#: relative to its width (the Gershgorin interval of larger ones needs none)
-BOUNDS_MARGIN = 0.05
 
 
 class PropagationAccuracyError(RuntimeError):
@@ -88,9 +83,10 @@ def _as_sparse(h) -> sparse.csr_array:
 
 
 class SpectralPropagator:
-    """Exact evolution through a dense eigendecomposition."""
+    """Exact evolution through a dense eigendecomposition of ``h``, which it keeps."""
 
     def __init__(self, h):
+        self.h = h
         dense = h.toarray() if sparse.issparse(h) else np.asarray(h, dtype=float)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
 
@@ -104,18 +100,12 @@ class SpectralPropagator:
 
 
 def spectral_bounds(h) -> tuple[float, float]:
-    """Interval guaranteed to contain the spectrum of ``h``, at least 1e-9 wide.
+    """Gershgorin interval of ``h``, at least 1e-9 wide.
 
-    At most 64 states: the exact extremes padded by ``BOUNDS_MARGIN``.  More:
-    the Gershgorin interval ``[min(h_ii - R_i), max(h_ii + R_i)]`` with
-    ``R_i = sum_{j != i} |h_ij|``, which contains the spectrum by theorem.
+    ``[min(h_ii - R_i), max(h_ii + R_i)]`` with ``R_i = sum_{j != i} |h_ij|``
+    contains the spectrum by theorem.
     """
     h = _as_sparse(h)
-    if h.shape[0] <= 64:
-        vals = np.linalg.eigvalsh(h.toarray())
-        lo, hi = float(vals[0]), float(vals[-1])
-        pad = BOUNDS_MARGIN * max(hi - lo, 1e-9)
-        return lo - pad, hi + pad
     diag = h.diagonal()
     radius = np.ravel(abs(h).sum(axis=1)) - np.abs(diag)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
@@ -249,14 +239,3 @@ class ChebyshevPropagator:
             block = self.advance(block[-1], offsets[-1], offsets[:-1]).reshape(offsets.size, -1)
             yield block
             base, start = times[stop - 1], stop
-
-
-def make_propagator(h, *, method: str = "auto", tol: float = 1e-12):
-    """Backend factory: 'spectral', 'chebyshev', or 'auto' (spectral for small dims)."""
-    if method == "auto":
-        method = "spectral" if h.shape[0] <= 1024 else "chebyshev"
-    if method == "spectral":
-        return SpectralPropagator(h)
-    if method == "chebyshev":
-        return ChebyshevPropagator(h, tol=tol)
-    raise ValueError(f"unknown propagation method {method!r}")

@@ -19,7 +19,7 @@ from scipy import sparse
 from . import model
 from .bound_band import BandStructure, BoundProjector, band_scan
 from .model import Boundary, ModelParams, TwoBosonBasis, build_basis, build_h0, build_stark
-from .propagation import ChebyshevPropagator, make_propagator
+from .propagation import ChebyshevPropagator
 
 
 class IncompleteBandError(ValueError):
@@ -128,21 +128,21 @@ class QuenchTrajectory:
 
 
 def evolve(
-    hamiltonian,
+    propagator,
     psi0: np.ndarray,
     times,
     *,
     h0,
     bound: BoundProjector,
     basis: TwoBosonBasis,
-    method: str = "auto",
-    tol: float = 1e-12,
 ) -> QuenchTrajectory:
-    """Evolve ``psi0`` under a time-independent Hamiltonian, sampling observables.
+    """Evolve ``psi0`` under ``propagator.h``, sampling observables.
 
-    ``times`` must be strictly increasing and start at 0.  ``h0`` is the
-    field-free Hamiltonian entering the energy observable; ``bound`` projects
-    onto the bound band for the transfer rate.
+    ``propagator`` is a ``ChebyshevPropagator`` or the exact
+    ``SpectralPropagator`` of a time-independent Hamiltonian.  ``times`` must
+    be strictly increasing and start at 0.  ``h0`` is the field-free
+    Hamiltonian entering the energy observable; ``bound`` projects onto the
+    bound band for the transfer rate.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
@@ -150,14 +150,13 @@ def evolve(
     sep = model.separations(basis)
     # the quench adds a diagonal field to h0, so the total energy costs a
     # diagonal product on top of the field-free energy
-    quench_part = sparse.coo_array(hamiltonian - h0)
+    quench_part = sparse.coo_array(propagator.h - h0)
     if np.any(quench_part.data[quench_part.row != quench_part.col]):
         raise ValueError("the quenched Hamiltonian must differ from h0 on the diagonal only")
     field_diag = quench_part.diagonal()
-    prop = make_propagator(hamiltonian, method=method, tol=tol)
 
     rows = []
-    for block in prop.samples(psi0, times):
+    for block in propagator.samples(psi0, times):
         field_free = _expectations(block, h0)
         rows.append((
             bound.weights(block),
@@ -199,24 +198,15 @@ class QuenchWorkspace:
         return (self.h0 + stark).tocsr()
 
 
-def run_quench(
-    workspace: QuenchWorkspace,
-    field_value: float,
-    times,
-    *,
-    method: str = "auto",
-    tol: float = 1e-12,
-) -> QuenchTrajectory:
+def run_quench(workspace: QuenchWorkspace, field_value: float, times) -> QuenchTrajectory:
     """Evolve the workspace packet under the quenched field."""
     return evolve(
-        workspace.hamiltonian(field_value),
+        ChebyshevPropagator(workspace.hamiltonian(field_value)),
         workspace.psi0,
         times,
         h0=workspace.h0,
         bound=workspace.bound,
         basis=workspace.basis,
-        method=method,
-        tol=tol,
     )
 
 

@@ -73,12 +73,12 @@ def _sum_rule_deviation(n_sites: int, seeds) -> float:
 
 @pytest.fixture(scope="module")
 def traj_bloch(ref_workspace):
-    return run_quench(ref_workspace, F_BLOCH, TIMES, method="chebyshev")
+    return run_quench(ref_workspace, F_BLOCH, TIMES)
 
 
 @pytest.fixture(scope="module")
 def traj_decay(ref_workspace):
-    return run_quench(ref_workspace, F_DECAY, TIMES, method="chebyshev")
+    return run_quench(ref_workspace, F_DECAY, TIMES)
 
 
 @pytest.fixture(scope="module")

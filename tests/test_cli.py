@@ -257,6 +257,26 @@ def test_run_keys_rejected_at_config_time(tmp_path, capsys, experiment, old, new
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["quench", "sweep"])
+def test_huge_lattice_rejected_before_the_band_scan(tmp_path, experiment):
+    # without a bound, n = 100001 spent 10.6 s in the band scan and the basis then
+    # asked for 5.0e9 states (about 75 GiB); n (n + 1) / 2 <= MAX_POINTS leaves
+    # n = 1413 the largest odd chain.  Checked through load_config only, as a run of
+    # a config that slipped through would make that allocation
+    text = CONFIGS[experiment]
+    for n_sites in (100001, 1415):
+        cfg = tmp_path / f"n{n_sites}.ini"
+        cfg.write_text(text.replace("n_sites = 15", f"n_sites = {n_sites}"))
+        with pytest.raises(ConfigError) as error:
+            load_config(experiment, str(cfg))
+        assert error.value.problems == [
+            f"invalid value for [model] n_sites: {n_sites} (more than {MAX_POINTS} two-boson states)"
+        ]
+    cfg = tmp_path / "n1413.ini"
+    cfg.write_text(text.replace("n_sites = 15", "n_sites = 1413"))
+    assert load_config(experiment, str(cfg))["model"]["n_sites"] == 1413
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -358,14 +378,13 @@ report()
     assert [line for line in lines if line.startswith("loaded:")] == ["loaded: []"] * 3
 
 
-def _probe_sweep(tmp_path, f_stop: str, threads: int) -> dict:
-    """Record of a traced ``sweep`` from -0.22 to ``f_stop`` through the benchmark's probe."""
+def _probe(tmp_path, experiment: str, text: str, *options) -> dict:
+    """Record of a traced ``experiment`` run on config ``text`` through the benchmark's probe."""
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(SMALL_SWEEP.replace("f_stop = -0.18", f"f_stop = {f_stop}"))
+    cfg.write_text(text)
     probe = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
     record = tmp_path / "record.json"
-    run_python([probe, record, "1", "--", "sweep", "--config", cfg, "--out", tmp_path / "out",
-                "--threads", threads])
+    run_python([probe, record, "1", "--", experiment, "--config", cfg, "--out", tmp_path / "out", *options])
     payload = json.loads(record.read_text())
     assert payload["exit_code"] == 0
     return payload
@@ -374,16 +393,26 @@ def _probe_sweep(tmp_path, f_stop: str, threads: int) -> dict:
 def test_benchmark_probe_traces_every_layer(tmp_path):
     # the benchmark's --trace 1 probe wraps pairquench names in place; a one-field
     # sweep goes through the bound matrix, the Chebyshev steps and the matvec count
-    payload = _probe_sweep(tmp_path, "-0.22", 1)
+    payload = _probe(tmp_path, "sweep", SMALL_SWEEP.replace("f_stop = -0.18", "f_stop = -0.22"))
     names = {span[0] for span in payload["spans"]}
     assert {"propagation.advance", "bound_band.bound_matrix"} <= names
+    assert payload["counts"]["matvecs"] > 0
+
+
+def test_benchmark_probe_traces_a_quench(tmp_path):
+    # a small quench runs on the Chebyshev engine too, so the probe sees its
+    # propagator, its steps and matvecs, and the 21 samples evolve returns
+    payload = _probe(tmp_path, "quench", SMALL_QUENCH)
+    names = {span[0] for span in payload["spans"]}
+    assert {"propagation.init", "propagation.advance", "quench.evolve"} <= names
+    assert payload["counts"]["samples"] == 21
     assert payload["counts"]["matvecs"] > 0
 
 
 def test_benchmark_probe_traces_pool_workers(tmp_path):
     # a two-field sweep on two processes: each grid point is traced in a worker,
     # whose spans (element 4 is the process id) and matvecs reach the record
-    payload = _probe_sweep(tmp_path, "-0.21", 2)
+    payload = _probe(tmp_path, "sweep", SMALL_SWEEP.replace("f_stop = -0.18", "f_stop = -0.21"), "--threads", 2)
     main_pid = next(span[4] for span in payload["spans"] if span[0] == "cli.main")
     points = [span for span in payload["spans"] if span[0] == "quench.sweep_point"]
     assert len(points) == 2

@@ -13,7 +13,6 @@ from pairquench import (
     build_h0,
     build_hamiltonian,
     build_stark,
-    make_propagator,
 )
 from pairquench.propagation import SAMPLE_BLOCK, _bessel_j, spectral_bounds
 
@@ -24,6 +23,16 @@ def random_hamiltonian():
     dense = rng.standard_normal((60, 60))
     dense = 0.5 * (dense + dense.T)
     return sparse.csr_array(dense)
+
+
+@pytest.fixture(scope="module")
+def exact_bounds(random_hamiltonian):
+    # the exact extremes padded by 5 % of the width: the Gershgorin interval of this
+    # dense matrix, [-42.5, 39.4] around an exact [-10.3, 10.4], would make every step
+    # of the window-policy tests long
+    vals = np.linalg.eigvalsh(random_hamiltonian.toarray())
+    pad = 0.05 * (vals[-1] - vals[0])
+    return vals[0] - pad, vals[-1] + pad
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +105,6 @@ def test_chebyshev_coefficients_match_scipy_bessel(z):
     assert np.max(np.abs(coef - np.where(kept == 0, 1.0, 2.0) * (-1j) ** kept * jv(kept, z))) < 4e-13
 
 
-def test_auto_backend_selection(random_hamiltonian):
-    assert isinstance(make_propagator(random_hamiltonian, method="auto"), SpectralPropagator)
-    with pytest.raises(ValueError):
-        make_propagator(random_hamiltonian, method="magic")
-
-
 @pytest.fixture(scope="module")
 def chain31():
     basis = build_basis(31)
@@ -122,10 +125,19 @@ def chain31():
 )
 def test_bounds_contain_dense_spectrum(params):
     h = build_hamiltonian(params, build_basis(params.n_sites))
-    assert h.shape[0] > 64
     vals = np.linalg.eigvalsh(h.toarray())
     lo, hi = spectral_bounds(h)
     assert lo <= vals[0] and vals[-1] <= hi
+
+
+def test_small_dense_matrix_gets_its_gershgorin_interval(random_hamiltonian, exact_bounds):
+    # at every size, even 60 dense states, where it is about four times as wide as the spectrum
+    dense = random_hamiltonian.toarray()
+    radius = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
+    lo, hi = spectral_bounds(random_hamiltonian)
+    assert lo == pytest.approx(np.min(np.diag(dense) - radius), abs=1e-12)
+    assert hi == pytest.approx(np.max(np.diag(dense) + radius), abs=1e-12)
+    assert lo < exact_bounds[0] and exact_bounds[1] < hi
 
 
 def test_diagonal_bounds_are_attained_and_advance_exactly():
@@ -191,10 +203,10 @@ def _record_recursions(cheb):
 
 
 @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
-def test_windowed_samples_match_spectral(random_hamiltonian, random_state, count):
+def test_windowed_samples_match_spectral(random_hamiltonian, exact_bounds, random_state, count):
     rng = np.random.default_rng(count)
     times = 0.7 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, count - 1))])
-    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12, bounds=exact_bounds)
     recursions = _record_recursions(cheb)
     got = np.vstack(list(cheb.samples(random_state, times)))
     want = np.vstack(list(SpectralPropagator(random_hamiltonian).samples(random_state, times)))
@@ -203,8 +215,8 @@ def test_windowed_samples_match_spectral(random_hamiltonian, random_state, count
     assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-10
 
 
-def test_long_steps_are_not_windowed(random_hamiltonian, random_state):
-    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
+def test_long_steps_are_not_windowed(random_hamiltonian, exact_bounds, random_state):
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12, bounds=exact_bounds)
     assert cheb._is_short(1.0) and not cheb._is_short(50.0)
     recursions = _record_recursions(cheb)
     blocks = list(cheb.samples(random_state, [0.0, 50.0, 100.0, 101.0, 102.0]))

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from pairquench import (
+    ChebyshevPropagator,
     IncompleteBandError,
     ModelParams,
     QuenchWorkspace,
+    SpectralPropagator,
     WavePacketSpec,
     band_scan,
     build_basis,
     estimate_period,
     evolve,
-    make_propagator,
     prepare_wavepacket,
     run_quench,
     solve_bound_states,
@@ -37,6 +38,16 @@ def small_workspace():
 @pytest.fixture(scope="module")
 def small_band():
     return band_scan(1.0, -6.24, 15)
+
+
+def evolve_workspace(ws, propagator, times):
+    """``evolve`` of the workspace packet under ``propagator``."""
+    return evolve(propagator, ws.psi0, times, h0=ws.h0, bound=ws.bound, basis=ws.basis)
+
+
+def spectral_quench(ws, field_value, times):
+    """The exact reference of ``run_quench``: the same evolution on the dense spectrum."""
+    return evolve_workspace(ws, SpectralPropagator(ws.hamiltonian(field_value)), times)
 
 
 def test_packet_is_normalized_bound_superposition(ref_psi0, ref_bound):
@@ -115,7 +126,7 @@ def test_transfer_rate_of_distant_unpaired_state(ref_bound, ref_basis):
 
 def test_trajectory_invariants(small_workspace):
     times = np.arange(0.0, 40.5, 0.5)
-    traj = run_quench(small_workspace, -0.21, times, method="spectral")
+    traj = spectral_quench(small_workspace, -0.21, times)
     assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
     assert np.max(np.abs(traj.total_energy - traj.total_energy[0])) < 1e-8
     assert np.all(traj.transfer >= 0.0) and np.all(traj.transfer <= 1.0 + 1e-8)
@@ -127,22 +138,34 @@ def test_trajectory_invariants(small_workspace):
     assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, ws.h0 @ ws.psi0).real, abs=1e-10)
 
 
-def test_backends_agree_on_small_quench(small_workspace):
-    times = np.array([0.0, 7.0, 19.0])
-    a = run_quench(small_workspace, -0.21, times, method="spectral")
-    b = run_quench(small_workspace, -0.21, times, method="chebyshev")
-    assert np.linalg.norm(a.final_state - b.final_state) < 1e-9
+def test_backends_agree_on_small_quench():
+    # run_quench is the Chebyshev engine on the Gershgorin interval at every size, and
+    # stays within 1e-12 of the exact dense spectrum on every observable, relative to
+    # its largest magnitude above 1: roundoff of 300 windows moves a total energy of
+    # -15 by up to 1.1e-12 at n = 43
+    for n_sites, center_site, t_max in ((15, 8, 200.0), (43, 22, 300.0)):
+        params = ModelParams(n_sites, kappa=1.0, u=-6.24, v=-6.24)
+        packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=center_site)
+        ws = QuenchWorkspace.prepare(params, packet)
+        times = np.arange(0.0, t_max + 1.0)
+        cheb = run_quench(ws, -0.21, times)
+        exact = spectral_quench(ws, -0.21, times)
+        for name in ("transfer", "distance", "energy", "norm", "total_energy"):
+            want = getattr(exact, name)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(getattr(cheb, name) - want)) < 1e-12 * scale, (n_sites, name)
+        assert np.linalg.norm(cheb.final_state - exact.final_state) < 1e-9
 
 
-@pytest.mark.parametrize("method", ["spectral", "chebyshev"])
+@pytest.mark.parametrize("backend", [SpectralPropagator, ChebyshevPropagator], ids=["spectral", "chebyshev"])
 @pytest.mark.parametrize("samples", [1, 7, 8, 9, 17])
-def test_blocked_transfer_matches_per_sample_projection(small_workspace, small_band, method, samples):
+def test_blocked_transfer_matches_per_sample_projection(small_workspace, small_band, backend, samples):
     # evolve projects each block of samples at once; cover full and partial blocks
     ws = small_workspace
     times = np.arange(float(samples))
-    traj = run_quench(ws, -0.21, times, method=method)
-    prop = make_propagator(ws.hamiltonian(-0.21), method=method)
-    states = np.vstack(list(prop.samples(ws.psi0, times)))
+    h = ws.hamiltonian(-0.21)
+    traj = evolve_workspace(ws, backend(h), times)
+    states = np.vstack(list(backend(h).samples(ws.psi0, times)))
     single = [dense_bound_weight(psi, small_band, ws.basis) for psi in states]
     assert traj.transfer.shape == (samples,)
     assert np.max(np.abs(traj.transfer - single)) < 1e-14
@@ -153,10 +176,10 @@ def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_worksp
     ws = small_workspace
     times = np.array([0.0, 1.0, 2.0, 52.0, 53.0, 54.0])
     h = ws.hamiltonian(-0.21)
-    blocks = list(make_propagator(h, method="chebyshev").samples(ws.psi0, times))
+    blocks = list(ChebyshevPropagator(h).samples(ws.psi0, times))
     assert [len(block) for block in blocks] == [1, 2, 1, 2]
-    cheb = run_quench(ws, -0.21, times, method="chebyshev")
-    exact = run_quench(ws, -0.21, times, method="spectral")
+    cheb = run_quench(ws, -0.21, times)
+    exact = spectral_quench(ws, -0.21, times)
     for name in ("transfer", "distance", "energy", "norm", "total_energy"):
         assert np.max(np.abs(getattr(cheb, name) - getattr(exact, name))) < 1e-9, name
     single = [dense_bound_weight(psi, small_band, ws.basis) for psi in np.vstack(blocks)]
@@ -166,32 +189,31 @@ def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_worksp
 
 def test_energy_constant_after_field_release(small_workspace):
     times = np.arange(0.0, 30.0, 1.0)
-    traj = run_quench(small_workspace, -0.21, times, method="spectral")
+    traj = spectral_quench(small_workspace, -0.21, times)
     released = evolve(
-        small_workspace.h0,
+        SpectralPropagator(small_workspace.h0),
         traj.final_state,
         np.arange(0.0, 20.0, 1.0),
         h0=small_workspace.h0,
         bound=small_workspace.bound,
         basis=small_workspace.basis,
-        method="spectral",
     )
     assert np.max(np.abs(released.energy - released.energy[0])) < 1e-8
 
 
 def test_evolve_validates_time_grid(small_workspace):
     ws = small_workspace
-    h = ws.hamiltonian(-0.2)
+    prop = ChebyshevPropagator(ws.hamiltonian(-0.2))
     for bad in ([], [1.0, 2.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError):
-            evolve(h, ws.psi0, bad, h0=ws.h0, bound=ws.bound, basis=ws.basis)
+            evolve_workspace(ws, prop, bad)
 
 
 def test_evolve_rejects_a_non_diagonal_quench(small_workspace):
     # the total energy adds only the diagonal of hamiltonian - h0
     ws = small_workspace
     with pytest.raises(ValueError, match="diagonal only"):
-        evolve(2.0 * ws.h0, ws.psi0, [0.0, 1.0], h0=ws.h0, bound=ws.bound, basis=ws.basis)
+        evolve_workspace(ws, ChebyshevPropagator(2.0 * ws.h0), [0.0, 1.0])
 
 
 def test_energy_distribution_completeness(small_workspace):
@@ -284,14 +306,14 @@ def test_serial_sweep_keeps_no_reference_to_the_workspace():
     assert psi0() is None
 
 
-@pytest.mark.parametrize("method", ["spectral", "chebyshev"])
+@pytest.mark.parametrize("backend", [SpectralPropagator, ChebyshevPropagator], ids=["spectral", "chebyshev"])
 @pytest.mark.parametrize("quenched", [True, False])
-def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, method, quenched):
+def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, backend, quenched):
     ws = small_workspace
     h = ws.hamiltonian(-0.21) if quenched else ws.h0
     times = np.arange(0.0, 12.0)
-    traj = evolve(h, ws.psi0, times, h0=ws.h0, bound=ws.bound, basis=ws.basis, method=method)
-    states = np.vstack(list(make_propagator(h, method=method).samples(ws.psi0, times)))
+    traj = evolve_workspace(ws, backend(h), times)
+    states = np.vstack(list(backend(h).samples(ws.psi0, times)))
     direct = [np.real(np.vdot(psi, h @ psi)) for psi in states]
     assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
 
@@ -301,9 +323,10 @@ def test_chebyshev_transfer_converges_in_tol():
     packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=10)
     ws = QuenchWorkspace.prepare(params, packet)
     times = np.arange(0.0, 101.0)
-    exact = run_quench(ws, -0.2, times, method="spectral").transfer
+    h = ws.hamiltonian(-0.2)
+    exact = spectral_quench(ws, -0.2, times).transfer
     errors = [
-        np.max(np.abs(run_quench(ws, -0.2, times, method="chebyshev", tol=tol).transfer - exact))
+        np.max(np.abs(evolve_workspace(ws, ChebyshevPropagator(h, tol=tol), times).transfer - exact))
         for tol in (1e-6, 1e-9, 1e-12)
     ]
     assert errors[0] > errors[1] > errors[2]
