@@ -10,6 +10,7 @@ from .bound_band import (
 from .model import (
     Boundary,
     ModelParams,
+    PairHamiltonian,
     TwoBosonBasis,
     build_basis,
     build_h0,
@@ -53,6 +54,7 @@ __all__ = [
     "EffectiveConstants",
     "IncompleteBandError",
     "ModelParams",
+    "PairHamiltonian",
     "PeriodEstimate",
     "PropagationAccuracyError",
     "QuenchTrajectory",

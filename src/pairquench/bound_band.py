@@ -216,9 +216,12 @@ class BoundProjector(NamedTuple):
         ``coef`` is (n, slots) in the row order of ``table``.
         """
         n = self.table.shape[0]
-        # every momentum's sum over its bound states, then one inverse transform
-        # over the centre site per separation: (i - 1, d)
-        spectra = np.sum(coef[:, np.newaxis, :] * self.table.conj(), axis=2)
+        # every momentum's sum over its bound states, conj(table) coef taken as
+        # conj(table conj(coef)): one product over the slot axis, so no temporary
+        # is as large as the table; then one inverse transform over the centre
+        # site per separation: (i - 1, d)
+        spectra = np.matmul(self.table, coef.conj()[:, :, np.newaxis])[..., 0]
+        np.conjugate(spectra, out=spectra)
         grid = n * np.fft.ifft(spectra, axis=0)
         return grid.T.reshape(-1)[self.slots]
 

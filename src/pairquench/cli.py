@@ -26,8 +26,13 @@ from .quench import QuenchWorkspace, WavePacketSpec, packet_weights, run_quench,
 
 EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 
-#: most sample times, sweep fields, spectrum fields or quench basis states one run may ask for
+#: most sample times, sweep fields, spectrum fields or basis states one run may ask for
 MAX_POINTS = 10**6
+
+#: most basis states of a spectrum without a window, which diagonalises the dense
+#: dim x dim matrix of every field (the ``dense_limit`` of ``spectrum_vs_field``:
+#: 31 MiB per matrix at the largest lattice, 63 sites; 3.3 GB at 201 sites)
+MAX_DENSE_STATES = 2048
 
 
 def _sites(raw: str) -> int:
@@ -280,10 +285,17 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
         problems.append(
             f"invalid value for [model] v: {model['v']} (the bound-pair band of {experiment} needs v == u = {model['u']})"
         )
-    if experiment in ("quench", "sweep") and n_sites is not None and n_sites * (n_sites + 1) // 2 > MAX_POINTS:
+    states = None if n_sites is None else n_sites * (n_sites + 1) // 2
+    if experiment in ("quench", "sweep", "spectrum") and states is not None and states > MAX_POINTS:
         problems.append(
             f"invalid value for [model] n_sites: {n_sites} (more than {MAX_POINTS} two-boson states)"
         )
+    elif experiment == "spectrum" and states is not None and states > MAX_DENSE_STATES:
+        if not {"window_lo", "window_hi"} <= config.get("spectrum", {}).keys():
+            problems.append(
+                f"invalid value for [model] n_sites: {n_sites} (more than {MAX_DENSE_STATES} two-boson "
+                "states, which a spectrum without [spectrum] window_lo and window_hi diagonalises densely)"
+            )
     if {"u", "kappa"} <= model.keys():
         for f in config.get("three_site", {}).get("fields", []):
             try:  # a field of 0 or +-u makes a denominator vanish

@@ -1,29 +1,33 @@
-"""Time propagation for real-symmetric sparse Hamiltonians.
+"""Time propagation for real-symmetric Hamiltonians.
 
 Every quench and sweep point runs on one engine, the Chebyshev polynomial
 expansion of ``exp(-iHt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)): sparse matrix-vector cost, truncation controlled by ``tol``, on the
-Gershgorin interval of ``H``, which contains the spectrum by theorem.  The
+(1984)): one operator product per term, truncation controlled by ``tol``, on
+the Gershgorin interval of ``H``, which contains the spectrum by theorem.  The
 dense spectral decomposition is kept as the exact reference and for the
 three-site model.  Both are deterministic.  The expansion coefficients are
 the Bessel values ``J_k(z)``, computed by Miller's backward recurrence
 ``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised by ``J_0 + 2 sum_k J_{2k} = 1``
-(Numerical Recipes, ``bessj``).  The Chebyshev engine stores twice its
-rescaled operator, cast to complex once, so no matvec re-casts a real matrix
-and each recursion term is one product and one subtraction.  One recursion
-returns the states at several offsets: the terms go into a fixed buffer of
+(Numerical Recipes, ``bessj``).
+
+The Chebyshev engine takes an operator such as ``model.PairHamiltonian``:
+``diagonal()`` and ``radii()`` give the Gershgorin interval, and
+``scaled(shift, factor)`` the operator ``factor * (H - shift)``, whose
+``pack``, ``step`` and ``unpack`` run the recursion on the operator's own
+layout of a state.  The engine keeps twice its rescaled operator, so each
+recursion term is one ``step``, ``2 A T_k - T_{k-1}``.  One recursion returns
+the states at several offsets: the terms go into a fixed buffer of
 ``TERM_BUFFER`` rows that is added into every offset's row with one numpy
-matrix product per buffer, through a block the propagator keeps.
-``samples`` yields blocks of up to ``SAMPLE_BLOCK`` states, one row per
-sample time and one matrix product or recursion per block; a Chebyshev block
-spans several times only while each step of it is short enough that its own
-series is mostly overhead.
+matrix product per buffer, through a block the propagator keeps; every state
+it returns is back in basis order.  ``samples`` yields blocks of up to
+``SAMPLE_BLOCK`` states, one row per sample time and one matrix product or
+recursion per block; a Chebyshev block spans several times only while each
+step of it is short enough that its own series is mostly overhead.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 
 #: most rows of a block yielded by ``samples`` (8 states at dim 6216 are 0.8 MB)
@@ -76,18 +80,15 @@ def _bessel_j(n_max: int, z: float) -> np.ndarray:
     return out / (out[0] + 2.0 * out[2::2].sum())
 
 
-def _as_sparse(h) -> sparse.csr_array:
-    if sparse.issparse(h):
-        return h.tocsr()
-    return sparse.csr_array(np.asarray(h))
-
-
 class SpectralPropagator:
-    """Exact evolution through a dense eigendecomposition of ``h``, which it keeps."""
+    """Exact evolution through a dense eigendecomposition of ``h``, which it keeps.
+
+    ``h`` is an array or has ``toarray()``.
+    """
 
     def __init__(self, h):
         self.h = h
-        dense = h.toarray() if sparse.issparse(h) else np.asarray(h, dtype=float)
+        dense = h.toarray() if hasattr(h, "toarray") else np.asarray(h, dtype=float)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
 
     def samples(self, psi0: np.ndarray, times):
@@ -103,11 +104,9 @@ def spectral_bounds(h) -> tuple[float, float]:
     """Gershgorin interval of ``h``, at least 1e-9 wide.
 
     ``[min(h_ii - R_i), max(h_ii + R_i)]`` with ``R_i = sum_{j != i} |h_ij|``
-    contains the spectrum by theorem.
+    contains the spectrum by theorem; ``h.radii()`` gives ``R_i``.
     """
-    h = _as_sparse(h)
-    diag = h.diagonal()
-    radius = np.ravel(abs(h).sum(axis=1)) - np.abs(diag)
+    diag, radius = h.diagonal(), h.radii()
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     return lo, lo + max(hi - lo, 1e-9)
 
@@ -116,20 +115,17 @@ class ChebyshevPropagator:
     """Polynomial expansion of exp(-iHt) on the rescaled spectrum."""
 
     def __init__(self, h, *, tol: float = 1e-12, bounds: tuple[float, float] | None = None):
-        self.h = _as_sparse(h)
+        self.h = h
         self.tol = tol
-        lo, hi = bounds if bounds is not None else spectral_bounds(self.h)
+        lo, hi = bounds if bounds is not None else spectral_bounds(h)
         self.center = 0.5 * (hi + lo)
         self.halfwidth = 0.5 * (hi - lo)
-        dim = self.h.shape[0]
         # 2 A for the rescaled operator A: T_{k+1} = (2 A) T_k - T_{k-1} needs no
         # doubling pass, and scaling by 2 is exact, so 0.5 (2 A) T_0 is A T_0 bit for bit
-        self._two_a = (
-            (self.h - sparse.identity(dim, format="csr") * self.center) * (2.0 / self.halfwidth)
-        ).astype(complex)
+        self._two_a = h.scaled(self.center, 2.0 / self.halfwidth)
         self._coeff_cache: dict[float, np.ndarray] = {}
         # block products of _sum_series, sized by the longest window so far
-        self._part = np.empty((0, dim), dtype=complex)
+        self._part = np.empty((0, 0), dtype=complex)
 
     def _coefficients(self, dt: float) -> np.ndarray:
         key = float(dt)
@@ -161,35 +157,37 @@ class ChebyshevPropagator:
     def _sum_series(self, psi: np.ndarray, coef: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Rows ``sum_k coef[r, k] T_k(A) psi``, where row ``r`` has ``ends[r]`` (ascending) terms.
 
-        The terms go into a fixed buffer of ``TERM_BUFFER`` rows.  Each full
-        buffer is added into the rows whose series has not ended through one
-        matrix product into ``part``, which the propagator keeps: one allocated
-        per call faulted its pages in on every window.  The term buffer stays
-        per call, as its pages then serve the caller's temporaries between
-        windows, where a kept one would add to the peak memory.  The returned
-        rows are a new array, so a caller may keep them.
+        The recursion runs on the packed layout of ``2 A``, and the rows are
+        unpacked once at the end.  The terms go into a fixed buffer of
+        ``TERM_BUFFER`` rows.  Each full buffer is added into the rows whose
+        series has not ended through one matrix product into ``part``, which
+        the propagator keeps: one allocated per call faulted its pages in on
+        every window.  The term buffer stays per call, as its pages then serve
+        the caller's temporaries between windows, where a kept one would add
+        to the peak memory.  The returned rows are a new array, so a caller
+        may keep them.
         """
         two_a = self._two_a
         rows, n_terms = coef.shape
+        packed = two_a.pack(psi)
         if self._part.shape[0] < rows:
-            self._part = np.empty((rows, psi.size), dtype=complex)
+            self._part = np.empty((rows, packed.size), dtype=complex)
         part = self._part[:rows]
-        out = np.zeros((rows, psi.size), dtype=complex)
-        terms = np.empty((min(TERM_BUFFER, n_terms), psi.size), dtype=complex)
-        terms[0] = psi
-        np.multiply(two_a @ terms[0], 0.5, out=terms[1])
+        out = np.zeros((rows, packed.size), dtype=complex)
+        terms = np.empty((min(TERM_BUFFER, n_terms), packed.size), dtype=complex)
+        terms[0] = packed
+        two_a.step(terms[0], None, out=terms[1])
+        terms[1] *= 0.5
         for k in range(n_terms):
             slot = k % TERM_BUFFER
             if k >= 2:
-                np.subtract(
-                    two_a @ terms[(k - 1) % TERM_BUFFER], terms[(k - 2) % TERM_BUFFER], out=terms[slot]
-                )
+                two_a.step(terms[(k - 1) % TERM_BUFFER], terms[(k - 2) % TERM_BUFFER], out=terms[slot])
             if slot == TERM_BUFFER - 1 or k == n_terms - 1:
                 start = k - slot
                 active = int(np.searchsorted(ends, start, side="right"))
                 np.matmul(coef[active:, start : k + 1], terms[: slot + 1], out=part[active:])
                 out[active:] += part[active:]
-        return out
+        return two_a.unpack(out)
 
     def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:
         """State after ``dt``, or with sorted offsets ``earlier`` in (0, dt) one row per offset.

@@ -122,9 +122,9 @@ def write_gnuplot(path: Path, experiment: str, csv_name: str) -> None:
 
 def versions() -> dict:
     import platform
+    from importlib.metadata import version
 
     import numpy
-    import scipy
 
     from . import __version__
 
@@ -132,5 +132,5 @@ def versions() -> dict:
         "pairquench": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),  # from its metadata: no run but spectrum imports scipy
     }

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigsh
 
-from .model import ModelParams, build_basis, build_hamiltonian, separations
+from .model import ModelParams, PairHamiltonian, build_basis, build_hamiltonian, separations
 
 LABEL_CORRELATED = "correlated"
 LABEL_UNCORRELATED = "uncorrelated"
@@ -37,15 +37,21 @@ class SpectrumSlice:
     vectors: np.ndarray
 
 
-def _window_eigenpairs(h: sparse.csr_array, window: tuple[float, float], k_start: int):
+def _csr(h: PairHamiltonian) -> sparse.csr_array:
+    """The CSR matrix that ``eigsh`` needs, from the operator's own element list."""
+    return sparse.csr_array(h.coo(), shape=h.shape)
+
+
+def _window_eigenpairs(h: PairHamiltonian, window: tuple[float, float], k_start: int):
     """All eigenpairs inside the window via shift-invert around its center."""
     lo, hi = window
     center = 0.5 * (lo + hi)
     dim = h.shape[0]
+    matrix = _csr(h)
     v0 = np.ones(dim) / np.sqrt(dim)
     k = min(max(k_start, 8), dim - 2)
     while True:
-        vals, vecs = eigsh(h, k=k, sigma=center, v0=v0)
+        vals, vecs = eigsh(matrix, k=k, sigma=center, v0=v0)
         covered = vals.min() < lo and vals.max() > hi
         if covered or k >= dim - 2:
             break

@@ -3,8 +3,12 @@
 The Fock-space builder assembles the Hamiltonian from literal site operators
 on the full (0, 1, 2)-occupancy product space and projects onto two-particle
 configurations, sharing no code with the pair-basis assembly under test.
-The loop builders enumerate configurations one at a time into a dict index
-and keep the element-by-element arithmetic the array code must reproduce.
+The sector builder applies the same site operators to the occupation tuples
+of the two-particle sector alone, so it reaches lattices whose product space
+is out of reach.  The loop builders enumerate configurations one at a time
+into a dict index and keep the element-by-element arithmetic the array code
+must reproduce.  ``MatrixOperator`` puts any matrix behind the operator
+interface of the propagators.
 """
 
 import numpy as np
@@ -228,14 +232,53 @@ def chain_checked_roots(
     )
 
 
+class MatrixOperator:
+    """A dense or sparse matrix behind the operator interface of the propagators.
+
+    The packed layout is the basis order itself, and every product is a CSR
+    product, so the propagators run on an arbitrary real-symmetric matrix.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = sparse.csr_array(matrix)
+        self.shape = self.matrix.shape
+
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal()
+
+    def radii(self) -> np.ndarray:
+        return np.ravel(abs(self.matrix).sum(axis=1)) - np.abs(self.diagonal())
+
+    def scaled(self, shift: float, factor: float) -> "MatrixOperator":
+        return MatrixOperator((self.matrix - sparse.identity(self.shape[0]) * shift) * factor)
+
+    def pack(self, states: np.ndarray) -> np.ndarray:
+        return states.astype(complex)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        return packed
+
+    def step(self, x: np.ndarray, prev, out: np.ndarray) -> np.ndarray:
+        out[:] = self.matrix @ x if prev is None else self.matrix @ x - prev
+        return out
+
+    def __matmul__(self, states: np.ndarray) -> np.ndarray:
+        return (self.matrix @ np.asarray(states).T).T
+
+    def toarray(self) -> np.ndarray:
+        return self.matrix.toarray()
+
+
 def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float) -> np.ndarray:
     """One Chebyshev step as the recursion on the real rescaled operator.
 
-    Rebuilds the real operator from ``prop``'s bounds and forms each term as a
-    fresh ``2 A cur - prev``; shares only the expansion coefficients.
+    Rebuilds the real operator as a CSR matrix from the dense matrix of
+    ``prop.h`` and ``prop``'s bounds and forms each term as a fresh
+    ``2 A cur - prev``; shares only the expansion coefficients.
     """
     dim = prop.h.shape[0]
-    scaled = (prop.h - sparse.identity(dim, format="csr") * prop.center) * (1.0 / prop.halfwidth)
+    matrix = sparse.csr_array(prop.h.toarray())
+    scaled = (matrix - sparse.identity(dim, format="csr") * prop.center) * (1.0 / prop.halfwidth)
     coef = prop._coefficients(dt)
     prev = psi.astype(complex, copy=True)
     cur = scaled @ prev
@@ -305,6 +348,44 @@ def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis) -> np.ndarr
     return h[np.ix_(sel, sel)]
 
 
+def fock_sector_matrix(params: ModelParams) -> np.ndarray:
+    """Dense Hamiltonian on the two-particle sector, configurations in lexicographic order.
+
+    Each basis vector is an occupation tuple with two bosons; ``b_x^dag b_y``
+    acts on it by the literal rule ``sqrt(n_y) sqrt(n_x + 1)``, the
+    interactions are ``u n (n - 1) / 2`` per site and ``v n_x n_y`` per bond,
+    and the field is ``field * x * n_x``.  Shares only the site and bond
+    lists with ``fock_hamiltonian``.
+    """
+    n = params.n_sites
+    pairs = loop_pairs(n)
+    states = []
+    for i, j in pairs:
+        occ = [0] * n
+        occ[i - 1] += 1
+        occ[j - 1] += 1
+        states.append(tuple(occ))
+    index = {occ: k for k, occ in enumerate(states)}
+    bonds = [(x, x + 1) for x in range(n - 1)]
+    if params.boundary is Boundary.RING:
+        bonds.append((n - 1, 0))
+    h = np.zeros((len(states), len(states)))
+    for col, occ in enumerate(states):
+        h[col, col] = sum(0.5 * params.u * m * (m - 1) + params.field * (x + 1) * m for x, m in enumerate(occ))
+        h[col, col] += sum(params.v * occ[x] * occ[y] for x, y in bonds)
+        for x, y in bonds:
+            for to, frm in ((x, y), (y, x)):
+                if occ[frm] == 0:
+                    continue
+                new = list(occ)
+                amp = np.sqrt(new[frm])
+                new[frm] -= 1
+                amp *= np.sqrt(new[to] + 1)
+                new[to] += 1
+                h[index[tuple(new)], col] += -params.kappa * amp
+    return h
+
+
 def free_scattering_state(basis: TwoBosonBasis, k1: int, k2: int) -> tuple[np.ndarray, float]:
     """Exact two-boson eigenstate of the free open chain from symmetrized sine modes."""
     n = basis.n_sites
@@ -332,8 +413,7 @@ def energy_distribution(psi0: np.ndarray, h, mass: float) -> tuple[np.ndarray, n
     if isinstance(h, tuple):
         vals, vecs = h
     else:
-        dense = h.toarray() if sparse.issparse(h) else np.asarray(h, dtype=float)
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(h.toarray())
     weights = np.abs(vecs.conj().T @ psi0) ** 2
     order = np.argsort(weights)[::-1]
     cumulative = np.cumsum(weights[order])

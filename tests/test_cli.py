@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pairquench
 from pairquench.cli import (
+    MAX_DENSE_STATES,
     MAX_POINTS,
     SCHEMA,
     ConfigError,
@@ -277,6 +278,32 @@ def test_huge_lattice_rejected_before_the_band_scan(tmp_path, experiment):
     assert load_config(experiment, str(cfg))["model"]["n_sites"] == 1413
 
 
+def test_dense_spectrum_lattice_rejected_at_config_time(tmp_path):
+    # a spectrum without a window diagonalises the dense dim x dim matrix of every
+    # field (about 3.3 GB at n = 201), so n (n + 1) / 2 <= MAX_DENSE_STATES bounds it
+    # at n = 63; a windowed one runs shift-invert and keeps the MAX_POINTS bound.
+    # Checked through load_config and the exit code only: nothing large is built
+    window = "\nwindow_lo = -14.0\nwindow_hi = -11.0\n"
+    cases = [
+        (201, "", MAX_DENSE_STATES, "which a spectrum without [spectrum] window_lo and window_hi diagonalises densely"),
+        (64, "", MAX_DENSE_STATES, "which a spectrum without [spectrum] window_lo and window_hi diagonalises densely"),
+        (1414, window, MAX_POINTS, None),
+    ]
+    for n_sites, extra, bound, reason in cases:
+        cfg = tmp_path / f"n{n_sites}.ini"
+        cfg.write_text(SPECTRUM.replace("n_sites = 3", f"n_sites = {n_sites}") + extra)
+        with pytest.raises(ConfigError) as error:
+            load_config("spectrum", str(cfg))
+        message = f"invalid value for [model] n_sites: {n_sites} (more than {bound} two-boson states"
+        assert error.value.problems == [message + (f", {reason})" if reason else ")")]
+    assert run(["spectrum", "--config", tmp_path / "n201.ini", "--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+    for n_sites, extra in ((63, ""), (64, window), (1413, window)):
+        cfg = tmp_path / f"ok{n_sites}.ini"
+        cfg.write_text(SPECTRUM.replace("n_sites = 3", f"n_sites = {n_sites}") + extra)
+        assert load_config("spectrum", str(cfg))["model"]["n_sites"] == n_sites
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -353,19 +380,23 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
 
 
 def test_runs_leave_unneeded_scipy_unloaded(tmp_path):
-    # only the spectrum experiment needs scipy.optimize (level assignment) and
-    # scipy.sparse.linalg (shift-invert eigsh); no experiment needs scipy.linalg,
-    # and no quench, sweep or band run needs scipy.special
+    # only the spectrum experiment needs scipy (level assignment and shift-invert
+    # eigsh): no module of it loads on import, nor in a quench, sweep, band or
+    # three-site run, which the Hamiltonian's stencil, the Chebyshev coefficients
+    # and the manifest's version record serve with numpy and the standard library
     runs = []
-    for experiment, text in (("quench", SMALL_QUENCH), ("sweep", SMALL_SWEEP), ("band", SMALL_BAND)):
+    for experiment, text in (
+        ("quench", SMALL_QUENCH), ("sweep", SMALL_SWEEP), ("band", SMALL_BAND), ("three-site", THREE_SITE)
+    ):
         (tmp_path / f"{experiment}.ini").write_text(text)
         runs.append([experiment, "--config", str(tmp_path / f"{experiment}.ini"),
                      "--out", str(tmp_path / experiment)])
+    spectrum = ["spectrum", "--config", str(tmp_path / "spectrum.ini"), "--out", str(tmp_path / "spectrum")]
+    (tmp_path / "spectrum.ini").write_text(SPECTRUM)
     probe = f"""
 import sys
 def report():
-    unwanted = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.special")
-    print("loaded:", [name for name in unwanted if name in sys.modules])
+    print("loaded:", sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 import pairquench
 report()
 import pairquench.cli
@@ -373,9 +404,12 @@ report()
 for argv in {runs!r}:
     assert pairquench.cli.main(argv) == 0
 report()
+assert pairquench.cli.main({spectrum!r}) == 0
+print("spectrum loaded scipy:", "scipy.sparse.linalg" in sys.modules)
 """
     lines = run_python(["-c", probe]).stdout.splitlines()
     assert [line for line in lines if line.startswith("loaded:")] == ["loaded: []"] * 3
+    assert "spectrum loaded scipy: True" in lines
 
 
 def _probe(tmp_path, experiment: str, text: str, *options) -> dict:

@@ -213,7 +213,7 @@ def test_evolve_rejects_a_non_diagonal_quench(small_workspace):
     # the total energy adds only the diagonal of hamiltonian - h0
     ws = small_workspace
     with pytest.raises(ValueError, match="diagonal only"):
-        evolve_workspace(ws, ChebyshevPropagator(2.0 * ws.h0), [0.0, 1.0])
+        evolve_workspace(ws, ChebyshevPropagator(ws.h0.scaled(0.0, 2.0)), [0.0, 1.0])
 
 
 def test_energy_distribution_completeness(small_workspace):
