@@ -11,6 +11,7 @@ and extracts the dominant periodicity of that curve.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -291,7 +292,7 @@ def sweep_transfer(
 
     Grid points are independent; failures of single points are recorded and
     the sweep continues.  Output ordering follows the input grid, so results
-    are identical regardless of ``workers`` (capped at one per grid point).
+    are identical regardless of ``workers`` (at most one per grid point and CPU).
     """
     f_values = np.asarray(f_values, dtype=float)
     if t_final <= 0:
@@ -301,7 +302,7 @@ def sweep_transfer(
     ctx = (workspace, float(t_final))
     transfer = np.full(f_values.size, np.nan)
     failures: list[tuple[float, str]] = []
-    workers = min(workers, f_values.size)
+    workers = min(workers, f_values.size, os.cpu_count() or 1)
     if workers <= 1:
         for idx, f in enumerate(f_values):
             try:

@@ -6,7 +6,7 @@ from pairquench import ModelParams, build_basis, build_h0, build_hamiltonian, bu
 from pairquench.propagation import spectral_bounds
 from pairquench.spectrum import _csr
 
-from oracles import fock_sector_matrix, fock_two_boson_matrix, loop_build_h0
+from oracles import fock_sector_matrix, fock_two_boson_matrix, loop_build_h0, loop_pairs
 
 
 def test_two_site_free_spectrum():
@@ -110,7 +110,7 @@ def test_three_site_levels_match_dense_oracle():
 
 
 OPERATOR_CASES = [
-    *(ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=-0.37) for n in (2, 3, 4, 15)),
+    *(ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=-0.37) for n in (2, 3, 4, 5, 6, 15)),
     *(ModelParams(n, kappa=0.8, u=4.0, v=-1.5, boundary="ring") for n in (3, 4, 15)),
 ]
 
@@ -159,12 +159,38 @@ def test_spectrum_csr_matches_fock_oracle(params):
 
 
 def test_operator_keeps_the_ghosts_of_packed_states_zero():
-    basis = build_basis(6)
-    h = build_hamiltonian(ModelParams(6, kappa=1.0, u=-6.0, v=-6.0, field=-0.2), basis)
-    rng = np.random.default_rng(0)
-    x, prev = (h.pack(rng.standard_normal(basis.dim) + 0j) for _ in range(2))
-    out = h.step(x, prev, np.full_like(x, np.nan))
-    ghosts = np.ones(x.size, dtype=bool)
-    ghosts[basis.i + np.arange(basis.dim)] = False
-    assert x.size == basis.dim + 6 + 1 and np.all(out[ghosts] == 0.0)
-    assert np.max(np.abs(h.unpack(out) - (h @ h.unpack(x) - h.unpack(prev)))) < 1e-14
+    # odd and even lattices fold the rows of separation d and n - d on different seams
+    cases = [ModelParams(n, kappa=1.0, u=-6.0, v=-6.0, field=-0.2) for n in (2, 3, 6, 15)]
+    cases += [ModelParams(n, kappa=1.0, u=-6.0, v=-6.0, boundary="ring") for n in (3, 6, 15)]
+    for params in cases:
+        n = params.n_sites
+        basis = build_basis(n)
+        h = build_hamiltonian(params, basis)
+        hop = h._hopping
+        d = basis.j - basis.i
+        fold = d > n // 2
+        rows, cols = np.where(fold, n - d, d) + 1, np.where(fold, n + 1 - basis.i, basis.i - 1)
+        assert np.array_equal(hop.slots, rows * (n + 2) + cols)
+        rng = np.random.default_rng(n)
+        x, prev = (h.pack(rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)) for _ in range(2))
+        assert x.size == (n // 2 + 3) * (n + 2)
+        inputs = x.copy(), prev.copy()
+        out = h.step(x, prev, np.full_like(x, np.nan))
+        zero = np.ones(x.size, dtype=bool)
+        zero[hop.slots] = zero[hop.halo] = False
+        assert np.all(out[zero] == 0.0), params  # gaps, ghost columns, the ghost row, the rest of the halo row
+        assert np.array_equal(out[hop.halo], out[hop.mirror]), params
+        assert np.array_equal(x, inputs[0]) and np.array_equal(prev, inputs[1])
+        assert np.max(np.abs(h.unpack(out) - (h @ h.unpack(x) - h.unpack(prev)))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [111, 112])
+def test_headline_size_products_match_loop_reference(n):
+    params = ModelParams(n, kappa=1.0, u=-6.24, v=-6.24, field=-0.09712)
+    h = build_hamiltonian(params, build_basis(n))
+    stark = params.field * np.array(loop_pairs(n)).sum(axis=1)
+    reference = loop_build_h0(params) + sparse.diags_array(stark)
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((5, h.shape[0])) + 1j * rng.standard_normal((5, h.shape[0]))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    assert np.max(np.abs(h @ block - (reference @ block.T).T)) < 1e-13

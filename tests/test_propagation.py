@@ -14,6 +14,9 @@ from pairquench import (
     build_stark,
 )
 from pairquench.propagation import SAMPLE_BLOCK, _bessel_j, spectral_bounds
+from pairquench.spectrum import _csr
+
+from conftest import F_BLOCH
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +239,16 @@ def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_sta
     assert cheb._is_short(1.0)
     with pytest.raises(PropagationAccuracyError):
         list(cheb.samples(random_state, np.arange(0.0, 9.0)))
+
+
+def test_headline_operator_keeps_the_benchmark_probe_contract(ref_workspace):
+    # a traced benchmark run reads these of the propagator's operator and calls advance(psi, dt)
+    h = ref_workspace.hamiltonian(F_BLOCH)
+    prop = ChebyshevPropagator(h)
+    assert prop.h is h and h.shape == (6216, 6216)
+    assert h.nnz == 30_636 == _csr(h).nnz
+    assert h.data.itemsize == 8 and h.indices.itemsize == 8
+    dt = 0.5
+    psi = prop.advance(ref_workspace.psi0, dt)
+    assert psi.shape == ref_workspace.psi0.shape
+    assert len(prop._coefficients(dt)) > 1

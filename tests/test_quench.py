@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -264,8 +265,9 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
         sweep_transfer(small_workspace, f_values, t_final=-1.0)
 
 
-def test_sweep_starts_at_most_one_worker_per_grid_point(small_workspace, monkeypatch):
-    # a stub executor records the requested pool size and runs every point in this process
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Pool sizes the sweep requests; a stub executor runs every point in this process."""
     requested = []
 
     class RecordingExecutor:
@@ -286,13 +288,29 @@ def test_sweep_starts_at_most_one_worker_per_grid_point(small_workspace, monkeyp
 
     monkeypatch.setattr(quench, "_WORKER_CTX", ())
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return requested
+
+
+def test_sweep_starts_at_most_one_worker_per_grid_point(small_workspace, recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     f_values = [-0.2, -0.19, -0.18]
     pooled = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=5000)
-    assert requested == [3]
+    assert recording_pool == [3]
     serial = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=1)
     assert np.array_equal(pooled.transfer, serial.transfer)
     sweep_transfer(small_workspace, [-0.2], t_final=5.0, workers=5000)
-    assert requested == [3]  # one grid point runs serially
+    assert recording_pool == [3]  # one grid point runs serially
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, [3]), (None, [])], ids=["3-cpus", "unknown"])
+def test_sweep_starts_at_most_one_worker_per_cpu(small_workspace, recording_pool, monkeypatch, cpus, expected):
+    # an unknown CPU count counts as one CPU, so the sweep runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    f_values = -0.20 + 0.01 * np.arange(5)
+    pooled = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=100_000)
+    assert recording_pool == expected
+    serial = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=1)
+    assert np.array_equal(pooled.transfer, serial.transfer)
 
 
 def test_serial_sweep_keeps_no_reference_to_the_workspace():
