@@ -14,15 +14,16 @@ The Chebyshev engine takes an operator such as ``model.PairHamiltonian``:
 ``diagonal()`` and ``radii()`` give the Gershgorin interval, and
 ``scaled(shift, factor)`` the operator ``factor * (H - shift)``, whose
 ``pack``, ``step`` and ``unpack`` run the recursion on the operator's own
-layout of a state.  The engine keeps twice its rescaled operator, so each
-recursion term is one ``step``, ``2 A T_k - T_{k-1}``.  One recursion returns
-the states at several offsets: the terms go into a fixed buffer of
-``TERM_BUFFER`` rows that is added into every offset's row with one numpy
-matrix product per buffer, through a block the propagator keeps; every state
-it returns is back in basis order.  ``samples`` yields blocks of up to
-``SAMPLE_BLOCK`` states, one row per sample time and one matrix product or
-recursion per block; a Chebyshev block spans several times only while each
-step of it is short enough that its own series is mostly overhead.
+layout of a state, in buffers from its ``empty_packed``.  The engine keeps
+twice its rescaled operator, so each recursion term is one ``step``,
+``2 A T_k - T_{k-1}``.  One recursion returns the states at several offsets:
+the terms go into a fixed buffer of ``TERM_BUFFER`` rows that is added into
+every offset's row with one numpy matrix product per buffer, through a block
+the propagator keeps; every state it returns is back in basis order.
+``samples`` yields blocks of up to ``SAMPLE_BLOCK`` states, one row per
+sample time and one matrix product or recursion per block; a Chebyshev block
+spans several times only while each step of it is short enough that its own
+series is mostly overhead.
 """
 
 from __future__ import annotations
@@ -157,25 +158,25 @@ class ChebyshevPropagator:
     def _sum_series(self, psi: np.ndarray, coef: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Rows ``sum_k coef[r, k] T_k(A) psi``, where row ``r`` has ``ends[r]`` (ascending) terms.
 
-        The recursion runs on the packed layout of ``2 A``, and the rows are
-        unpacked once at the end.  The terms go into a fixed buffer of
-        ``TERM_BUFFER`` rows.  Each full buffer is added into the rows whose
-        series has not ended through one matrix product into ``part``, which
-        the propagator keeps: one allocated per call faulted its pages in on
-        every window.  The term buffer stays per call, as its pages then serve
-        the caller's temporaries between windows, where a kept one would add
-        to the peak memory.  The returned rows are a new array, so a caller
-        may keep them.
+        The recursion runs on the packed layout of ``2 A``, in buffers the
+        operator allocates, and the rows are unpacked once at the end.  The
+        terms go into a fixed buffer of ``TERM_BUFFER`` rows.  Each full
+        buffer is added into the rows whose series has not ended through one
+        matrix product into ``part``, which the propagator keeps: one
+        allocated per call faulted its pages in on every window.  The term
+        buffer stays per call, as its pages then serve the caller's
+        temporaries between windows, where a kept one would add to the peak
+        memory.  The returned rows are a new array, so a caller may keep them.
         """
         two_a = self._two_a
         rows, n_terms = coef.shape
-        packed = two_a.pack(psi)
         if self._part.shape[0] < rows:
-            self._part = np.empty((rows, packed.size), dtype=complex)
+            self._part = two_a.empty_packed(rows)
         part = self._part[:rows]
-        out = np.zeros((rows, packed.size), dtype=complex)
-        terms = np.empty((min(TERM_BUFFER, n_terms), packed.size), dtype=complex)
-        terms[0] = packed
+        out = two_a.empty_packed(rows)
+        out[:] = 0.0
+        terms = two_a.empty_packed(min(TERM_BUFFER, n_terms))
+        terms[0] = two_a.pack(psi)
         two_a.step(terms[0], None, out=terms[1])
         terms[1] *= 0.5
         for k in range(n_terms):

@@ -1,9 +1,10 @@
 """Eigenvalue spectra versus field, pair-correlation labels and avoided crossings.
 
 Levels are tracked across the field grid by maximal eigenvector overlap
-(sorted-index continuity mixes branches near an anticrossing); gap minima of
-energy-adjacent tracked pairs are reported as avoided crossings, with
-near-degenerate minima split out as true crossings.
+(sorted-index continuity mixes branches near an anticrossing) while the grid
+is solved, so no slice keeps its eigenvectors; gap minima of energy-adjacent
+tracked pairs are reported as avoided crossings, with near-degenerate minima
+split out as true crossings.
 """
 
 from __future__ import annotations
@@ -27,14 +28,30 @@ TRUE_CROSSING_TOL = 1e-8
 OVERLAP_MIN = 0.5
 
 
+@dataclass(frozen=True)
+class AmbiguousSegment:
+    """Grid interval where eigenvector overlap was too small to track a level."""
+
+    f_from: float
+    f_to: float
+    track: int
+    overlap: float
+
+
 @dataclass
 class SpectrumSlice:
-    """Eigenpairs of one field value, optionally restricted to an energy window."""
+    """Eigenvalues of one field value, optionally restricted to an energy window.
+
+    ``level_ids`` are the persistent ids of the levels, tracked from the
+    previous slice of the grid; ``ambiguous`` lists the levels whose step
+    into this slice had an overlap below ``OVERLAP_MIN``.
+    """
 
     field: float
     energies: np.ndarray
     correlations: np.ndarray
-    vectors: np.ndarray
+    level_ids: np.ndarray
+    ambiguous: tuple[AmbiguousSegment, ...] = ()
 
 
 def _csr(h: PairHamiltonian) -> sparse.csr_array:
@@ -72,11 +89,14 @@ def spectrum_vs_field(
     """Diagonalize the driven chain on a grid of field values.
 
     Small problems (or no window) are solved densely; large windowed ones use
-    sparse shift-invert around the window center.
+    sparse shift-invert around the window center.  Levels are tracked as the
+    slices are produced, so at most two slices' eigenvectors are alive at once.
     """
     basis = build_basis(params.n_sites)
     sep = separations(basis)
-    slices = []
+    slices: list[SpectrumSlice] = []
+    previous = None  # eigenvectors of the last slice, all that tracking the next one needs
+    next_id = 0
     for f in np.asarray(f_values, dtype=float):
         h = build_hamiltonian(replace(params, field=float(f)), basis)
         if window is None or basis.dim <= dense_limit:
@@ -87,7 +107,13 @@ def spectrum_vs_field(
         else:
             vals, vecs = _window_eigenpairs(h, window, k_start)
         corr = sep @ (np.abs(vecs) ** 2)
-        slices.append(SpectrumSlice(field=float(f), energies=vals, correlations=corr, vectors=vecs))
+        if previous is None:
+            ids, ambiguous = np.arange(vals.size), ()
+            next_id = vals.size
+        else:
+            ids, ambiguous, next_id = _track_levels(slices[-1], previous, float(f), vecs, next_id)
+        slices.append(SpectrumSlice(float(f), vals, corr, ids, ambiguous))
+        previous = vecs
     return slices
 
 
@@ -109,16 +135,6 @@ class AvoidedCrossing:
     classification: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class AmbiguousSegment:
-    """Grid interval where eigenvector overlap was too small to track a level."""
-
-    f_from: float
-    f_to: float
-    track: int
-    overlap: float
-
-
 @dataclass
 class CrossingScan:
     """Tracked levels plus every detected gap minimum."""
@@ -129,31 +145,32 @@ class CrossingScan:
     track_ids: list[np.ndarray]
 
 
-def _track_levels(slices: list[SpectrumSlice]):
-    """Assign persistent ids to levels by maximal-overlap matching."""
-    ids = [np.arange(slices[0].energies.size)]
-    next_id = slices[0].energies.size
-    ambiguous: list[AmbiguousSegment] = []
-    for a, b in zip(slices[:-1], slices[1:]):
-        overlap = np.abs(a.vectors.conj().T @ b.vectors)
-        rows, cols = linear_sum_assignment(-overlap)
-        new_ids = np.full(b.energies.size, -1)
-        for r, c in zip(rows, cols):
-            new_ids[c] = ids[-1][r]
-            if overlap[r, c] < OVERLAP_MIN:
-                ambiguous.append(
-                    AmbiguousSegment(
-                        f_from=a.field,
-                        f_to=b.field,
-                        track=int(ids[-1][r]),
-                        overlap=float(overlap[r, c]),
-                    )
+def _track_levels(
+    before: SpectrumSlice, before_vectors: np.ndarray, field: float, vectors: np.ndarray, next_id: int
+):
+    """Ids of the levels ``vectors`` at ``field`` by maximal-overlap matching to the slice ``before``.
+
+    Returns the ids, the ambiguous steps and the next unused id; a level
+    left unmatched gets a new id.
+    """
+    overlap = np.abs(before_vectors.conj().T @ vectors)
+    rows, cols = linear_sum_assignment(-overlap)
+    ids = np.full(vectors.shape[1], -1)
+    ambiguous = []
+    for r, c in zip(rows, cols):
+        ids[c] = before.level_ids[r]
+        if overlap[r, c] < OVERLAP_MIN:
+            ambiguous.append(
+                AmbiguousSegment(
+                    f_from=before.field,
+                    f_to=field,
+                    track=int(before.level_ids[r]),
+                    overlap=float(overlap[r, c]),
                 )
-        for c in np.nonzero(new_ids < 0)[0]:
-            new_ids[c] = next_id
-            next_id += 1
-        ids.append(new_ids)
-    return ids, ambiguous
+            )
+    unmatched = np.nonzero(ids < 0)[0]
+    ids[unmatched] = np.arange(next_id, next_id + unmatched.size)
+    return ids, tuple(ambiguous), next_id + unmatched.size
 
 
 def detect_avoided_crossings(
@@ -169,7 +186,8 @@ def detect_avoided_crossings(
     """
     if len(slices) < 3:
         raise ValueError("crossing detection needs at least 3 field slices")
-    ids, ambiguous = _track_levels(slices)
+    ids = [slc.level_ids for slc in slices]
+    ambiguous = [segment for slc in slices for segment in slc.ambiguous]
 
     energy_of: list[dict[int, float]] = []
     corr_of: list[dict[int, float]] = []

@@ -252,6 +252,9 @@ class MatrixOperator:
     def scaled(self, shift: float, factor: float) -> "MatrixOperator":
         return MatrixOperator((self.matrix - sparse.identity(self.shape[0]) * shift) * factor)
 
+    def empty_packed(self, rows: int | None = None) -> np.ndarray:
+        return np.empty(self.shape[0] if rows is None else (rows, self.shape[0]), dtype=complex)
+
     def pack(self, states: np.ndarray) -> np.ndarray:
         return states.astype(complex)
 

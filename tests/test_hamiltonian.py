@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from pairquench import ModelParams, build_basis, build_h0, build_hamiltonian, build_stark
+from pairquench import ChebyshevPropagator, ModelParams, build_basis, build_h0, build_hamiltonian, build_stark
+from pairquench.model import CACHE_LINE, PairHamiltonian, aligned_array
 from pairquench.propagation import spectral_bounds
 from pairquench.spectrum import _csr
 
@@ -170,10 +171,11 @@ def test_operator_keeps_the_ghosts_of_packed_states_zero():
         d = basis.j - basis.i
         fold = d > n // 2
         rows, cols = np.where(fold, n - d, d) + 1, np.where(fold, n + 1 - basis.i, basis.i - 1)
-        assert np.array_equal(hop.slots, rows * (n + 2) + cols)
+        assert hop.stride >= n + 2 and hop.stride % 4 == 0  # whole cache lines of complex cells
+        assert np.array_equal(hop.slots, rows * hop.stride + cols)
         rng = np.random.default_rng(n)
         x, prev = (h.pack(rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)) for _ in range(2))
-        assert x.size == (n // 2 + 3) * (n + 2)
+        assert x.size == (n // 2 + 3) * hop.stride
         inputs = x.copy(), prev.copy()
         out = h.step(x, prev, np.full_like(x, np.nan))
         zero = np.ones(x.size, dtype=bool)
@@ -182,6 +184,45 @@ def test_operator_keeps_the_ghosts_of_packed_states_zero():
         assert np.array_equal(out[hop.halo], out[hop.mirror]), params
         assert np.array_equal(x, inputs[0]) and np.array_equal(prev, inputs[1])
         assert np.max(np.abs(h.unpack(out) - (h @ h.unpack(x) - h.unpack(prev)))) < 1e-14
+
+
+def _on_cache_lines(*blocks) -> bool:
+    return all(row.ctypes.data % CACHE_LINE == 0 for block in blocks for row in np.atleast_2d(block))
+
+
+@pytest.mark.parametrize("n", [6, 15, 111])
+def test_packed_buffers_start_on_cache_lines(n, monkeypatch):
+    basis = build_basis(n)
+    h = build_hamiltonian(ModelParams(n, kappa=1.0, u=-6.24, v=-6.24, field=-0.09712), basis)
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    psi /= np.linalg.norm(psi)
+    assert _on_cache_lines(h.pack(psi), h.pack(np.stack([psi, 2 * psi, 3 * psi])), h._scratch, *h._packed_terms)
+
+    # every buffer of the recursion comes from the operator, row by row on cache lines
+    prop = ChebyshevPropagator(h)
+    assert _on_cache_lines(prop._two_a._scratch, *prop._two_a._packed_terms)
+    made = []
+
+    def recorded(rows=None):
+        made.append(PairHamiltonian.empty_packed(prop._two_a, rows))
+        return made[-1]
+
+    monkeypatch.setattr(prop._two_a, "empty_packed", recorded)
+    prop.advance(psi, 2.0, [0.5, 1.0])
+    assert len(made) == 3 and _on_cache_lines(*made)  # the kept block products, the sums, the terms
+
+    # alignment changes only the speed: a step on copies 16 bytes past a cache line is bitwise the same
+    def off_line(packed):
+        copy = aligned_array(packed.size + 1)[1:]
+        copy[:] = packed
+        return copy
+
+    x, prev = h.pack(psi), h.pack(psi[::-1].copy())
+    aligned = h.step(x, prev, h.empty_packed()).copy()
+    shifted = h.step(off_line(x), off_line(prev), off_line(np.full_like(x, np.nan)))
+    assert shifted.ctypes.data % CACHE_LINE == 16
+    assert shifted.tobytes() == aligned.tobytes()
 
 
 @pytest.mark.parametrize("n", [111, 112])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,16 @@ def test_zero_hopping_levels_are_linear_with_integer_slopes():
     basis = build_basis(3)
     f_a, f_b = -4.0, -3.9
     slice_a, slice_b = spectrum_vs_field([f_a, f_b], params)
-    # diagonal Hamiltonian: each configuration is an eigenstate with slope i+j
-    for idx, (i, j) in enumerate(zip(basis.i, basis.j)):
-        e_a = slice_a.energies[np.argmax(np.abs(slice_a.vectors[idx, :]))]
-        e_b = slice_b.energies[np.argmax(np.abs(slice_b.vectors[idx, :]))]
+    # diagonal Hamiltonian: each configuration (i, j) is an eigenstate with
+    # slope i + j and separation j - i, which identify it
+    found = []
+    for level_id, e_a, rbar in zip(slice_a.level_ids, slice_a.energies, slice_a.correlations):
+        e_b = slice_b.energies[list(slice_b.level_ids).index(level_id)]
         slope = (e_b - e_a) / (f_b - f_a)
-        assert slope == pytest.approx(i + j, abs=1e-9)
+        assert slope == pytest.approx(round(slope), abs=1e-9)
+        assert rbar == pytest.approx(round(rbar), abs=1e-12)
+        found.append((round(slope), round(rbar)))
+    assert sorted(found) == sorted(zip((basis.i + basis.j).tolist(), (basis.j - basis.i).tolist()))
 
 
 def test_classify_pair_dominated_level():
@@ -55,7 +61,7 @@ def test_classify_extended_scattering_state():
         field=0.0,
         energies=np.array([energy]),
         correlations=np.array([rbar]),
-        vectors=psi[:, np.newaxis],
+        level_ids=np.array([0]),
     )
     assert classify_levels(slc) == ["uncorrelated"]
     assert 2.0 < rbar < n / 2
@@ -119,3 +125,21 @@ def test_windowed_scan_matches_dense():
 def test_detection_needs_three_slices():
     with pytest.raises(ValueError):
         detect_avoided_crossings(spectrum_vs_field([-3.0, -2.9], THREE_SITE))
+
+
+def test_unwindowed_scan_keeps_two_slices_of_eigenvectors():
+    # levels are tracked while the grid is solved, so more fields add only
+    # their eigenvalues, not one dim x dim eigenvector matrix each
+    params = ModelParams(24, kappa=1.0, u=-6.24, v=-6.24)
+    dim = build_basis(params.n_sites).dim
+    peaks = {}
+    for f_count in (3, 21):
+        tracemalloc.start()
+        try:
+            spectrum_vs_field(np.linspace(-0.3, -0.1, f_count), params)
+            peaks[f_count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the eigenvalues, correlations and ids of 18 more fields are about a fifth of one matrix
+    matrix = dim * dim * 8
+    assert peaks[21] < peaks[3] + matrix / 2, (peaks, matrix)
