@@ -20,7 +20,6 @@ from .model import (
 from .propagation import (
     ChebyshevPropagator,
     PropagationAccuracyError,
-    SpectralPropagator,
 )
 from .quench import (
     IncompleteBandError,
@@ -60,7 +59,6 @@ __all__ = [
     "QuenchTrajectory",
     "QuenchWorkspace",
     "SingularParameterError",
-    "SpectralPropagator",
     "SweepResult",
     "TwoBosonBasis",
     "WavePacketSpec",

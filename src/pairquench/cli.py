@@ -351,9 +351,6 @@ def _run_three_site(config, out: Path, args) -> list[str]:
             zip(times, analytic, pair_loss, unpair),
         )
         outputs.append(name)
-    if args.emit_plots:
-        reporting.write_gnuplot(out / "three_site.gp", "three-site", outputs[0])
-        outputs.append("three_site.gp")
     return outputs
 
 
@@ -361,11 +358,7 @@ def _run_band(config, out: Path, args) -> list[str]:
     model = config["model"]
     band = band_scan(model["kappa"], model["u"], model["n_sites"])
     reporting.write_band_csv(out / "band.csv", band)
-    outputs = ["band.csv"]
-    if args.emit_plots:
-        reporting.write_gnuplot(out / "band.gp", "band", "band.csv")
-        outputs.append("band.gp")
-    return outputs
+    return ["band.csv"]
 
 
 def _run_spectrum(config, out: Path, args) -> list[str]:
@@ -381,13 +374,9 @@ def _run_spectrum(config, out: Path, args) -> list[str]:
     r_threshold = section.get("r_threshold", 1.0)
     labels = [spectrum.classify_levels(s, r_threshold) for s in slices]
     scan = spectrum.detect_avoided_crossings(slices, r_threshold=r_threshold)
-    reporting.write_spectrum_csv(out / "spectrum.csv", slices, labels, scan.track_ids)
+    reporting.write_spectrum_csv(out / "spectrum.csv", slices, labels)
     reporting.write_json(out / "crossings.json", reporting.crossing_payload(scan))
-    outputs = ["spectrum.csv", "crossings.json"]
-    if args.emit_plots:
-        reporting.write_gnuplot(out / "spectrum.gp", "spectrum", "spectrum.csv")
-        outputs.append("spectrum.gp")
-    return outputs
+    return ["spectrum.csv", "crossings.json"]
 
 
 def _run_quench(config, out: Path, args) -> list[str]:
@@ -397,11 +386,7 @@ def _run_quench(config, out: Path, args) -> list[str]:
     times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
     trajectory = run_quench(workspace, params.field, times)
     reporting.write_trajectory_csv(out / "trajectory.csv", trajectory)
-    outputs = ["trajectory.csv"]
-    if args.emit_plots:
-        reporting.write_gnuplot(out / "quench.gp", "quench", "trajectory.csv")
-        outputs.append("quench.gp")
-    return outputs
+    return ["trajectory.csv"]
 
 
 def _run_sweep(config, out: Path, args) -> list[str]:
@@ -425,11 +410,7 @@ def _run_sweep(config, out: Path, args) -> list[str]:
             "failures": [{"F": f, "error": msg} for f, msg in sweep.failures],
         },
     )
-    outputs = ["sweep.csv", "sweep_period.json"]
-    if args.emit_plots:
-        reporting.write_gnuplot(out / "sweep.gp", "sweep", "sweep.csv")
-        outputs.append("sweep.gp")
-    return outputs
+    return ["sweep.csv", "sweep_period.json"]
 
 
 _RUNNERS = {
@@ -480,6 +461,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    if args.emit_plots:
+        script = args.experiment.replace("-", "_") + ".gp"
+        reporting.write_gnuplot(out / script, args.experiment, outputs[0])
+        outputs.append(script)
     reporting.write_json(
         out / "manifest.json",
         {

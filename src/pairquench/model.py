@@ -372,7 +372,7 @@ def build_h0(params: ModelParams, basis: TwoBosonBasis) -> PairHamiltonian:
 
 def build_stark(field: float, basis: TwoBosonBasis) -> np.ndarray:
     """Linear-potential term: the diagonal ``field * (i + j)`` per configuration."""
-    return field * site_sums(basis)
+    return field * (basis.i + basis.j)
 
 
 def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis) -> PairHamiltonian:
@@ -386,8 +386,3 @@ def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis) -> PairHamilton
 def separations(basis: TwoBosonBasis) -> np.ndarray:
     """Particle separation j - i per configuration (0 for a same-site pair)."""
     return (basis.j - basis.i).astype(float)
-
-
-def site_sums(basis: TwoBosonBasis) -> np.ndarray:
-    """Sum of occupied site labels i + j per configuration."""
-    return (basis.i + basis.j).astype(float)

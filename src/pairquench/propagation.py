@@ -3,10 +3,9 @@
 Every quench and sweep point runs on one engine, the Chebyshev polynomial
 expansion of ``exp(-iHt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
 (1984)): one operator product per term, truncation controlled by ``tol``, on
-the Gershgorin interval of ``H``, which contains the spectrum by theorem.  The
-dense spectral decomposition is kept as the exact reference and for the
-three-site model.  Both are deterministic.  The expansion coefficients are
-the Bessel values ``J_k(z)``, computed by Miller's backward recurrence
+the Gershgorin interval of ``H``, which contains the spectrum by theorem.  It
+is deterministic.  The expansion coefficients are the Bessel values
+``J_k(z)``, computed by Miller's backward recurrence
 ``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised by ``J_0 + 2 sum_k J_{2k} = 1``
 (Numerical Recipes, ``bessj``).
 
@@ -79,26 +78,6 @@ def _bessel_j(n_max: int, z: float) -> np.ndarray:
             value *= 1e-250
             out[k - 1 :] *= 1e-250
     return out / (out[0] + 2.0 * out[2::2].sum())
-
-
-class SpectralPropagator:
-    """Exact evolution through a dense eigendecomposition of ``h``, which it keeps.
-
-    ``h`` is an array or has ``toarray()``.
-    """
-
-    def __init__(self, h):
-        self.h = h
-        dense = h.toarray() if hasattr(h, "toarray") else np.asarray(h, dtype=float)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
-
-    def samples(self, psi0: np.ndarray, times):
-        """States at strictly increasing ``times`` >= 0, ``SAMPLE_BLOCK`` rows per block."""
-        times = _sample_times(times)
-        coef = self.eigenvectors.T @ psi0
-        for start in range(0, times.size, SAMPLE_BLOCK):
-            phases = np.exp(-1j * np.outer(times[start : start + SAMPLE_BLOCK], self.eigenvalues))
-            yield (phases * coef) @ self.eigenvectors.T
 
 
 def spectral_bounds(h) -> tuple[float, float]:

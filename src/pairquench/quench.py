@@ -134,11 +134,11 @@ def evolve(
 ) -> QuenchTrajectory:
     """Evolve ``psi0`` under ``propagator.h``, sampling observables.
 
-    ``propagator`` is a ``ChebyshevPropagator`` or the exact
-    ``SpectralPropagator`` of a time-independent Hamiltonian.  ``times`` must
-    be strictly increasing and start at 0.  ``h0`` is the field-free
-    Hamiltonian entering the energy observable; ``bound`` projects onto the
-    bound band for the transfer rate.
+    ``propagator`` is a ``ChebyshevPropagator``, or any object with its ``h``
+    and ``samples(psi0, times)``, such as an exact reference of a
+    time-independent Hamiltonian.  ``times`` must be strictly increasing and
+    start at 0.  ``h0`` is the field-free Hamiltonian entering the energy
+    observable; ``bound`` projects onto the bound band for the transfer rate.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
@@ -293,6 +293,8 @@ def sweep_transfer(
     Grid points are independent; failures of single points are recorded and
     the sweep continues.  Output ordering follows the input grid, so results
     are identical regardless of ``workers`` (at most one per grid point and CPU).
+    The period is estimated only when every grid point succeeded, since the
+    autocorrelation assumes one field step between neighbouring values.
     """
     f_values = np.asarray(f_values, dtype=float)
     if t_final <= 0:
@@ -319,9 +321,8 @@ def sweep_transfer(
                     transfer[idx] = fut.result()
                 except Exception as exc:
                     failures.append((float(f_values[idx]), str(exc)))
-    good = np.isfinite(transfer)
-    if good.sum() >= 6 and f_values.size >= 2:
-        period = estimate_period(transfer[good], step=float(abs(f_values[1] - f_values[0])))
+    if f_values.size >= 6 and np.isfinite(transfer).all():
+        period = estimate_period(transfer, step=float(abs(f_values[1] - f_values[0])))
     else:
         period = PeriodEstimate(period=None, uncertainty=None, lag=None, strength=0.0)
     return SweepResult(

@@ -61,10 +61,10 @@ def write_sweep_csv(path: Path, sweep) -> None:
     write_csv(path, ["F", "transfer_tf"], rows)
 
 
-def write_spectrum_csv(path: Path, slices, labels_per_slice, ids_per_slice) -> None:
+def write_spectrum_csv(path: Path, slices, labels_per_slice) -> None:
     rows = []
-    for slc, labels, ids in zip(slices, labels_per_slice, ids_per_slice):
-        for level_id, energy, rbar, label in zip(ids, slc.energies, slc.correlations, labels):
+    for slc, labels in zip(slices, labels_per_slice):
+        for level_id, energy, rbar, label in zip(slc.level_ids, slc.energies, slc.correlations, labels):
             rows.append((slc.field, str(int(level_id)), energy, rbar, label))
     write_csv(path, ["F", "level_id", "energy", "rbar", "label"], rows)
 

@@ -117,12 +117,14 @@ def spectrum_vs_field(
     return slices
 
 
+def _label(rbar: float, r_threshold: float) -> str:
+    """Correlated (pair-like) up to a mean separation of ``r_threshold``, else uncorrelated."""
+    return LABEL_CORRELATED if rbar <= r_threshold else LABEL_UNCORRELATED
+
+
 def classify_levels(slc: SpectrumSlice, r_threshold: float = 1.0) -> list[str]:
     """Label each level correlated (pair-like) or uncorrelated by its mean separation."""
-    return [
-        LABEL_CORRELATED if r <= r_threshold else LABEL_UNCORRELATED
-        for r in slc.correlations
-    ]
+    return [_label(r, r_threshold) for r in slc.correlations]
 
 
 @dataclass(frozen=True)
@@ -137,12 +139,11 @@ class AvoidedCrossing:
 
 @dataclass
 class CrossingScan:
-    """Tracked levels plus every detected gap minimum."""
+    """Every detected gap minimum of the tracked levels, and the ambiguous tracking steps."""
 
     avoided: list[AvoidedCrossing]
     true_crossings: list[AvoidedCrossing]
     ambiguous: list[AmbiguousSegment]
-    track_ids: list[np.ndarray]
 
 
 def _track_levels(
@@ -186,19 +187,17 @@ def detect_avoided_crossings(
     """
     if len(slices) < 3:
         raise ValueError("crossing detection needs at least 3 field slices")
-    ids = [slc.level_ids for slc in slices]
     ambiguous = [segment for slc in slices for segment in slc.ambiguous]
 
     energy_of: list[dict[int, float]] = []
     corr_of: list[dict[int, float]] = []
-    for slc, slice_ids in zip(slices, ids):
-        energy_of.append(dict(zip(slice_ids.tolist(), slc.energies.tolist())))
-        corr_of.append(dict(zip(slice_ids.tolist(), slc.correlations.tolist())))
+    for slc in slices:
+        energy_of.append(dict(zip(slc.level_ids.tolist(), slc.energies.tolist())))
+        corr_of.append(dict(zip(slc.level_ids.tolist(), slc.correlations.tolist())))
 
     pairs: set[tuple[int, int]] = set()
-    for slc, slice_ids in zip(slices, ids):
-        order = np.argsort(slc.energies)
-        sorted_ids = slice_ids[order]
+    for slc in slices:
+        sorted_ids = slc.level_ids[np.argsort(slc.energies)]
         for x, y in zip(sorted_ids[:-1], sorted_ids[1:]):
             pairs.add((min(int(x), int(y)), max(int(x), int(y))))
 
@@ -217,22 +216,15 @@ def detect_avoided_crossings(
                 continue
             if trio[1] <= trio[0] and trio[1] <= trio[2]:
                 scale = max(1.0, abs(energy_of[s][ida]), abs(energy_of[s][idb]))
-                label_a = (
-                    LABEL_CORRELATED if corr_of[s - 1][ida] <= r_threshold else LABEL_UNCORRELATED
-                )
-                label_b = (
-                    LABEL_CORRELATED if corr_of[s - 1][idb] <= r_threshold else LABEL_UNCORRELATED
-                )
+                early = corr_of[s - 1]
                 event = AvoidedCrossing(
                     f_center=slices[s].field,
                     gap=float(trio[1]),
                     level_pair=(ida, idb),
-                    classification=(label_a, label_b),
+                    classification=(_label(early[ida], r_threshold), _label(early[idb], r_threshold)),
                 )
                 if trio[1] <= TRUE_CROSSING_TOL * scale:
                     exact.append(event)
                 else:
                     avoided.append(event)
-    return CrossingScan(
-        avoided=avoided, true_crossings=exact, ambiguous=ambiguous, track_ids=ids
-    )
+    return CrossingScan(avoided=avoided, true_crossings=exact, ambiguous=ambiguous)

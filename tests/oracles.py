@@ -8,7 +8,8 @@ of the two-particle sector alone, so it reaches lattices whose product space
 is out of reach.  The loop builders enumerate configurations one at a time
 into a dict index and keep the element-by-element arithmetic the array code
 must reproduce.  ``MatrixOperator`` puts any matrix behind the operator
-interface of the propagators.
+interface of the propagators, and ``SpectralPropagator`` is the exact dense
+reference the tests pass to ``evolve`` in place of the Chebyshev engine.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 from pairquench.bound_band import BandStructure, BoundState, _decay_roots, _on_site_amplitude
-from pairquench.propagation import ChebyshevPropagator
+from pairquench.propagation import SAMPLE_BLOCK, ChebyshevPropagator, _sample_times
 from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
 from pairquench.three_site import _guard
 
@@ -270,6 +271,26 @@ class MatrixOperator:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
+
+
+class SpectralPropagator:
+    """Exact evolution through a dense eigendecomposition of ``h``, which it keeps.
+
+    ``h`` is an array or has ``toarray()``.
+    """
+
+    def __init__(self, h):
+        self.h = h
+        dense = h.toarray() if hasattr(h, "toarray") else np.asarray(h, dtype=float)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
+
+    def samples(self, psi0: np.ndarray, times):
+        """States at strictly increasing ``times`` >= 0, ``SAMPLE_BLOCK`` rows per block."""
+        times = _sample_times(times)
+        coef = self.eigenvectors.T @ psi0
+        for start in range(0, times.size, SAMPLE_BLOCK):
+            phases = np.exp(-1j * np.outer(times[start : start + SAMPLE_BLOCK], self.eigenvalues))
+            yield (phases * coef) @ self.eigenvectors.T
 
 
 def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float) -> np.ndarray:

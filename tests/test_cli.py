@@ -517,6 +517,19 @@ def test_three_site_run_writes_expected_artifacts(tmp_path):
     assert (out / "three_site.gp").exists()
 
 
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_emit_plots_writes_one_script_after_the_data(tmp_path, experiment):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIGS[experiment])
+    out = tmp_path / "out"
+    assert run([experiment, "--config", cfg, "--out", out, "--emit-plots"]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    script = experiment.replace("-", "_") + ".gp"
+    assert [p.name for p in out.glob("*.gp")] == [script]
+    assert outputs[-1] == script and outputs[0].endswith(".csv")
+    assert f'"{outputs[0]}"' in (out / script).read_text()
+
+
 def test_quench_run_and_manifest(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_QUENCH)

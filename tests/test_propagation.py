@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from oracles import MatrixOperator, loop_chebyshev_advance
+from oracles import MatrixOperator, SpectralPropagator, loop_chebyshev_advance
 from pairquench import (
     ChebyshevPropagator,
     ModelParams,
     PropagationAccuracyError,
-    SpectralPropagator,
     build_basis,
     build_h0,
     build_hamiltonian,

@@ -11,7 +11,6 @@ from pairquench import (
     IncompleteBandError,
     ModelParams,
     QuenchWorkspace,
-    SpectralPropagator,
     WavePacketSpec,
     band_scan,
     build_basis,
@@ -26,7 +25,7 @@ from pairquench import (
 from pairquench import quench
 from pairquench.model import separations
 
-from oracles import bound_state_realspace, dense_bound_weight, energy_distribution
+from oracles import SpectralPropagator, bound_state_realspace, dense_bound_weight, energy_distribution
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +262,25 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
         sweep_transfer(small_workspace, [0.0, -0.1], t_final=50.0)
     with pytest.raises(ValueError):
         sweep_transfer(small_workspace, f_values, t_final=-1.0)
+
+
+def test_sweep_period_needs_every_grid_point(monkeypatch):
+    # a curve of period 0.0015 on the default 61-point grid; with every other point
+    # failing, the surviving points are two field steps apart
+    f_values = -0.0995 + 7.5e-5 * np.arange(61)
+    failing = set()
+
+    def point(field_value, ctx):
+        if int(round((field_value - f_values[0]) / 7.5e-5)) in failing:
+            raise RuntimeError("synthetic failure")
+        return 0.5 + 0.4 * np.cos(2.0 * np.pi * field_value / 0.0015)
+
+    monkeypatch.setattr(quench, "_sweep_point", point)
+    assert sweep_transfer(None, f_values, t_final=1.0).period.period == pytest.approx(0.0015)
+    failing.update(range(1, 61, 2))
+    gapped = sweep_transfer(None, f_values, t_final=1.0)
+    assert len(gapped.failures) == 30
+    assert gapped.period.period is None
 
 
 @pytest.fixture

@@ -77,7 +77,7 @@ def test_single_avoided_crossing_of_top_levels():
     top_pairs = []
     for event in scan.avoided:
         idx = int(np.argmin(np.abs(fields - event.f_center)))
-        ids = scan.track_ids[idx]
+        ids = slices[idx].level_ids
         order = np.argsort(slices[idx].energies)
         top_two = {int(ids[order[-1]]), int(ids[order[-2]])}
         if set(event.level_pair) == top_two:
@@ -102,8 +102,7 @@ def test_zero_hopping_exact_crossing_reported():
 def test_tracked_level_swaps_character_through_crossing():
     fields = np.arange(-4.0, -2.0 + 1e-9, 0.05)
     slices = spectrum_vs_field(fields, THREE_SITE)
-    scan = detect_avoided_crossings(slices)
-    first_ids, last_ids = scan.track_ids[0], scan.track_ids[-1]
+    first_ids, last_ids = slices[0].level_ids, slices[-1].level_ids
     top_track = int(first_ids[np.argmax(slices[0].energies)])
     r_start = slices[0].correlations[list(first_ids).index(top_track)]
     r_end = slices[-1].correlations[list(last_ids).index(top_track)]

@@ -12,7 +12,7 @@ from pairquench import (
 )
 from pairquench.model import separations
 
-from oracles import pair_unpair_hamiltonian
+from oracles import SpectralPropagator, pair_unpair_hamiltonian
 
 KAPPA = 0.4
 U = -6.0
@@ -114,6 +114,18 @@ def test_exact_detuned_pair_stays_paired():
     times = np.arange(0.0, 200.0, 0.01)
     _, unpair_weight = exact_pair_dynamics(params, times)
     assert unpair_weight.max() < 0.01
+
+
+@pytest.mark.parametrize("field", [-3.0, -1.0])
+def test_closed_form_matches_spectral_propagator(field):
+    params = ModelParams(3, kappa=KAPPA, u=U, v=U, field=field)
+    basis = build_basis(3)
+    times = np.arange(0.0, 100.0 + 0.025, 0.05)
+    prop = SpectralPropagator(build_hamiltonian(params, basis))
+    psi_t = np.vstack(list(prop.samples(basis.unit_state(1, 1), times)))
+    pair_loss, unpair_weight = exact_pair_dynamics(params, times)
+    assert np.max(np.abs(pair_loss - (1.0 - np.abs(psi_t[:, basis.rank(1, 1)]) ** 2))) < 1e-14
+    assert np.max(np.abs(unpair_weight - np.abs(psi_t[:, basis.rank(1, 3)]) ** 2)) < 1e-14
 
 
 def test_exact_dynamics_requires_three_sites():
