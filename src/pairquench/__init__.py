@@ -8,7 +8,6 @@ from .bound_band import (
     solve_bound_states,
 )
 from .model import (
-    Boundary,
     ModelParams,
     PairHamiltonian,
     TwoBosonBasis,
@@ -33,7 +32,6 @@ from .quench import (
     prepare_wavepacket,
     run_quench,
     sweep_transfer,
-    transfer_rate,
 )
 from .three_site import (
     EffectiveConstants,
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandStructure",
     "BoundState",
-    "Boundary",
     "ChebyshevPropagator",
     "EffectiveConstants",
     "IncompleteBandError",
@@ -77,5 +74,4 @@ __all__ = [
     "solve_bound_states",
     "sweep_transfer",
     "transfer_probability",
-    "transfer_rate",
 ]

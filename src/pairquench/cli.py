@@ -29,11 +29,6 @@ EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 #: most sample times, sweep fields, spectrum fields or basis states one run may ask for
 MAX_POINTS = 10**6
 
-#: most basis states of a spectrum without a window, which diagonalises the dense
-#: dim x dim matrix of every field (the ``dense_limit`` of ``spectrum_vs_field``:
-#: 31 MiB per matrix at the largest lattice, 63 sites; 3.3 GB at 201 sites)
-MAX_DENSE_STATES = 2048
-
 
 def _sites(raw: str) -> int:
     value = int(raw)
@@ -290,8 +285,10 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
         problems.append(
             f"invalid value for [model] n_sites: {n_sites} (more than {MAX_POINTS} two-boson states)"
         )
-    elif experiment == "spectrum" and states is not None and states > MAX_DENSE_STATES:
-        if not {"window_lo", "window_hi"} <= config.get("spectrum", {}).keys():
+    elif experiment == "spectrum" and states is not None:
+        from .spectrum import MAX_DENSE_STATES  # a spectrum run loads the module anyway
+
+        if states > MAX_DENSE_STATES and not {"window_lo", "window_hi"} <= config.get("spectrum", {}).keys():
             problems.append(
                 f"invalid value for [model] n_sites: {n_sites} (more than {MAX_DENSE_STATES} two-boson "
                 "states, which a spectrum without [spectrum] window_lo and window_hi diagonalises densely)"

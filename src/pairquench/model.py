@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -39,20 +38,13 @@ def aligned_array(shape, alloc=np.empty) -> np.ndarray:
     return raw[start : start + nbytes].view(complex).reshape(shape)
 
 
-class Boundary(str, Enum):
-    OPEN = "open"
-    RING = "ring"
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters of the chain.
+    """Physical parameters of the open chain.
 
     ``kappa`` is the hopping amplitude, ``u`` the on-site interaction, ``v``
     the nearest-neighbour interaction and ``field`` the strength of the
-    linear potential ``field * sum_j j n_j`` (site labels start at 1).  A
-    linear potential has no consistent meaning on a ring, so ``field`` must
-    vanish for ring boundary conditions.
+    linear potential ``field * sum_j j n_j`` (site labels start at 1).
     """
 
     n_sites: int
@@ -60,19 +52,12 @@ class ModelParams:
     u: float
     v: float = 0.0
     field: float = 0.0
-    boundary: Boundary = Boundary.OPEN
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary", Boundary(self.boundary))
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         if self.kappa < 0:
             raise ValueError(f"hopping amplitude must be non-negative, got {self.kappa}")
-        if self.boundary is Boundary.RING:
-            if self.field != 0.0:
-                raise ValueError("a linear field is incompatible with ring boundary conditions")
-            if self.n_sites < 3:
-                raise ValueError("ring boundary needs at least 3 sites")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +83,6 @@ class TwoBosonBasis:
             raise ValueError(f"not a configuration 1 <= i <= j <= {self.n_sites}: ({i}, {j})")
         k = (i - 1) * (2 * self.n_sites + 2 - i) // 2 + (j - i)
         return int(k) if k.ndim == 0 else k
-
-    def unit_state(self, i: int, j: int) -> np.ndarray:
-        """State vector of the single configuration (i, j)."""
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[self.rank(i, j)] = 1.0
-        return psi
 
 
 def build_basis(n_sites: int) -> TwoBosonBasis:
@@ -131,24 +110,21 @@ class _Hopping:
     lands on a zero cell, and one across the fold seam on a ``halo`` cell that
     carries the value of its ``mirror`` (the halo row, and for even ``n`` the
     back of row ``n // 2``).  ``slots`` is the cell of every configuration;
-    ``wrap`` pairs ``(1, j)`` with ``(j, n)``, joined by the ring bond (empty on
-    the open chain); ``scale`` is ``S``, sqrt(2) on ``(i, i)`` and 1 elsewhere,
-    in basis order; ``weight`` is ``S**2`` on the layout, 0 off the slots.
+    ``scale`` is ``S``, sqrt(2) on ``(i, i)`` and 1 elsewhere, in basis order;
+    ``weight`` is ``S**2`` on the layout, 0 off the slots.
     """
 
     n_sites: int
-    ring: bool
     stride: int
     shifts: tuple[int, int, int, int]
     slots: np.ndarray
     halo: np.ndarray
     mirror: np.ndarray
-    wrap: np.ndarray
     scale: np.ndarray
     weight: np.ndarray
 
     @classmethod
-    def build(cls, basis: TwoBosonBasis, ring: bool) -> "_Hopping":
+    def build(cls, basis: TwoBosonBasis) -> "_Hopping":
         n, i, d = basis.n_sites, basis.i, basis.j - basis.i
         line = CACHE_LINE // np.dtype(complex).itemsize
         w = -(-(n + 2) // line) * line
@@ -167,12 +143,10 @@ class _Hopping:
             mirror.append(homes[lands != homes])
         halo, once = np.unique(np.concatenate(halo), return_index=True)
         mirror = np.concatenate(mirror)[once]
-        sites = np.arange(1, n + 1)
-        wrap = slots[np.stack([basis.rank(1, sites), basis.rank(sites, n)])] if ring else np.empty((2, 0), int)
         scale = np.where(d == 0, SQRT2, 1.0)
         weight = np.zeros((n // 2 + 3) * w)
         weight[slots] = np.where(d == 0, 2.0, 1.0)
-        return cls(n, ring, w, (1 - w, w - 1, -w, w), slots, halo, mirror, wrap, scale, weight)
+        return cls(n, w, (1 - w, w - 1, -w, w), slots, halo, mirror, scale, weight)
 
     def neighbour_sum(self, x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """Sum of a packed state ``x`` over the one-hop neighbours of every cell, into ``out``.
@@ -185,9 +159,6 @@ class _Hopping:
         w, size = self.stride, x.size
         np.add(x[:-1], x[1:], out=pairs[:-1])
         np.add(pairs[: size - 2 * w], pairs[2 * w - 1 : size - 1], out=out[w:-w])
-        if self.ring:
-            out[self.wrap[0]] += x[self.wrap[1]]
-            out[self.wrap[1]] += x[self.wrap[0]]
         return out
 
     def fill_halo(self, packed: np.ndarray) -> np.ndarray:
@@ -207,11 +178,11 @@ class PairHamiltonian:
     applied in the similar form ``S H S^-1`` on ``phi = S psi``, whose hops are
     ``-kappa`` times 2 into ``(i, i)`` and 1 elsewhere, on the folded layout of
     ``_Hopping``: ``(n_sites // 2 + 3) * W`` cells for the padded stride
-    ``W >= n_sites + 2``, in which every hop is a constant shift and the ring
-    bond one gather pair.  ``pack`` and ``unpack`` convert basis-order states;
-    ``step`` works on packed states, which carry the mirror of every halo
-    cell; ``empty_packed`` allocates them.  Every packed buffer the operator
-    allocates starts on a cache line, and so does each of its rows.
+    ``W >= n_sites + 2``, in which every hop is a constant shift.  ``pack``
+    and ``unpack`` convert basis-order states; ``step`` works on packed
+    states, which carry the mirror of every halo cell; ``empty_packed``
+    allocates them.  Every packed buffer the operator allocates starts on a
+    cache line, and so does each of its rows.
 
     Operators from ``add_diagonal`` and ``scaled`` share the hopping tables.
     ``nnz`` counts the elements of the matrix, ``data`` is the diagonal and
@@ -229,10 +200,6 @@ class PairHamiltonian:
     @property
     def n_sites(self) -> int:
         return self._hopping.n_sites
-
-    @property
-    def ring(self) -> bool:
-        return self._hopping.ring
 
     @property
     def data(self) -> np.ndarray:
@@ -334,9 +301,8 @@ class PairHamiltonian:
         owner = np.full(hop.weight.size, -1)
         owner[hop.slots] = np.arange(self.shape[0])
         owner[hop.halo] = owner[hop.mirror]
-        starts = [hop.slots] * 4 + [hop.wrap[0], hop.wrap[1]]
-        lands = [hop.slots + s for s in hop.shifts] + [hop.wrap[1], hop.wrap[0]]
-        rows, cols = owner[np.concatenate(starts)], owner[np.concatenate(lands)]
+        rows = np.tile(owner[hop.slots], 4)
+        cols = owner[np.concatenate([hop.slots + s for s in hop.shifts])]
         kept = cols >= 0  # a hop that lands on a zero cell leaves the basis
         return rows[kept], cols[kept]
 
@@ -361,13 +327,9 @@ class PairHamiltonian:
 
 def build_h0(params: ModelParams, basis: TwoBosonBasis) -> PairHamiltonian:
     """Field-free Hamiltonian: hopping plus on-site and nearest-neighbour interaction."""
-    ring = params.boundary is Boundary.RING
-    i, j = basis.i, basis.j
-    adjacent = j - i == 1
-    if ring:
-        adjacent |= (i == 1) & (j == params.n_sites)
-    diagonal = np.where(i == j, params.u, 0.0) + np.where(adjacent, params.v, 0.0)
-    return PairHamiltonian(_Hopping.build(basis, ring), params.kappa, diagonal)
+    d = basis.j - basis.i
+    diagonal = np.where(d == 0, params.u, 0.0) + np.where(d == 1, params.v, 0.0)
+    return PairHamiltonian(_Hopping.build(basis), params.kappa, diagonal)
 
 
 def build_stark(field: float, basis: TwoBosonBasis) -> np.ndarray:
@@ -376,7 +338,7 @@ def build_stark(field: float, basis: TwoBosonBasis) -> np.ndarray:
 
 
 def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis) -> PairHamiltonian:
-    """Full Hamiltonian including the linear field (open boundary enforced by params)."""
+    """Full Hamiltonian including the linear field."""
     h = build_h0(params, basis)
     if params.field != 0.0:
         h = h.add_diagonal(build_stark(params.field, basis))

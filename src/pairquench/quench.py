@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model
 from .bound_band import BandStructure, BoundProjector, band_scan
-from .model import Boundary, ModelParams, PairHamiltonian, TwoBosonBasis, build_basis, build_h0, build_stark
+from .model import ModelParams, PairHamiltonian, TwoBosonBasis, build_basis, build_h0, build_stark
 from .propagation import ChebyshevPropagator
 
 
@@ -105,11 +105,6 @@ def _expectations(states: np.ndarray, operator: PairHamiltonian) -> np.ndarray:
     return np.array([np.vdot(psi, h_psi).real for psi, h_psi in zip(states, operator @ states)])
 
 
-def transfer_rate(psi: np.ndarray, bound: BoundProjector) -> float:
-    """Total weight of a state on every existing bound-pair state of the band."""
-    return float(bound.weights(psi))
-
-
 @dataclass
 class QuenchTrajectory:
     """Sampled observables along one quench evolution."""
@@ -147,7 +142,7 @@ def evolve(
     # the quench adds a diagonal field to h0, so the total energy costs a
     # diagonal product on top of the field-free energy
     h = propagator.h
-    if (h.n_sites, h.ring, h.kappa) != (h0.n_sites, h0.ring, h0.kappa):
+    if (h.n_sites, h.kappa) != (h0.n_sites, h0.kappa):
         raise ValueError("the quenched Hamiltonian must differ from h0 on the diagonal only")
     field_diag = h.diagonal() - h0.diagonal()
 
@@ -186,7 +181,7 @@ class QuenchWorkspace:
         band = band_scan(params.kappa, params.u, params.n_sites)
         bound = band.bound_matrix(basis)
         psi0 = prepare_wavepacket(packet, band, bound)
-        h0 = build_h0(replace(params, field=0.0, boundary=Boundary.OPEN), basis)
+        h0 = build_h0(replace(params, field=0.0), basis)
         return cls(basis=basis, bound=bound, psi0=psi0, h0=h0)
 
     def hamiltonian(self, field_value: float) -> PairHamiltonian:
@@ -278,7 +273,7 @@ def _sweep_point(field_value: float, ctx: tuple = ()) -> float:
     workspace, t_final = ctx or _WORKER_CTX
     prop = ChebyshevPropagator(workspace.hamiltonian(field_value))
     # t_final positional: benchmarks/probe.py counts matvecs from advance's dt argument
-    return transfer_rate(prop.advance(workspace.psi0, t_final), workspace.bound)
+    return float(workspace.bound.weights(prop.advance(workspace.psi0, t_final)))
 
 
 def sweep_transfer(

@@ -27,6 +27,13 @@ TRUE_CROSSING_TOL = 1e-8
 #: eigenvector overlap below which a tracked level step is reported as ambiguous
 OVERLAP_MIN = 0.5
 
+#: most basis states diagonalised densely: 31 MiB per dim x dim matrix at the
+#: largest lattice, 63 sites (3.3 GB at 201); a windowed scan of more runs shift-invert
+MAX_DENSE_STATES = 2048
+
+#: eigenpairs the first shift-invert solve of a window asks for; doubled until the window is covered
+K_START = 32
+
 
 @dataclass(frozen=True)
 class AmbiguousSegment:
@@ -59,14 +66,14 @@ def _csr(h: PairHamiltonian) -> sparse.csr_array:
     return sparse.csr_array(h.coo(), shape=h.shape)
 
 
-def _window_eigenpairs(h: PairHamiltonian, window: tuple[float, float], k_start: int):
+def _window_eigenpairs(h: PairHamiltonian, window: tuple[float, float]):
     """All eigenpairs inside the window via shift-invert around its center."""
     lo, hi = window
     center = 0.5 * (lo + hi)
     dim = h.shape[0]
     matrix = _csr(h)
     v0 = np.ones(dim) / np.sqrt(dim)
-    k = min(max(k_start, 8), dim - 2)
+    k = min(K_START, dim - 2)
     while True:
         vals, vecs = eigsh(matrix, k=k, sigma=center, v0=v0)
         covered = vals.min() < lo and vals.max() > hi
@@ -82,9 +89,6 @@ def spectrum_vs_field(
     f_values,
     params: ModelParams,
     window: tuple[float, float] | None = None,
-    *,
-    dense_limit: int = 2048,
-    k_start: int = 32,
 ) -> list[SpectrumSlice]:
     """Diagonalize the driven chain on a grid of field values.
 
@@ -99,13 +103,13 @@ def spectrum_vs_field(
     next_id = 0
     for f in np.asarray(f_values, dtype=float):
         h = build_hamiltonian(replace(params, field=float(f)), basis)
-        if window is None or basis.dim <= dense_limit:
+        if window is None or basis.dim <= MAX_DENSE_STATES:
             vals, vecs = np.linalg.eigh(h.toarray())
             if window is not None:
                 keep = (vals >= window[0]) & (vals <= window[1])
                 vals, vecs = vals[keep], vecs[:, keep]
         else:
-            vals, vecs = _window_eigenpairs(h, window, k_start)
+            vals, vecs = _window_eigenpairs(h, window)
         corr = sep @ (np.abs(vecs) ** 2)
         if previous is None:
             ids, ambiguous = np.arange(vals.size), ()

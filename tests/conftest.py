@@ -16,6 +16,8 @@ from pairquench import (
     prepare_wavepacket,
 )
 
+from oracles import loop_build_h0
+
 REF_N = 111
 REF_KAPPA = 1.0
 REF_U = -6.24
@@ -55,9 +57,9 @@ def ref_h0_open(ref_basis):
 
 
 @pytest.fixture(scope="session")
-def ref_h0_ring(ref_basis):
-    params = ModelParams(REF_N, REF_KAPPA, REF_U, REF_U, boundary="ring")
-    return build_h0(params, ref_basis)
+def ref_h0_ring():
+    # the field-free ring whose eigenstates the bound band describes; the package builds the open chain only
+    return loop_build_h0(ModelParams(REF_N, REF_KAPPA, REF_U, REF_U), ring=True)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,10 @@ into a dict index and keep the element-by-element arithmetic the array code
 must reproduce.  ``MatrixOperator`` puts any matrix behind the operator
 interface of the propagators, and ``SpectralPropagator`` is the exact dense
 reference the tests pass to ``evolve`` in place of the Chebyshev engine.
+
+The Hamiltonian builders take ``ring=True`` for the field-free ring, which
+the package does not build: it closes the chain with the bond between sites
+``n`` and 1, and is the operator whose eigenstates the bound band describes.
 """
 
 import numpy as np
@@ -18,7 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from pairquench.bound_band import BandStructure, BoundState, _decay_roots, _on_site_amplitude
 from pairquench.propagation import SAMPLE_BLOCK, ChebyshevPropagator, _sample_times
-from pairquench.model import SQRT2, Boundary, ModelParams, TwoBosonBasis
+from pairquench.model import SQRT2, ModelParams, TwoBosonBasis
 from pairquench.three_site import _guard
 
 _GRID_ATOL = 1e-9
@@ -33,8 +37,23 @@ def _loop_index(n_sites: int) -> dict[tuple[int, int], int]:
     return {p: k for k, p in enumerate(loop_pairs(n_sites))}
 
 
-def _neighbours(site: int, n_sites: int, boundary: Boundary) -> list[int]:
-    if boundary is Boundary.RING:
+def _check_ring(params: ModelParams, ring: bool) -> None:
+    """A ring needs 3 sites for two distinct neighbours, and a linear field has no meaning on it."""
+    if ring and params.field != 0.0:
+        raise ValueError("a linear field is incompatible with ring boundary conditions")
+    if ring and params.n_sites < 3:
+        raise ValueError("ring boundary needs at least 3 sites")
+
+
+def _bonds(params: ModelParams, ring: bool) -> list[tuple[int, int]]:
+    """Zero-based nearest-neighbour bonds, closed by ``(n - 1, 0)`` on the ring."""
+    _check_ring(params, ring)
+    n = params.n_sites
+    return [(x, x + 1) for x in range(n - 1)] + ([(n - 1, 0)] if ring else [])
+
+
+def _neighbours(site: int, n_sites: int, ring: bool) -> list[int]:
+    if ring:
         return [((site - 2) % n_sites) + 1, (site % n_sites) + 1]
     out = []
     if site > 1:
@@ -44,11 +63,11 @@ def _neighbours(site: int, n_sites: int, boundary: Boundary) -> list[int]:
     return out
 
 
-def loop_build_h0(params: ModelParams) -> sparse.csr_array:
-    """Field-free Hamiltonian assembled configuration by configuration."""
+def loop_build_h0(params: ModelParams, *, ring: bool = False) -> sparse.csr_array:
+    """Field-free Hamiltonian of the open chain, or of the ring, assembled configuration by configuration."""
+    _check_ring(params, ring)
     n = params.n_sites
     index = _loop_index(n)
-    ring = params.boundary is Boundary.RING
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -60,7 +79,7 @@ def loop_build_h0(params: ModelParams) -> sparse.csr_array:
         vals.append(diag)
         moves = [(i, j)] if i == j else [(i, j), (j, i)]
         for src, other in moves:
-            for dst in _neighbours(src, n, params.boundary):
+            for dst in _neighbours(src, n, ring):
                 new = (dst, other) if dst <= other else (other, dst)
                 amp = SQRT2 if (i == j or new[0] == new[1]) else 1.0
                 rows.append(index[new])
@@ -331,13 +350,11 @@ def fock_operators(n_sites: int, n_max: int = 2) -> list[sparse.csr_array]:
     return ops
 
 
-def fock_hamiltonian(params: ModelParams, n_max: int = 2) -> sparse.csr_array:
+def fock_hamiltonian(params: ModelParams, n_max: int = 2, *, ring: bool = False) -> sparse.csr_array:
+    bonds = _bonds(params, ring)
     ops = fock_operators(params.n_sites, n_max)
     n = params.n_sites
     num = [op.conj().T @ op for op in ops]
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if params.boundary is Boundary.RING:
-        bonds.append((n - 1, 0))
     h = None
     for x, y in bonds:
         term = -params.kappa * (ops[x].conj().T @ ops[y] + ops[y].conj().T @ ops[x])
@@ -358,10 +375,10 @@ def fock_index(occupation: tuple[int, ...], n_max: int = 2) -> int:
     return idx
 
 
-def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis) -> np.ndarray:
+def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis, *, ring: bool = False) -> np.ndarray:
     """Pair-basis matrix of the Fock Hamiltonian (configurations map to single
     Fock basis vectors, so projection is a row/column selection)."""
-    h = fock_hamiltonian(params).toarray()
+    h = fock_hamiltonian(params, ring=ring).toarray()
     indices = []
     for i, j in loop_pairs(basis.n_sites):
         occ = [0] * params.n_sites
@@ -372,7 +389,7 @@ def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis) -> np.ndarr
     return h[np.ix_(sel, sel)]
 
 
-def fock_sector_matrix(params: ModelParams) -> np.ndarray:
+def fock_sector_matrix(params: ModelParams, *, ring: bool = False) -> np.ndarray:
     """Dense Hamiltonian on the two-particle sector, configurations in lexicographic order.
 
     Each basis vector is an occupation tuple with two bosons; ``b_x^dag b_y``
@@ -390,9 +407,7 @@ def fock_sector_matrix(params: ModelParams) -> np.ndarray:
         occ[j - 1] += 1
         states.append(tuple(occ))
     index = {occ: k for k, occ in enumerate(states)}
-    bonds = [(x, x + 1) for x in range(n - 1)]
-    if params.boundary is Boundary.RING:
-        bonds.append((n - 1, 0))
+    bonds = _bonds(params, ring)
     h = np.zeros((len(states), len(states)))
     for col, occ in enumerate(states):
         h[col, col] = sum(0.5 * params.u * m * (m - 1) + params.field * (x + 1) * m for x, m in enumerate(occ))

@@ -236,8 +236,8 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     block[0] = bound_state_realspace(states[0], basis)
     block[1] = bound_state_realspace(states[-1], basis)
     block[2] = (block[0] + 1j * bound_state_realspace(states[len(states) // 2], basis)) / np.sqrt(2)
-    block[3] = basis.unit_state(1, n_sites)
-    block[4] = basis.unit_state(2, n_sites)
+    block[3:5] = 0.0
+    block[3, basis.rank(1, n_sites)] = block[4, basis.rank(2, n_sites)] = 1.0
     # and the adjoint: every bound state superposed with random coefficients
     coef = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
     coef /= np.linalg.norm(coef)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import pairquench
 from pairquench.cli import (
-    MAX_DENSE_STATES,
     MAX_POINTS,
     SCHEMA,
     ConfigError,
@@ -21,6 +20,7 @@ from pairquench.cli import (
     load_config,
     main,
 )
+from pairquench.spectrum import MAX_DENSE_STATES
 
 SMALL_QUENCH = """
 [model]
@@ -630,3 +630,13 @@ def test_sweep_csv_identical_across_blas_and_worker_threads(tmp_path):
             csv[blas, workers] = (out / "sweep.csv").read_bytes()
     assert len(csv["1", "1"].splitlines()) == 4
     assert len(set(csv.values())) == 1
+
+
+def test_bloch_vs_decay_script_writes_both_trajectories(tmp_path):
+    # the headline study script imports the public API; a short run writes both CSVs
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bloch_vs_decay.py"
+    run_python([script, "--t-max", "2", "--out", tmp_path])
+    for label in ("bloch", "decay"):
+        header, *rows = (tmp_path / f"trajectory_{label}.csv").read_text().splitlines()
+        assert header == "t,transfer,distance,energy,norm"
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]

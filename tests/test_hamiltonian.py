@@ -19,11 +19,10 @@ def test_two_site_free_spectrum():
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, 0.0, 2.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("boundary", ["open", "ring"])
-@pytest.mark.parametrize("n", [3, 4, 15, 111])
-def test_array_assembly_matches_loop_reference(n, boundary):
+@pytest.mark.parametrize("n", [3, 4, 15, 111], ids=lambda n: f"{n}-open")
+def test_array_assembly_matches_loop_reference(n):
     # the CSR matrix that spectrum builds from the operator's element list
-    params = ModelParams(n, kappa=1.3, u=-6.24, v=-2.5, boundary=boundary)
+    params = ModelParams(n, kappa=1.3, u=-6.24, v=-2.5)
     h, ref = _csr(build_h0(params, build_basis(n))), loop_build_h0(params)
     assert np.array_equal(h.indptr, ref.indptr)
     assert np.array_equal(h.indices, ref.indices)
@@ -49,10 +48,13 @@ def test_stark_diagonal():
 
 
 def test_ring_field_rejected():
+    # only the oracles build the ring; they refuse a linear field on it and a ring of two sites
     with pytest.raises(ValueError):
-        ModelParams(5, kappa=1.0, u=-1.0, field=-0.1, boundary="ring")
+        loop_build_h0(ModelParams(5, kappa=1.0, u=-1.0, field=-0.1), ring=True)
     with pytest.raises(ValueError):
-        ModelParams(2, kappa=1.0, u=-1.0, boundary="ring")
+        fock_sector_matrix(ModelParams(5, kappa=1.0, u=-1.0, field=-0.1), ring=True)
+    with pytest.raises(ValueError):
+        fock_two_boson_matrix(ModelParams(2, kappa=1.0, u=-1.0), build_basis(2), ring=True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -74,11 +76,11 @@ def test_matches_fock_construction_open(n, kwargs):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_matches_fock_construction_ring(n):
-    params = ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, boundary="ring")
-    basis = build_basis(n)
-    ours = build_h0(params, basis).toarray()
-    reference = fock_two_boson_matrix(params, basis)
-    assert np.max(np.abs(ours - reference)) < 1e-12
+    # the loop-built ring that the bound-band tests use, against the second-quantized ring
+    params = ModelParams(n, kappa=0.8, u=-6.0, v=-2.0)
+    loop = loop_build_h0(params, ring=True).toarray()
+    reference = fock_two_boson_matrix(params, build_basis(n), ring=True)
+    assert np.max(np.abs(loop - reference)) < 1e-12
 
 
 def test_exactly_symmetric_and_sparse():
@@ -94,8 +96,7 @@ def test_exactly_symmetric_and_sparse():
 def test_ring_free_spectrum_momentum_pairs():
     # non-interacting ring: spectrum is every symmetric pair of single-particle momenta
     for n in (3, 5, 7, 8):
-        params = ModelParams(n, kappa=1.0, u=0.0, v=0.0, boundary="ring")
-        vals = np.linalg.eigvalsh(build_h0(params, build_basis(n)).toarray())
+        vals = np.linalg.eigvalsh(loop_build_h0(ModelParams(n, kappa=1.0, u=0.0, v=0.0), ring=True).toarray())
         singles = -2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
         expected = np.sort([singles[a] + singles[b] for a in range(n) for b in range(a, n)])
         assert np.allclose(vals, expected, atol=1e-10)
@@ -110,22 +111,19 @@ def test_three_site_levels_match_dense_oracle():
     assert np.allclose(ours, reference, atol=1e-12)
 
 
-OPERATOR_CASES = [
-    *(ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=-0.37) for n in (2, 3, 4, 5, 6, 15)),
-    *(ModelParams(n, kappa=0.8, u=4.0, v=-1.5, boundary="ring") for n in (3, 4, 15)),
-]
+OPERATOR_CASES = [ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=-0.37) for n in (2, 3, 4, 5, 6, 15)]
 
 
 def _case_id(params):
-    return f"{params.boundary.value}-{params.n_sites}"
+    return f"open-{params.n_sites}"
 
 
 @pytest.mark.parametrize("n, boundary", [(n, "open") for n in (2, 3, 4, 5)] + [(n, "ring") for n in (3, 4, 5)])
 def test_sector_oracle_matches_the_product_space_oracle(n, boundary):
-    field = -0.37 if boundary == "open" else 0.0
-    params = ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=field, boundary=boundary)
-    reference = fock_two_boson_matrix(params, build_basis(n))
-    assert np.max(np.abs(fock_sector_matrix(params) - reference)) < 1e-14
+    ring = boundary == "ring"
+    params = ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=0.0 if ring else -0.37)
+    reference = fock_two_boson_matrix(params, build_basis(n), ring=ring)
+    assert np.max(np.abs(fock_sector_matrix(params, ring=ring) - reference)) < 1e-14
 
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
@@ -161,9 +159,7 @@ def test_spectrum_csr_matches_fock_oracle(params):
 
 def test_operator_keeps_the_ghosts_of_packed_states_zero():
     # odd and even lattices fold the rows of separation d and n - d on different seams
-    cases = [ModelParams(n, kappa=1.0, u=-6.0, v=-6.0, field=-0.2) for n in (2, 3, 6, 15)]
-    cases += [ModelParams(n, kappa=1.0, u=-6.0, v=-6.0, boundary="ring") for n in (3, 6, 15)]
-    for params in cases:
+    for params in (ModelParams(n, kappa=1.0, u=-6.0, v=-6.0, field=-0.2) for n in (2, 3, 6, 15)):
         n = params.n_sites
         basis = build_basis(n)
         h = build_hamiltonian(params, basis)

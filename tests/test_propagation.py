@@ -120,7 +120,7 @@ def chain31():
     "params",
     [
         ModelParams(15, 1.0, -6.24, -6.24, field=-0.21),  # the quenched 15-site chain
-        ModelParams(15, 1.0, -6.24, -6.24, boundary="ring"),
+        ModelParams(15, 1.0, -6.24, -6.24),  # the field-free 15-site chain
         ModelParams(31, 1.0, -6.24, -6.24, field=-0.2),  # chain31
     ],
 )

@@ -20,7 +20,6 @@ from pairquench import (
     run_quench,
     solve_bound_states,
     sweep_transfer,
-    transfer_rate,
 )
 from pairquench import quench
 from pairquench.model import separations
@@ -52,7 +51,7 @@ def spectral_quench(ws, field_value, times):
 
 def test_packet_is_normalized_bound_superposition(ref_psi0, ref_bound):
     assert np.linalg.norm(ref_psi0) == pytest.approx(1.0, abs=1e-12)
-    assert transfer_rate(ref_psi0, ref_bound) == pytest.approx(1.0, abs=1e-6)
+    assert ref_bound.weights(ref_psi0) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_packet_is_tightly_bound(ref_basis, ref_psi0):
@@ -116,12 +115,13 @@ def test_workspace_requires_equal_interactions():
 def test_transfer_rate_of_single_bound_state(ref_bound, ref_basis):
     state = solve_bound_states(2 * np.pi * 17 / 111, 1.0, -6.24)[1]
     psi = bound_state_realspace(state, ref_basis)
-    assert transfer_rate(psi, ref_bound) == pytest.approx(1.0, abs=1e-6)
+    assert ref_bound.weights(psi) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_transfer_rate_of_distant_unpaired_state(ref_bound, ref_basis):
-    psi = ref_basis.unit_state(1, 56)
-    assert transfer_rate(psi, ref_bound) < 1e-3
+    psi = np.zeros(ref_basis.dim, dtype=complex)
+    psi[ref_basis.rank(1, 56)] = 1.0
+    assert ref_bound.weights(psi) < 1e-3
 
 
 def test_trajectory_invariants(small_workspace):
@@ -133,7 +133,7 @@ def test_trajectory_invariants(small_workspace):
     assert np.all(traj.distance >= 0.0) and np.all(traj.distance <= 14.0)
     # the first sample reproduces the initial observables exactly
     ws = small_workspace
-    assert traj.transfer[0] == pytest.approx(transfer_rate(ws.psi0, ws.bound), abs=1e-12)
+    assert traj.transfer[0] == pytest.approx(ws.bound.weights(ws.psi0), abs=1e-12)
     assert traj.distance[0] == pytest.approx(separations(ws.basis) @ np.abs(ws.psi0) ** 2, abs=1e-12)
     assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, ws.h0 @ ws.psi0).real, abs=1e-10)
 

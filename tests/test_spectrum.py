@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairquench import ModelParams, build_basis, build_h0
+from pairquench import ModelParams, build_basis, build_h0, spectrum
 from pairquench.spectrum import (
     SpectrumSlice,
     classify_levels,
@@ -109,13 +109,14 @@ def test_tracked_level_swaps_character_through_crossing():
     assert abs(r_end - r_start) > 1.0
 
 
-def test_windowed_scan_matches_dense():
+def test_windowed_scan_matches_dense(monkeypatch):
     # large-dimension shift-invert path against the dense oracle
     params = ModelParams(65, kappa=1.0, u=-6.24, v=-6.24)
     window = (-14.0, -11.0)
     field = -0.12
-    windowed = spectrum_vs_field([field], params, window, dense_limit=64)[0]
     dense = spectrum_vs_field([field], params, window)[0]
+    monkeypatch.setattr(spectrum, "MAX_DENSE_STATES", 64)
+    windowed = spectrum_vs_field([field], params, window)[0]
     assert windowed.energies.size == dense.energies.size > 0
     assert np.allclose(windowed.energies, dense.energies, atol=1e-8)
     assert np.allclose(windowed.correlations, dense.correlations, atol=1e-8)
