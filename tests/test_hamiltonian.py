@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from pairquench import ChebyshevPropagator, ModelParams, build_basis, build_h0, build_hamiltonian, build_stark
-from pairquench.model import CACHE_LINE, PairHamiltonian, aligned_array
+from pairquench.model import CACHE_LINE, SQRT2, PairHamiltonian, aligned_array
 from pairquench.propagation import spectral_bounds
 from pairquench.spectrum import _csr
 
@@ -19,11 +19,32 @@ def test_two_site_free_spectrum():
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, 0.0, 2.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 4, 15, 111], ids=lambda n: f"{n}-open")
-def test_array_assembly_matches_loop_reference(n):
-    # the CSR matrix that spectrum builds from the operator's element list
+def _closing_bond(params, basis):
+    """The bond between sites n and 1 that closes the chain into a ring: its hop and its v."""
+    n = params.n_sites
+    rows, cols, vals = [basis.rank(1, n)], [basis.rank(1, n)], [params.v]
+    for x in range(1, n + 1):
+        # the particle on site 1 of (1, x) hops to n, landing on (x, n), and back
+        a, b = basis.rank(1, x), basis.rank(x, n)
+        amp = -params.kappa * (SQRT2 if x in (1, n) else 1.0)
+        rows += [a, b]
+        cols += [b, a]
+        vals += [amp, amp]
+    return sparse.csr_array((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("n", [3, 4, 15, 111])
+def test_array_assembly_matches_loop_reference(n, boundary):
+    # the CSR matrix that spectrum builds from the operator's element list; the
+    # package builds the open chain only, so the ring closes it with the n-1 bond
     params = ModelParams(n, kappa=1.3, u=-6.24, v=-2.5)
-    h, ref = _csr(build_h0(params, build_basis(n))), loop_build_h0(params)
+    basis = build_basis(n)
+    h, ref = _csr(build_h0(params, basis)), loop_build_h0(params, ring=boundary == "ring")
+    if boundary == "ring":
+        h = h + _closing_bond(params, basis)
+        h.eliminate_zeros()
+        ref.eliminate_zeros()
     assert np.array_equal(h.indptr, ref.indptr)
     assert np.array_equal(h.indices, ref.indices)
     assert np.array_equal(h.data, ref.data)
