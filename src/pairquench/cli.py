@@ -332,7 +332,7 @@ def _packet_spec(config: dict) -> WavePacketSpec:
     )
 
 
-def _run_three_site(config, out: Path, args) -> list[str]:
+def _run_three_site(config, out: Path, threads: int) -> tuple[list[str], dict]:
     section = config["three_site"]
     times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
     outputs = []
@@ -348,17 +348,17 @@ def _run_three_site(config, out: Path, args) -> list[str]:
             zip(times, analytic, pair_loss, unpair),
         )
         outputs.append(name)
-    return outputs
+    return outputs, {}
 
 
-def _run_band(config, out: Path, args) -> list[str]:
+def _run_band(config, out: Path, threads: int) -> tuple[list[str], dict]:
     model = config["model"]
     band = band_scan(model["kappa"], model["u"], model["n_sites"])
     reporting.write_band_csv(out / "band.csv", band)
-    return ["band.csv"]
+    return ["band.csv"], {}
 
 
-def _run_spectrum(config, out: Path, args) -> list[str]:
+def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
     from . import spectrum  # scipy.optimize loads only for this experiment
 
     section = config["spectrum"]
@@ -373,25 +373,29 @@ def _run_spectrum(config, out: Path, args) -> list[str]:
     scan = spectrum.detect_avoided_crossings(slices, r_threshold=r_threshold)
     reporting.write_spectrum_csv(out / "spectrum.csv", slices, labels)
     reporting.write_json(out / "crossings.json", reporting.crossing_payload(scan))
-    return ["spectrum.csv", "crossings.json"]
+    return ["spectrum.csv", "crossings.json"], {}
 
 
-def _run_quench(config, out: Path, args) -> list[str]:
+def _run_quench(config, out: Path, threads: int) -> tuple[list[str], dict]:
     params = _model_params(config)
     workspace = QuenchWorkspace.prepare(replace(params, field=0.0), _packet_spec(config))
     section = config["time"]
     times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
     trajectory = run_quench(workspace, params.field, times)
     reporting.write_trajectory_csv(out / "trajectory.csv", trajectory)
-    return ["trajectory.csv"]
+    stats = {
+        "max_norm_error": float(np.max(np.abs(trajectory.norm - 1.0))),
+        "max_total_energy_drift": float(np.max(np.abs(trajectory.total_energy - trajectory.total_energy[0]))),
+    }
+    return ["trajectory.csv"], stats
 
 
-def _run_sweep(config, out: Path, args) -> list[str]:
+def _run_sweep(config, out: Path, threads: int) -> tuple[list[str], dict]:
     params = _model_params(config, field=0.0)
     workspace = QuenchWorkspace.prepare(params, _packet_spec(config))
     section = config["sweep"]
     f_values = _sweep_grid(section)
-    sweep = sweep_transfer(workspace, f_values, section["t_f"], workers=args.threads)
+    sweep = sweep_transfer(workspace, f_values, section["t_f"], workers=threads)
     reporting.write_sweep_csv(out / "sweep.csv", sweep)
     reporting.write_json(
         out / "sweep_period.json",
@@ -407,7 +411,7 @@ def _run_sweep(config, out: Path, args) -> list[str]:
             "failures": [{"F": f, "error": msg} for f, msg in sweep.failures],
         },
     )
-    return ["sweep.csv", "sweep_period.json"]
+    return ["sweep.csv", "sweep_period.json"], {}
 
 
 _RUNNERS = {
@@ -454,7 +458,7 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path("runs") / args.experiment
     started = time.perf_counter()
     try:
-        outputs = _RUNNERS[args.experiment](config, out, args)
+        outputs, stats = _RUNNERS[args.experiment](config, out, args.threads)
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -471,6 +475,7 @@ def main(argv=None) -> int:
             "versions": reporting.versions(),
             "wall_time_seconds": time.perf_counter() - started,
             "outputs": outputs,
+            "stats": stats,
         },
     )
     for name in outputs:

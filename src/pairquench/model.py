@@ -6,8 +6,12 @@ complex numpy vectors of matching dimension, in that lexicographic order.
 The Hamiltonian is a ``PairHamiltonian``: a diagonal plus the hopping,
 applied matrix-free as a stencil.  Its product is two passes over
 constant-offset slices of a folded copy of the state, on buffers that start
-on a cache line, so no run that only propagates loads ``scipy``; ``coo``
-lists its elements for a sparse or dense matrix.
+on a cache line, so no run that only propagates loads ``scipy``; ``bind``
+takes every view of one product once, so a recursion pays only the numpy
+passes per term, and ``step`` is one bound product.  ``radii`` gives the row
+sums weighted by any positive vector and ``gauged`` the sign-flipped hopping
+of the spectral bounds; ``coo`` lists the elements for a sparse or dense
+matrix.
 """
 
 from __future__ import annotations
@@ -148,17 +152,21 @@ class _Hopping:
         weight[slots] = np.where(d == 0, 2.0, 1.0)
         return cls(n, w, (1 - w, w - 1, -w, w), slots, halo, mirror, scale, weight)
 
-    def neighbour_sum(self, x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """Sum of a packed state ``x`` over the one-hop neighbours of every cell, into ``out``.
+    def pair_passes(self, x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> tuple[tuple, tuple]:
+        """The ``(left, right, sum)`` operands of the two passes of the neighbour sum of ``x`` into ``out``.
 
-        Two passes: ``pairs[q] = x[q] + x[q + 1]`` into the scratch ``pairs``
-        (of ``x``'s size), then ``pairs[p - W] + pairs[p + W - 1]`` into the
-        body of ``out``, every row but the ghost and halo rows (of no meaning
-        off the slots).  Returns ``out``.
+        ``pairs[q] = x[q] + x[q + 1]`` into the scratch ``pairs`` (of ``x``'s
+        size), then ``pairs[p - W] + pairs[p + W - 1]`` into the body of
+        ``out``, every row but the ghost and halo rows (of no meaning off the
+        slots).
         """
         w, size = self.stride, x.size
-        np.add(x[:-1], x[1:], out=pairs[:-1])
-        np.add(pairs[: size - 2 * w], pairs[2 * w - 1 : size - 1], out=out[w:-w])
+        return (x[:-1], x[1:], pairs[:-1]), (pairs[: size - 2 * w], pairs[2 * w - 1 : size - 1], out[w:-w])
+
+    def neighbour_sum(self, x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """Sum of a packed state ``x`` over the one-hop neighbours of every cell, into ``out``."""
+        for left, right, total in self.pair_passes(x, out, pairs):
+            np.add(left, right, out=total)
         return out
 
     def fill_halo(self, packed: np.ndarray) -> np.ndarray:
@@ -184,15 +192,17 @@ class PairHamiltonian:
     allocates them.  Every packed buffer the operator allocates starts on a
     cache line, and so does each of its rows.
 
-    Operators from ``add_diagonal`` and ``scaled`` share the hopping tables.
+    Operators from ``add_diagonal``, ``scaled`` and ``gauged`` share the
+    hopping tables; ``scaled`` by a complex factor gives a complex operator,
+    such as the ``-2i A`` the Chebyshev recursion runs on.
     ``nnz`` counts the elements of the matrix, ``data`` is the diagonal and
     ``indices`` the cell of every configuration.
     """
 
-    def __init__(self, hopping: _Hopping, kappa: float, diagonal: np.ndarray):
+    def __init__(self, hopping: _Hopping, kappa: float | complex, diagonal: np.ndarray):
         self._hopping = hopping
-        self.kappa = float(kappa)
-        self._diagonal = np.array(diagonal, dtype=float)
+        self.kappa = kappa
+        self._diagonal = np.array(diagonal, dtype=np.result_type(diagonal, float))
         self._diagonal.flags.writeable = False
         dim = self._diagonal.size
         self.shape = (dim, dim)
@@ -222,17 +232,31 @@ class PairHamiltonian:
         """This operator plus ``diag(values)``."""
         return PairHamiltonian(self._hopping, self.kappa, self._diagonal + values)
 
-    def scaled(self, shift: float, factor: float) -> "PairHamiltonian":
+    def scaled(self, shift: float, factor: float | complex) -> "PairHamiltonian":
         """The operator ``factor * (self - shift)``."""
         return PairHamiltonian(self._hopping, self.kappa * factor, (self._diagonal - shift) * factor)
 
-    def radii(self) -> np.ndarray:
-        """Gershgorin radii: the off-diagonal absolute row sums, in basis order."""
+    def gauged(self) -> "PairHamiltonian":
+        """``G H G`` for the gauge ``G = diag((-1)**(i + j))``: every hop flips its sign, the diagonal stays.
+
+        Every hop changes ``i + j`` by one, so with ``kappa >= 0`` both
+        ``c - H`` and ``G H G - c`` are non-negative matrices for a large
+        enough ``c``.
+        """
+        return PairHamiltonian(self._hopping, -self.kappa, self._diagonal)
+
+    def radii(self, weights: np.ndarray) -> np.ndarray:
+        """Off-diagonal absolute row sums weighted by positive basis-order ``weights`` d: ``sum_j |h_ij| d_j / d_i``.
+
+        They are the Gershgorin radii of ``D^-1 H D`` for ``D = diag(d)``,
+        which is similar to ``H``; with ``d = 1`` those of ``H`` itself.  On
+        the layout ``kappa S`` times the neighbour sum of ``S d``, divided by ``d``.
+        """
         hop = self._hopping
-        ones = np.zeros(hop.weight.size)
-        ones[hop.slots] = hop.scale
-        sums = hop.neighbour_sum(hop.fill_halo(ones), np.zeros_like(ones), np.empty_like(ones))
-        return abs(self.kappa) * hop.scale * sums[hop.slots]
+        packed = np.zeros(hop.weight.size)
+        packed[hop.slots] = hop.scale * weights
+        sums = hop.neighbour_sum(hop.fill_halo(packed), np.zeros_like(packed), np.empty_like(packed))
+        return abs(self.kappa) * hop.scale * sums[hop.slots] / weights
 
     def empty_packed(self, rows: int | None = None) -> np.ndarray:
         """An uninitialised packed state, or block of ``rows`` of them, starting on a cache line."""
@@ -267,24 +291,44 @@ class PairHamiltonian:
     def _scratch(self) -> np.ndarray:
         return self.empty_packed()
 
-    def step(self, x: np.ndarray, prev: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-        """``out = H x - prev`` (``H x`` without ``prev``) for one packed state.
+    def bind(self, x: np.ndarray, prev: np.ndarray | None, out: np.ndarray):
+        """A call that sets ``out = H x + prev`` (``H x`` without ``prev``) for packed states, and returns ``out``.
 
-        ``out`` is a packed state, zero off the slots and halo cells, when
-        ``x`` and ``prev`` are; ``x`` and ``prev`` are only read and may not
-        overlap ``out``.  Not reentrant: the neighbour pairs and the diagonal
-        product go into the operator's own buffer.
+        Every view and table of the product is taken here, and the ghost
+        rows of ``out``, which no pass writes, are zeroed here, so each call
+        is six numpy passes and the halo copy; a recursion binds each of its
+        buffers once and calls the result once per term.  ``out`` is a packed
+        state, zero off the slots and halo cells, when ``x`` and ``prev`` are;
+        ``x`` and ``prev`` are only read and may not overlap ``out``.  Not
+        reentrant: the neighbour pairs and the diagonal product go into the
+        operator's own buffer.
         """
         hop = self._hopping
         diagonal, hops = self._packed_terms
         w = hop.stride
-        scratch = self._scratch
-        body = hop.neighbour_sum(x, out, scratch)[w:-w]
-        body *= hops
-        body += np.multiply(x[w:-w], diagonal, out=scratch[w:-w])
-        if prev is not None:
-            body -= prev[w:-w]
-        return hop.fill_halo(out)
+        (x_lo, x_hi, pairs), (left, right, body) = hop.pair_passes(x, out, self._scratch)
+        x_body, product = x[w:-w], self._scratch[w:-w]
+        prev_body = None if prev is None else prev[w:-w]
+        halo, mirror = hop.halo, hop.mirror
+        add, multiply = np.add, np.multiply
+        out[:w] = out[-w:] = 0.0
+
+        def kernel() -> np.ndarray:
+            add(x_lo, x_hi, out=pairs)
+            add(left, right, out=body)
+            multiply(body, hops, out=body)
+            multiply(x_body, diagonal, out=product)
+            add(body, product, out=body)
+            if prev_body is not None:
+                add(body, prev_body, out=body)
+            out[halo] = out[mirror]
+            return out
+
+        return kernel
+
+    def step(self, x: np.ndarray, prev: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """``out = H x + prev`` (``H x`` without ``prev``) for one packed state, through ``bind``."""
+        return self.bind(x, prev, out)()
 
     def __matmul__(self, states: np.ndarray) -> np.ndarray:
         """``H psi`` of a basis-order state, or of every row of a block, one ``step`` per row."""

@@ -3,21 +3,25 @@
 Every quench and sweep point runs on one engine, the Chebyshev polynomial
 expansion of ``exp(-iHt)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
 (1984)): one operator product per term, truncation controlled by ``tol``, on
-the Gershgorin interval of ``H``, which contains the spectrum by theorem.  It
-is deterministic.  The expansion coefficients are the Bessel values
-``J_k(z)``, computed by Miller's backward recurrence
-``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised by ``J_0 + 2 sum_k J_{2k} = 1``
-(Numerical Recipes, ``bessj``).
+a Collatz–Wielandt interval of ``H``, which contains the spectrum by theorem
+and is never wider than the Gershgorin interval.  It is deterministic.  The
+expansion coefficients are the Bessel values ``J_k(z)``, computed by
+Miller's backward recurrence ``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised
+by ``J_0 + 2 sum_k J_{2k} = 1`` (Numerical Recipes, ``bessj``).
 
 The Chebyshev engine takes an operator such as ``model.PairHamiltonian``:
-``diagonal()`` and ``radii()`` give the Gershgorin interval, and
+``diagonal()`` and ``radii(weights)`` give the interval, ``gauged()`` the
+sign structure that tightens it (None without one), and
 ``scaled(shift, factor)`` the operator ``factor * (H - shift)``, whose
-``pack``, ``step`` and ``unpack`` run the recursion on the operator's own
+``pack``, ``bind`` and ``unpack`` run a recursion on the operator's own
 layout of a state, in buffers from its ``empty_packed``.  The engine keeps
-twice its rescaled operator, so each recursion term is one ``step``,
-``2 A T_k - T_{k-1}``.  One recursion returns the states at several offsets:
-the terms go into a fixed buffer of ``TERM_BUFFER`` rows that is added into
-every offset's row with one numpy matrix product per buffer, through a block
+``B = -2i A`` for its rescaled operator ``A`` and runs the recursion on
+``V_k = (-i)^k T_k(A) psi``: each term is one call of a kernel bound once per
+buffer row, ``V_{k+1} = B V_k + V_{k-1}``, and takes the real coefficient
+``2 J_k``; each returned state gets its phase ``exp(-i center t)`` once.
+One recursion returns the states at several offsets: the terms go into a
+fixed buffer of ``TERM_BUFFER`` rows that is added into every offset's row
+with one real matrix product per buffer, on float64 views, through a block
 the propagator keeps; every state it returns is back in basis order.
 ``samples`` yields blocks of up to ``SAMPLE_BLOCK`` states, one row per
 sample time and one matrix product or recursion per block; a Chebyshev block
@@ -36,6 +40,9 @@ SAMPLE_BLOCK = 8
 #: Chebyshev terms added into the output rows per matrix product
 #: (16 terms at dim 6216 are 1.6 MB)
 TERM_BUFFER = 16
+
+#: power steps behind each end of the Collatz–Wielandt interval of ``spectral_bounds``
+CW_ITERATIONS = 25
 
 
 class PropagationAccuracyError(RuntimeError):
@@ -80,14 +87,55 @@ def _bessel_j(n_max: int, z: float) -> np.ndarray:
     return out / (out[0] + 2.0 * out[2::2].sum())
 
 
-def spectral_bounds(h) -> tuple[float, float]:
-    """Gershgorin interval of ``h``, at least 1e-9 wide.
+def _interval(h, below: np.ndarray, above: np.ndarray) -> tuple[float, float]:
+    """``[min(h_ii - R_i(below)), max(h_ii + R_i(above))]`` for the radii ``R`` weighted by positive vectors.
 
-    ``[min(h_ii - R_i), max(h_ii + R_i)]`` with ``R_i = sum_{j != i} |h_ij|``
-    contains the spectrum by theorem; ``h.radii()`` gives ``R_i``.
+    It contains the spectrum by theorem for every pair of positive weights:
+    each end is an end of the Gershgorin interval of a matrix similar to
+    ``h``.  Unit weights give the Gershgorin interval of ``h`` itself.
     """
-    diag, radius = h.diagonal(), h.radii()
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    diag = h.diagonal()
+    return float(np.min(diag - h.radii(below))), float(np.max(diag + h.radii(above)))
+
+
+def _power_weights(m) -> np.ndarray:
+    """``m^CW_ITERATIONS 1`` up to a factor, in basis order, by the bound kernel on ``m``'s layout.
+
+    Each iterate is scaled to a largest entry of 1.  For a non-negative
+    ``m`` every entry stays non-negative; one that underflows reads 0.
+    """
+    x, y = m.pack(np.ones(m.shape[0])), m.empty_packed()
+    passes = (m.bind(x, None, y), y), (m.bind(y, None, x), x)
+    for k in range(CW_ITERATIONS):
+        kernel, out = passes[k % 2]
+        kernel()
+        out /= out.real.max()
+    return m.unpack(out).real
+
+
+def spectral_bounds(h) -> tuple[float, float]:
+    """Collatz–Wielandt interval of ``h``, at least 1e-9 wide, inside its Gershgorin interval.
+
+    Without the sign structure (``h.gauged()`` is None) it is the Gershgorin
+    interval, ``_interval`` with unit weights.  With it, the off-diagonal
+    elements of ``h`` are non-positive and those of ``G h G`` non-negative,
+    so ``hi - h`` and ``G h G - lo`` are non-negative matrices for the
+    Gershgorin ends ``lo`` and ``hi``.  The lower end is weighted by
+    ``CW_ITERATIONS`` power steps of ``hi - h`` from ones, the upper end by
+    those of ``G h G - lo``: the Collatz–Wielandt bounds of a non-negative
+    matrix (Horn & Johnson, Matrix Analysis, ch. 8) approach the exact ends
+    as the weights approach its Perron vector, and hold for any positive
+    weights.  When an entry of either vector underflows to 0 the Gershgorin
+    interval stands.
+    """
+    ones = np.ones(h.shape[0])
+    lo, hi = _interval(h, ones, ones)
+    gauged = h.gauged()
+    if gauged is not None:
+        below, above = _power_weights(h.scaled(hi, -1.0)), _power_weights(gauged.scaled(lo, 1.0))
+        if np.all(below > 0.0) and np.all(above > 0.0):
+            tight_lo, tight_hi = _interval(h, below, above)
+            lo, hi = max(lo, tight_lo), min(hi, tight_hi)
     return lo, lo + max(hi - lo, 1e-9)
 
 
@@ -100,14 +148,16 @@ class ChebyshevPropagator:
         lo, hi = bounds if bounds is not None else spectral_bounds(h)
         self.center = 0.5 * (hi + lo)
         self.halfwidth = 0.5 * (hi - lo)
-        # 2 A for the rescaled operator A: T_{k+1} = (2 A) T_k - T_{k-1} needs no
-        # doubling pass, and scaling by 2 is exact, so 0.5 (2 A) T_0 is A T_0 bit for bit
-        self._two_a = h.scaled(self.center, 2.0 / self.halfwidth)
+        # B = -2i A for the rescaled operator A: the terms V_k = (-i)^k T_k(A) psi
+        # follow V_{k+1} = B V_k + V_{k-1}, which needs no doubling pass, and take
+        # the real coefficients 2 J_k; scaling by 2 is exact, so 0.5 B V_0 is V_1 bit for bit
+        self._b = h.scaled(self.center, -2j / self.halfwidth)
         self._coeff_cache: dict[float, np.ndarray] = {}
         # block products of _sum_series, sized by the longest window so far
         self._part = np.empty((0, 0), dtype=complex)
 
     def _coefficients(self, dt: float) -> np.ndarray:
+        """The real coefficients ``J_0, 2 J_1, 2 J_2, ...`` at ``halfwidth * dt``, one per term of the series."""
         key = float(dt)
         if key not in self._coeff_cache:
             z = self.halfwidth * dt
@@ -125,9 +175,9 @@ class ChebyshevPropagator:
                     achieved=float(np.abs(bessel[cut - 1])),
                     target=self.tol,
                 )
-            coef = 2.0 * (-1j) ** np.arange(cut) * bessel[:cut]
+            coef = 2.0 * bessel[:cut]
             coef[0] = bessel[0]
-            self._coeff_cache[key] = coef * np.exp(-1j * self.center * dt)
+            self._coeff_cache[key] = coef
         return self._coeff_cache[key]
 
     def _is_short(self, step: float) -> bool:
@@ -135,39 +185,44 @@ class ChebyshevPropagator:
         return self._coefficients(step).size >= 2.0 * self.halfwidth * step
 
     def _sum_series(self, psi: np.ndarray, coef: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Rows ``sum_k coef[r, k] T_k(A) psi``, where row ``r`` has ``ends[r]`` (ascending) terms.
+        """Rows ``sum_k coef[r, k] (-i)^k T_k(A) psi`` for real ``coef``, where row ``r`` has ``ends[r]`` (ascending) terms.
 
-        The recursion runs on the packed layout of ``2 A``, in buffers the
-        operator allocates, and the rows are unpacked once at the end.  The
-        terms go into a fixed buffer of ``TERM_BUFFER`` rows.  Each full
-        buffer is added into the rows whose series has not ended through one
-        matrix product into ``part``, which the propagator keeps: one
-        allocated per call faulted its pages in on every window.  The term
-        buffer stays per call, as its pages then serve the caller's
-        temporaries between windows, where a kept one would add to the peak
-        memory.  The returned rows are a new array, so a caller may keep them.
+        The recursion runs on the packed layout of ``B = -2i A``, in buffers
+        the operator allocates, and the rows are unpacked once at the end.
+        The terms go into a fixed buffer of ``TERM_BUFFER`` rows; each row's
+        kernel is bound once per call, so a term is one call of it.  Each
+        full buffer is added into the rows whose series has not ended through
+        one real matrix product, on float64 views, into ``part``, which the
+        propagator keeps: one allocated per call faulted its pages in on every
+        window.  The term buffer stays per call, as its pages then serve the
+        caller's temporaries between windows, where a kept one would add to
+        the peak memory.  The returned rows are a new array, so a caller may
+        keep them.
         """
-        two_a = self._two_a
+        b = self._b
         rows, n_terms = coef.shape
         if self._part.shape[0] < rows:
-            self._part = two_a.empty_packed(rows)
-        part = self._part[:rows]
-        out = two_a.empty_packed(rows)
+            self._part = b.empty_packed(rows)
+        part = self._part[:rows].view(float)
+        out = b.empty_packed(rows)
         out[:] = 0.0
-        terms = two_a.empty_packed(min(TERM_BUFFER, n_terms))
-        terms[0] = two_a.pack(psi)
-        two_a.step(terms[0], None, out=terms[1])
+        terms = b.empty_packed(min(TERM_BUFFER, n_terms))
+        # the kernel of a row forms its term from the two rows before it, cyclically
+        kernels = [b.bind(terms[slot - 1], terms[slot - 2], terms[slot]) for slot in range(len(terms))]
+        terms[0] = b.pack(psi)
+        b.bind(terms[0], None, terms[1])()
         terms[1] *= 0.5
+        real_terms, real_out = terms.view(float), out.view(float)
         for k in range(n_terms):
             slot = k % TERM_BUFFER
             if k >= 2:
-                two_a.step(terms[(k - 1) % TERM_BUFFER], terms[(k - 2) % TERM_BUFFER], out=terms[slot])
+                kernels[slot]()
             if slot == TERM_BUFFER - 1 or k == n_terms - 1:
                 start = k - slot
                 active = int(np.searchsorted(ends, start, side="right"))
-                np.matmul(coef[active:, start : k + 1], terms[: slot + 1], out=part[active:])
-                out[active:] += part[active:]
-        return two_a.unpack(out)
+                np.matmul(coef[active:, start : k + 1], real_terms[: slot + 1], out=part[active:])
+                real_out[active:] += part[active:]
+        return b.unpack(out)
 
     def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:
         """State after ``dt``, or with sorted offsets ``earlier`` in (0, dt) one row per offset.
@@ -182,10 +237,11 @@ class ChebyshevPropagator:
         series = [self._coefficients(t) for t in offsets]
         ends = np.array([c.size for c in series])
         n_terms = int(ends[-1])
-        coef = np.zeros((offsets.size, n_terms), dtype=complex)
+        coef = np.zeros((offsets.size, n_terms))
         for row, c in zip(coef, series):
             row[: c.size] = c
         out = self._sum_series(psi, coef, ends)
+        out *= np.exp(-1j * self.center * offsets)[:, np.newaxis]
         drift = np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(psi))
         if drift.max() > 1e-8:
             raise PropagationAccuracyError(

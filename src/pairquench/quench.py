@@ -146,16 +146,16 @@ def evolve(
         raise ValueError("the quenched Hamiltonian must differ from h0 on the diagonal only")
     field_diag = h.diagonal() - h0.diagonal()
 
+    # a function, so that no block's densities are held through the next block's recursion
+    def block_observables(block: np.ndarray) -> tuple:
+        field_free = _expectations(block, h0)
+        weights, norm = bound.weights(block), np.linalg.norm(block, axis=1)
+        density = np.abs(block) ** 2
+        return weights, density @ sep, field_free, norm, field_free + density @ field_diag
+
     rows = []
     for block in propagator.samples(psi0, times):
-        field_free = _expectations(block, h0)
-        rows.append((
-            bound.weights(block),
-            np.abs(block) ** 2 @ sep,
-            field_free,
-            np.linalg.norm(block, axis=1),
-            field_free + np.abs(block) ** 2 @ field_diag,
-        ))
+        rows.append(block_observables(block))
     # one column per observable, in the field order of QuenchTrajectory
     observables = map(np.concatenate, zip(*rows))
     return QuenchTrajectory(times, *observables, final_state=block[-1])

@@ -266,11 +266,15 @@ class MatrixOperator:
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
 
-    def radii(self) -> np.ndarray:
-        return np.ravel(abs(self.matrix).sum(axis=1)) - np.abs(self.diagonal())
+    def radii(self, weights: np.ndarray) -> np.ndarray:
+        return (abs(self.matrix) @ weights - np.abs(self.diagonal()) * weights) / weights
 
-    def scaled(self, shift: float, factor: float) -> "MatrixOperator":
+    def scaled(self, shift: float, factor: float | complex) -> "MatrixOperator":
         return MatrixOperator((self.matrix - sparse.identity(self.shape[0]) * shift) * factor)
+
+    def gauged(self) -> None:
+        """No gauge makes a general matrix non-negative off the diagonal, so the bounds stay Gershgorin's."""
+        return None
 
     def empty_packed(self, rows: int | None = None) -> np.ndarray:
         return np.empty(self.shape[0] if rows is None else (rows, self.shape[0]), dtype=complex)
@@ -281,9 +285,12 @@ class MatrixOperator:
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         return packed
 
-    def step(self, x: np.ndarray, prev, out: np.ndarray) -> np.ndarray:
-        out[:] = self.matrix @ x if prev is None else self.matrix @ x - prev
-        return out
+    def bind(self, x: np.ndarray, prev, out: np.ndarray):
+        def kernel() -> np.ndarray:
+            out[:] = self.matrix @ x if prev is None else self.matrix @ x + prev
+            return out
+
+        return kernel
 
     def __matmul__(self, states: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(states).T).T
@@ -316,8 +323,9 @@ def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float
     """One Chebyshev step as the recursion on the real rescaled operator.
 
     Rebuilds the real operator as a CSR matrix from the dense matrix of
-    ``prop.h`` and ``prop``'s bounds and forms each term as a fresh
-    ``2 A cur - prev``; shares only the expansion coefficients.
+    ``prop.h`` and ``prop``'s bounds, forms each term as a fresh
+    ``2 A cur - prev`` and applies the term phase ``(-i)^k`` and the phase
+    ``exp(-i center dt)`` itself; shares only the real coefficients ``2 J_k``.
     """
     dim = prop.h.shape[0]
     matrix = sparse.csr_array(prop.h.toarray())
@@ -325,11 +333,11 @@ def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float
     coef = prop._coefficients(dt)
     prev = psi.astype(complex, copy=True)
     cur = scaled @ prev
-    acc = coef[0] * prev + coef[1] * cur
-    for c in coef[2:]:
+    acc = coef[0] * prev + coef[1] * -1j * cur
+    for k, c in enumerate(coef[2:], start=2):
         prev, cur = cur, 2.0 * (scaled @ cur) - prev
-        acc += c * cur
-    return acc
+        acc += c * (-1j) ** (k % 4) * cur
+    return acc * np.exp(-1j * prop.center * dt)
 
 
 def _lowering(n_max: int = 2) -> np.ndarray:

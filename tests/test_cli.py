@@ -542,6 +542,15 @@ def test_quench_run_and_manifest(tmp_path):
     assert np.max(np.abs(norms - 1.0)) < 1e-8
 
 
+def test_default_quench_manifest_reports_numerical_health(tmp_path):
+    out = tmp_path / "out"
+    assert run(["quench", "--out", out]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert set(stats) == {"max_norm_error", "max_total_energy_drift"}
+    assert 0.0 <= stats["max_norm_error"] <= 1e-12
+    assert 0.0 <= stats["max_total_energy_drift"] <= 1e-10
+
+
 def test_sweep_run_with_sidecar(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_SWEEP)

@@ -4,7 +4,7 @@ from scipy import sparse
 
 from pairquench import ChebyshevPropagator, ModelParams, build_basis, build_h0, build_hamiltonian, build_stark
 from pairquench.model import CACHE_LINE, SQRT2, PairHamiltonian, aligned_array
-from pairquench.propagation import spectral_bounds
+from pairquench.propagation import _interval, spectral_bounds
 from pairquench.spectrum import _csr
 
 from oracles import fock_sector_matrix, fock_two_boson_matrix, loop_build_h0, loop_pairs
@@ -163,12 +163,21 @@ def test_operator_products_match_fock_oracle(params):
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
 def test_spectral_bounds_are_the_dense_row_sum_interval(params):
+    # the interval of the row sums weighted by unit (Gershgorin's) and by random positive
+    # weights, against the dense matrix; spectral_bounds lies inside Gershgorin's
     reference = fock_sector_matrix(params)
     diag = np.diag(reference)
-    radius = np.abs(reference).sum(axis=1) - np.abs(diag)
-    lo, hi = spectral_bounds(build_hamiltonian(params, build_basis(params.n_sites)))
-    assert lo == pytest.approx(np.min(diag - radius), abs=1e-13)
-    assert hi == pytest.approx(np.max(diag + radius), abs=1e-13)
+    offdiag = np.abs(reference - np.diag(diag))
+    h = build_hamiltonian(params, build_basis(params.n_sites))
+    ones = np.ones(diag.size)
+    below, above = np.random.default_rng(params.n_sites).uniform(0.1, 1.0, (2, diag.size))
+    for d_lo, d_hi in [(ones, ones), (below, above)]:
+        lo, hi = _interval(h, d_lo, d_hi)
+        assert lo == pytest.approx(np.min(diag - offdiag @ d_lo / d_lo), abs=1e-13)
+        assert hi == pytest.approx(np.max(diag + offdiag @ d_hi / d_hi), abs=1e-13)
+    lo, hi = _interval(h, ones, ones)
+    tight_lo, tight_hi = spectral_bounds(h)
+    assert lo <= tight_lo and tight_hi <= hi
 
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
@@ -200,7 +209,26 @@ def test_operator_keeps_the_ghosts_of_packed_states_zero():
         assert np.all(out[zero] == 0.0), params  # gaps, ghost columns, the ghost row, the rest of the halo row
         assert np.array_equal(out[hop.halo], out[hop.mirror]), params
         assert np.array_equal(x, inputs[0]) and np.array_equal(prev, inputs[1])
-        assert np.max(np.abs(h.unpack(out) - (h @ h.unpack(x) - h.unpack(prev)))) < 1e-14
+        assert np.max(np.abs(h.unpack(out) - (h @ h.unpack(x) + h.unpack(prev)))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [6, 15, 111])
+def test_bound_kernels_match_fresh_steps_bitwise(n):
+    # a recursion on a ring of 4 buffers, each bound once (ghost rows zeroed once), against
+    # a step into a fresh buffer per term
+    basis = build_basis(n)
+    b = build_hamiltonian(ModelParams(n, kappa=1.0, u=-6.24, v=-6.24, field=-0.09712), basis).scaled(-14.0, -0.12j)
+    rng = np.random.default_rng(n)
+    first, second = (b.pack(rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)) for _ in range(2))
+    ring = b.empty_packed(4)
+    ring[:] = np.nan
+    kernels = [b.bind(ring[slot - 1], ring[slot - 2], ring[slot]) for slot in range(4)]
+    ring[0], ring[1] = first, second
+    fresh = [first, second]
+    for k in range(2, 11):
+        kernels[k % 4]()
+        fresh.append(b.step(fresh[-1], fresh[-2], np.full_like(first, np.nan)))
+        assert ring[k % 4].tobytes() == fresh[-1].tobytes()
 
 
 def _on_cache_lines(*blocks) -> bool:
@@ -218,14 +246,14 @@ def test_packed_buffers_start_on_cache_lines(n, monkeypatch):
 
     # every buffer of the recursion comes from the operator, row by row on cache lines
     prop = ChebyshevPropagator(h)
-    assert _on_cache_lines(prop._two_a._scratch, *prop._two_a._packed_terms)
+    assert _on_cache_lines(prop._b._scratch, *prop._b._packed_terms)
     made = []
 
     def recorded(rows=None):
-        made.append(PairHamiltonian.empty_packed(prop._two_a, rows))
+        made.append(PairHamiltonian.empty_packed(prop._b, rows))
         return made[-1]
 
-    monkeypatch.setattr(prop._two_a, "empty_packed", recorded)
+    monkeypatch.setattr(prop._b, "empty_packed", recorded)
     prop.advance(psi, 2.0, [0.5, 1.0])
     assert len(made) == 3 and _on_cache_lines(*made)  # the kept block products, the sums, the terms
 

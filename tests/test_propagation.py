@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -12,7 +14,7 @@ from pairquench import (
     build_hamiltonian,
     build_stark,
 )
-from pairquench.propagation import SAMPLE_BLOCK, _bessel_j, spectral_bounds
+from pairquench.propagation import SAMPLE_BLOCK, _bessel_j, _interval, _power_weights, spectral_bounds
 from pairquench.spectrum import _csr
 
 from conftest import F_BLOCH
@@ -100,10 +102,12 @@ def test_chebyshev_coefficients_match_scipy_bessel(z):
     assert abs(values[0] + 2.0 * values[2::2].sum() - 1.0) <= 1e-15
     residual = values[:-2] + values[2:] - 2.0 * orders[1:-1] / z * values[1:-1]
     assert np.max(np.abs(residual)) <= 1e-15
-    # the interval [-1, 1] makes dt the Bessel argument and the centre phase 1
+    # the interval [-1, 1] makes dt the Bessel argument; the terms carry (-i)^k and
+    # advance the centre phase, so the coefficients are the real J_0, 2 J_1, 2 J_2, ...
     coef = ChebyshevPropagator(MatrixOperator(np.eye(2)), bounds=(-1.0, 1.0))._coefficients(z)
     kept = orders[: coef.size]
-    assert np.max(np.abs(coef - np.where(kept == 0, 1.0, 2.0) * (-1j) ** kept * jv(kept, z))) < 4e-13
+    assert coef.dtype == np.float64
+    assert np.max(np.abs(coef - np.where(kept == 0, 1.0, 2.0) * jv(kept, z))) < 4e-13
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,9 @@ def chain31():
         ModelParams(15, 1.0, -6.24, -6.24, field=-0.21),  # the quenched 15-site chain
         ModelParams(15, 1.0, -6.24, -6.24),  # the field-free 15-site chain
         ModelParams(31, 1.0, -6.24, -6.24, field=-0.2),  # chain31
+        ModelParams(5, 0.8, -6.0, -2.0, field=-0.37),
+        ModelParams(43, 1.0, -6.24, -6.24, field=-0.21),
+        ModelParams(43, 0.6, 2.5, -1.0, field=1.3),
     ],
 )
 def test_bounds_contain_dense_spectrum(params):
@@ -129,6 +136,43 @@ def test_bounds_contain_dense_spectrum(params):
     vals = np.linalg.eigvalsh(h.toarray())
     lo, hi = spectral_bounds(h)
     assert lo <= vals[0] and vals[-1] <= hi
+    # the Collatz–Wielandt interval is narrower than Gershgorin's at both ends
+    ones = np.ones(vals.size)
+    gershgorin = _interval(h, ones, ones)
+    assert gershgorin[0] < lo and hi < gershgorin[1]
+    # the theorem holds for any positive weights, not only the power iterates
+    rng = np.random.default_rng(params.n_sites)
+    for _ in range(5):
+        lo, hi = _interval(h, *rng.uniform(1e-3, 1.0, (2, vals.size)))
+        assert lo <= vals[0] and vals[-1] <= hi
+
+
+@pytest.mark.parametrize(
+    "params, interval",
+    [
+        (ModelParams(111, 1.0, -6.24, -6.24, field=-0.09712), (-32.33770712474619, 3.41728)),
+        (ModelParams(43, 1.0, -6.24, -6.24, field=-0.21), (-28.498427124746193, 2.74)),
+        (ModelParams(15, 0.8, -6.0, -2.0, field=-0.37), (-18.62274169979695, 0.9800000000000004)),
+        (ModelParams(6, 0.8, -6.0, -2.0, field=-0.37), (-11.962741699796952, 0.9800000000000004)),
+        (ModelParams(2, 0.8, -6.0, -2.0, field=-0.37), (-8.611370849898476, -0.8472583002030474)),
+    ],
+)
+def test_unit_weights_give_the_gershgorin_interval_bit_for_bit(params, interval):
+    # min(h_ii - R_i) and max(h_ii + R_i) of the Gershgorin radii R the operator computed before weights
+    h = build_hamiltonian(params, build_basis(params.n_sites))
+    ones = np.ones(h.shape[0])
+    assert _interval(h, ones, ones) == interval
+
+
+def test_underflowing_weights_fall_back_to_gershgorin():
+    # a hopping of 1e-300 feeds the far entries of the iterates too little: one underflows to 0
+    h = build_hamiltonian(ModelParams(5, 1e-300, -6.24, -6.24, field=-1.0), build_basis(5))
+    ones = np.ones(h.shape[0])
+    lo, hi = _interval(h, ones, ones)
+    assert np.any(_power_weights(h.gauged().scaled(lo, 1.0)) == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no weighted radius divides by the zero
+        assert spectral_bounds(h) == (lo, hi)
 
 
 def test_small_dense_matrix_gets_its_gershgorin_interval(random_hamiltonian, exact_bounds):
@@ -165,7 +209,8 @@ def test_identity_multiple_gets_a_nonzero_width():
 
 @pytest.mark.parametrize("dt", [1.0, 50.0])
 def test_advance_matches_real_operator_recursion(chain31, dt):
-    # same terms as the real-operator recursion; the buffered products only
+    # the terms of -2i A are (-i)^k times those of the real-operator recursion, which
+    # applies (-i)^k and the centre phase itself; the buffered real products only
     # change the order in which the terms are summed
     h, psi = chain31
     cheb = ChebyshevPropagator(h)
@@ -247,7 +292,21 @@ def test_headline_operator_keeps_the_benchmark_probe_contract(ref_workspace):
     assert prop.h is h and h.shape == (6216, 6216)
     assert h.nnz == 30_636 == _csr(h).nnz
     assert h.data.itemsize == 8 and h.indices.itemsize == 8
+    # the probe counts len(_coefficients(dt)) - 1 matvecs per advance: one kernel call per term after the first
+    calls = []
+    bind = prop._b.bind
+
+    def counted(*args):
+        kernel = bind(*args)
+
+        def call():
+            calls.append(1)
+            return kernel()
+
+        return call
+
+    prop._b.bind = counted
     dt = 0.5
     psi = prop.advance(ref_workspace.psi0, dt)
     assert psi.shape == ref_workspace.psi0.shape
-    assert len(prop._coefficients(dt)) > 1
+    assert len(calls) == len(prop._coefficients(dt)) - 1 > 1
