@@ -178,33 +178,36 @@ class BoundProjector(NamedTuple):
     """Every bound state of a band, matrix-free: overlaps with it and superpositions of it.
 
     A ring bound state ``(K, y)`` has the amplitude ``P_d(K) exp(i K i)`` on the
-    configuration ``(i, i + d)``, with ``P_0 = psi_0``, ``P_d = y**d exp(i K d / 2)``
-    for ``d <= (n-1)/2`` and ``P_d = y**(n-d) exp(i K (n+d) / 2)`` for a pair
-    that wraps the ring.  So ``<b|psi>`` is ``conj(P_d(K))`` times the discrete
-    Fourier transform of ``psi(i, i + d)`` over the centre site ``i``, summed
-    over the separations ``d``.
+    configuration ``(i, i + d)``, with ``P_0 = psi_0`` and ``P_d = y**d exp(i K d / 2)``
+    for ``d <= (n-1)/2``.  A pair that wraps the ring, ``d > (n-1)/2``, is the
+    pair of centre site ``j = i + d`` and separation ``n - d`` read the other way
+    round, and its amplitude is that one's, ``P_{n-d}(K) exp(i K j)``.  So the
+    basis folds onto a dense ``((n+1)/2, n)`` grid, a permutation of its
+    n(n+1)/2 states: ``(i, i + d)`` in row ``d`` at column ``i - 1``, a wrapped
+    pair in row ``n - d`` at column ``j - 1``.  ``<b|psi>`` is ``conj(P_d(K))``
+    times the discrete Fourier transform of grid row ``d`` over its columns,
+    summed over the rows: one transform per row, half of what the separations
+    of an unfolded n x n grid would take.
 
     ``table[m, d, slot]`` is ``conj(P_d(K)) exp(-i K) / norm`` of the bound
     state ``slot`` of the sector ``K = 2 pi m / n``, in FFT order of ``m``
-    (the phase ``exp(-i K)`` shifts the transform to start at site 1); a
-    sector with fewer bound states has zero columns.  ``slots`` is the flat
-    position ``d * n + (i - 1)`` of every basis configuration.  The bound state
-    itself is ``conj(table[m, d, slot]) exp(i K (i - 1))`` on ``(i, i + d)``, one
-    inverse transform over the centre site.
+    (the phase ``exp(-i K)`` shifts the transform to start at site 1), for
+    ``d = 0 .. (n-1)/2``; a sector with fewer bound states has zero columns.
+    ``order`` is the basis index of every grid cell, row by row.  The bound
+    state itself is ``conj(table[m, d, slot]) exp(i K c)`` on the cell of row
+    ``d`` and column ``c``, one inverse transform per row.
     """
 
     table: np.ndarray
-    slots: np.ndarray
+    order: np.ndarray
 
     def weights(self, states: np.ndarray) -> np.ndarray:
         """Total bound-band weight of one state, or of every row of a block."""
-        n = self.table.shape[0]
-        rows = states.reshape(-1, states.shape[-1])
-        grid = np.zeros((len(rows), n * n), dtype=complex)
-        grid[:, self.slots] = rows
-        # one transform over the centre site per (row, separation), in place, then
-        # every momentum's sum over separations as one batched product: (m, row, slot)
-        spectra = grid.reshape(-1, n, n)
+        n, rows = self.table.shape[:2]
+        block = states.reshape(-1, states.shape[-1])
+        # the folded grid of every state as one gather, one transform per (state, row)
+        # in place, then every momentum's sum over rows as one batched product: (m, state, slot)
+        spectra = np.take(block, self.order, axis=-1).astype(complex, copy=False).reshape(-1, rows, n)
         np.fft.fft(spectra, axis=-1, out=spectra)
         overlaps = np.matmul(spectra.transpose(2, 0, 1), self.table)
         weights = np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
@@ -218,12 +221,14 @@ class BoundProjector(NamedTuple):
         n = self.table.shape[0]
         # every momentum's sum over its bound states, conj(table) coef taken as
         # conj(table conj(coef)): one product over the slot axis, so no temporary
-        # is as large as the table; then one inverse transform over the centre
-        # site per separation: (i - 1, d)
+        # is as large as the table; then one inverse transform over the columns
+        # of every grid row: (column, row)
         spectra = np.matmul(self.table, coef.conj()[:, :, np.newaxis])[..., 0]
         np.conjugate(spectra, out=spectra)
         grid = n * np.fft.ifft(spectra, axis=0)
-        return grid.T.reshape(-1)[self.slots]
+        psi = np.empty(self.order.size, dtype=complex)
+        psi[self.order] = grid.T.reshape(-1)
+        return psi
 
 
 @dataclass(frozen=True)
@@ -251,29 +256,28 @@ class BandStructure:
     def bound_matrix(self, basis: TwoBosonBasis) -> BoundProjector:
         """Projector onto every bound state of the band, for states in ``basis``.
 
-        Its table holds n x n amplitudes per bound state of a sector, not a
-        basis-sized vector: (n, n, 2) for a double band.
+        Its table holds (n + 1) / 2 amplitudes per bound state of a sector and
+        momentum, not a basis-sized vector: (n, (n + 1) // 2, 2) for a double band.
         """
         n = self.n_sites
         if basis.n_sites != n:
             raise ValueError(f"the band has {n} sites, the basis {basis.n_sites}")
         reach = (n - 1) // 2
-        separation = np.arange(n)
-        wrapped = separation > reach
-        power = np.where(wrapped, n - separation, separation)
-        # the phase exp(-i K (theta_d + 1)) of conj(P_d) exp(-i K)
-        theta = np.where(wrapped, 0.5 * (n + separation), 0.5 * separation) + 1.0
-        table = np.zeros((n, n, max(map(len, self.states))), dtype=complex)
+        separation = np.arange(reach + 1)
+        # the phase exp(-i K (d / 2 + 1)) of conj(P_d) exp(-i K)
+        theta = 0.5 * separation + 1.0
+        table = np.zeros((n, reach + 1, max(map(len, self.states))), dtype=complex)
         for k, group in zip(self.momenta, self.states):
             m = round(k * n / (2.0 * np.pi)) % n
             for slot, state in enumerate(group):
-                y = state.decay_ratio
                 psi0 = _on_site_amplitude(state)
-                amp = y**power
+                amp = state.decay_ratio**separation
                 amp[0] = psi0
-                norm = np.sqrt(n * (psi0**2 + np.sum(amp[1 : reach + 1] ** 2)))
+                norm = np.sqrt(n * (psi0**2 + np.sum(amp[1:] ** 2)))
                 table[m, :, slot] = amp * np.exp(-1j * k * theta) / norm
-        return BoundProjector(table=table, slots=(basis.j - basis.i) * n + basis.i - 1)
+        d = basis.j - basis.i
+        cells = np.where(d > reach, (n - d) * n + basis.j, d * n + basis.i) - 1
+        return BoundProjector(table=table, order=np.argsort(cells))
 
 
 def band_scan(kappa: float, interaction: float, n_sites: int) -> BandStructure:

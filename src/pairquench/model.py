@@ -10,7 +10,8 @@ on a cache line, so no run that only propagates loads ``scipy``; ``bind``
 takes every view of one product once, so a recursion pays only the numpy
 passes per term, and ``step`` is one bound product.  ``radii`` gives the row
 sums weighted by any positive vector and ``gauged`` the sign-flipped hopping
-of the spectral bounds; ``coo`` lists the elements for a sparse or dense
+of the spectral bounds; ``expectations`` the energies of a block of states
+without leaving the layout; ``coo`` lists the elements for a sparse or dense
 matrix.
 """
 
@@ -291,6 +292,14 @@ class PairHamiltonian:
     def _scratch(self) -> np.ndarray:
         return self.empty_packed()
 
+    @cached_property
+    def _inverse_weight(self) -> np.ndarray:
+        # 1 / S**2 per float64 of the layout on the slots, 0 elsewhere
+        hop = self._hopping
+        inverse = np.zeros(hop.weight.size)
+        inverse[hop.slots] = 1.0 / hop.scale**2
+        return np.repeat(inverse, 2)
+
     def bind(self, x: np.ndarray, prev: np.ndarray | None, out: np.ndarray):
         """A call that sets ``out = H x + prev`` (``H x`` without ``prev``) for packed states, and returns ``out``.
 
@@ -330,14 +339,30 @@ class PairHamiltonian:
         """``out = H x + prev`` (``H x`` without ``prev``) for one packed state, through ``bind``."""
         return self.bind(x, prev, out)()
 
-    def __matmul__(self, states: np.ndarray) -> np.ndarray:
-        """``H psi`` of a basis-order state, or of every row of a block, one ``step`` per row."""
+    def _packed_products(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(phi, S H psi)`` on the layout, ``phi = S psi`` packed, for a state or every row of a block: one ``step`` per row."""
         packed = self.pack(np.asarray(states))
         out = aligned_array(packed.shape)
         rows = packed.reshape(-1, packed.shape[-1])
         for x, result in zip(rows, out.reshape(rows.shape)):
             self.step(x, None, result)
-        return self.unpack(out)
+        return packed, out
+
+    def expectations(self, states: np.ndarray) -> np.ndarray:
+        """``Re <psi|H|psi>`` of a state, or of every row of a block, without leaving the layout.
+
+        With ``phi = S psi`` and ``S H psi`` packed, the value is the sum of
+        ``Re(conj(phi) S H psi) / S**2`` over the slots: one product of their
+        float64 views by ``1 / S**2``, which is 0 on the ghost and halo cells.
+        """
+        packed, out = self._packed_products(states)
+        products = out.view(float)
+        products *= packed.view(float)
+        return products @ self._inverse_weight
+
+    def __matmul__(self, states: np.ndarray) -> np.ndarray:
+        """``H psi`` of a basis-order state, or of every row of a block."""
+        return self.unpack(self._packed_products(states)[1])
 
     def _coo_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis-order ``(rows, cols)`` of every hop, read off the shift table."""

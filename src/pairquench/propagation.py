@@ -26,7 +26,9 @@ the propagator keeps; every state it returns is back in basis order.
 ``samples`` yields blocks of up to ``SAMPLE_BLOCK`` states, one row per
 sample time and one matrix product or recursion per block; a Chebyshev block
 spans several times only while each step of it is short enough that its own
-series is mostly overhead.
+series is mostly overhead.  A propagator counts its recursions and operator
+products and names the source of its interval, on the instance, for the run
+record.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ import numpy as np
 #: most rows of a block yielded by ``samples`` (8 states at dim 6216 are 0.8 MB)
 SAMPLE_BLOCK = 8
 
-#: Chebyshev terms added into the output rows per matrix product
-#: (16 terms at dim 6216 are 1.6 MB)
-TERM_BUFFER = 16
+#: Chebyshev terms added into the output rows per matrix product.  At dim 6216
+#: a packed row is 107.6 KB, so 8 terms plus the kernels' scratch and weight
+#: tables and a row's output are about 1.4 MB, inside a 2 MiB L2, where 16
+#: terms were 2.26 MB; the term count does not depend on it.  It must be at
+#: least 3: each term is formed from the two before it in the same buffer
+TERM_BUFFER = 8
 
 #: power steps behind each end of the Collatz–Wielandt interval of ``spectral_bounds``
 CW_ITERATIONS = 25
@@ -113,14 +118,16 @@ def _power_weights(m) -> np.ndarray:
     return m.unpack(out).real
 
 
-def spectral_bounds(h) -> tuple[float, float]:
+def spectral_bounds(h) -> tuple[float, float, str]:
     """Collatz–Wielandt interval of ``h``, at least 1e-9 wide, inside its Gershgorin interval.
 
-    Without the sign structure (``h.gauged()`` is None) it is the Gershgorin
-    interval, ``_interval`` with unit weights.  With it, the off-diagonal
-    elements of ``h`` are non-positive and those of ``G h G`` non-negative,
-    so ``hi - h`` and ``G h G - lo`` are non-negative matrices for the
-    Gershgorin ends ``lo`` and ``hi``.  The lower end is weighted by
+    Returns ``(lo, hi, source)``, ``source`` naming the interval that stood:
+    ``"collatz-wielandt"`` or ``"gershgorin"``.  Without the sign structure
+    (``h.gauged()`` is None) it is the Gershgorin interval, ``_interval`` with
+    unit weights.  With it, the off-diagonal elements of ``h`` are
+    non-positive and those of ``G h G`` non-negative, so ``hi - h`` and
+    ``G h G - lo`` are non-negative matrices for the Gershgorin ends ``lo``
+    and ``hi``.  The lower end is weighted by
     ``CW_ITERATIONS`` power steps of ``hi - h`` from ones, the upper end by
     those of ``G h G - lo``: the Collatz–Wielandt bounds of a non-negative
     matrix (Horn & Johnson, Matrix Analysis, ch. 8) approach the exact ends
@@ -130,22 +137,31 @@ def spectral_bounds(h) -> tuple[float, float]:
     """
     ones = np.ones(h.shape[0])
     lo, hi = _interval(h, ones, ones)
+    source = "gershgorin"
     gauged = h.gauged()
     if gauged is not None:
         below, above = _power_weights(h.scaled(hi, -1.0)), _power_weights(gauged.scaled(lo, 1.0))
         if np.all(below > 0.0) and np.all(above > 0.0):
             tight_lo, tight_hi = _interval(h, below, above)
-            lo, hi = max(lo, tight_lo), min(hi, tight_hi)
-    return lo, lo + max(hi - lo, 1e-9)
+            lo, hi, source = max(lo, tight_lo), min(hi, tight_hi), "collatz-wielandt"
+    return lo, lo + max(hi - lo, 1e-9), source
 
 
 class ChebyshevPropagator:
-    """Polynomial expansion of exp(-iHt) on the rescaled spectrum."""
+    """Polynomial expansion of exp(-iHt) on the rescaled spectrum.
+
+    It counts its own work: ``recursions`` run so far and the ``matvecs``
+    (operator products, one per term after the first) they took; ``interval``
+    names where its spectral interval came from, ``"given"`` for ``bounds``.
+    """
 
     def __init__(self, h, *, tol: float = 1e-12, bounds: tuple[float, float] | None = None):
         self.h = h
         self.tol = tol
-        lo, hi = bounds if bounds is not None else spectral_bounds(h)
+        if bounds is None:
+            lo, hi, self.interval = spectral_bounds(h)
+        else:
+            (lo, hi), self.interval = bounds, "given"
         self.center = 0.5 * (hi + lo)
         self.halfwidth = 0.5 * (hi - lo)
         # B = -2i A for the rescaled operator A: the terms V_k = (-i)^k T_k(A) psi
@@ -155,6 +171,16 @@ class ChebyshevPropagator:
         self._coeff_cache: dict[float, np.ndarray] = {}
         # block products of _sum_series, sized by the longest window so far
         self._part = np.empty((0, 0), dtype=complex)
+        self.recursions = self.matvecs = 0
+
+    def stats(self) -> dict:
+        """The interval's source and halfwidth and the work counted so far, for a run record."""
+        return {
+            "interval": self.interval,
+            "halfwidth": self.halfwidth,
+            "recursions": self.recursions,
+            "matvecs": self.matvecs,
+        }
 
     def _coefficients(self, dt: float) -> np.ndarray:
         """The real coefficients ``J_0, 2 J_1, 2 J_2, ...`` at ``halfwidth * dt``, one per term of the series."""
@@ -213,6 +239,8 @@ class ChebyshevPropagator:
         b.bind(terms[0], None, terms[1])()
         terms[1] *= 0.5
         real_terms, real_out = terms.view(float), out.view(float)
+        self.recursions += 1
+        self.matvecs += n_terms - 1
         for k in range(n_terms):
             slot = k % TERM_BUFFER
             if k >= 2:

@@ -100,14 +100,13 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundPr
     return psi / nrm
 
 
-def _expectations(states: np.ndarray, operator: PairHamiltonian) -> np.ndarray:
-    """``Re <psi|operator|psi>`` of every row ``psi`` of a block."""
-    return np.array([np.vdot(psi, h_psi).real for psi, h_psi in zip(states, operator @ states)])
-
-
 @dataclass
 class QuenchTrajectory:
-    """Sampled observables along one quench evolution."""
+    """Sampled observables along one quench evolution.
+
+    ``propagation`` is the propagator's own record of the run (``run_quench``
+    fills it from ``ChebyshevPropagator.stats``), empty otherwise.
+    """
 
     times: np.ndarray
     transfer: np.ndarray
@@ -116,6 +115,7 @@ class QuenchTrajectory:
     norm: np.ndarray
     total_energy: np.ndarray
     final_state: np.ndarray = field(repr=False)
+    propagation: dict = field(default_factory=dict)
 
 
 def evolve(
@@ -148,7 +148,7 @@ def evolve(
 
     # a function, so that no block's densities are held through the next block's recursion
     def block_observables(block: np.ndarray) -> tuple:
-        field_free = _expectations(block, h0)
+        field_free = h0.expectations(block)
         weights, norm = bound.weights(block), np.linalg.norm(block, axis=1)
         density = np.abs(block) ** 2
         return weights, density @ sep, field_free, norm, field_free + density @ field_diag
@@ -189,15 +189,18 @@ class QuenchWorkspace:
 
 
 def run_quench(workspace: QuenchWorkspace, field_value: float, times) -> QuenchTrajectory:
-    """Evolve the workspace packet under the quenched field."""
-    return evolve(
-        ChebyshevPropagator(workspace.hamiltonian(field_value)),
+    """Evolve the workspace packet under the quenched field, with the propagator's record."""
+    propagator = ChebyshevPropagator(workspace.hamiltonian(field_value))
+    trajectory = evolve(
+        propagator,
         workspace.psi0,
         times,
         h0=workspace.h0,
         bound=workspace.bound,
         basis=workspace.basis,
     )
+    trajectory.propagation = propagator.stats()
+    return trajectory
 
 
 @dataclass(frozen=True)

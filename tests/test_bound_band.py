@@ -218,7 +218,9 @@ def test_bound_matrix_matches_loop_reference(ref_band, ref_basis):
 
 
 @pytest.mark.parametrize(
-    "n_sites, interaction", [(15, -6.24), (15, -5.5), (111, -6.24), (201, -6.24)]
+    "n_sites, interaction",
+    # at n = 3, 5 and 7 every row of the folded grid but row 0 holds a wrapped pair
+    [(3, -6.24), (5, -6.24), (7, -6.24), (15, -6.24), (15, -5.5), (111, -6.24), (201, -6.24)],
 )
 def test_projection_matches_dense_oracle(n_sites, interaction):
     band = band_scan(1.0, interaction, n_sites)
@@ -226,7 +228,7 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     if interaction == -5.5:
         assert band.missing_momenta("+").size == 3  # the table keeps zero columns there
     bound = band.bound_matrix(basis)
-    assert bound.table.shape == (n_sites, n_sites, 2)
+    assert bound.table.shape == (n_sites, (n_sites + 1) // 2, 2)
     rng = np.random.default_rng(n_sites)
     block = rng.standard_normal((8, basis.dim)) + 1j * rng.standard_normal((8, basis.dim))
     block /= np.linalg.norm(block, axis=1)[:, np.newaxis]
@@ -244,7 +246,8 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     block[5] = bound.superpose(coef)
     assert np.max(np.abs(block[5] - dense_superpose(coef, band, basis))) < 1e-13
     reference = dense_bound_weight(block, band, basis)
-    assert reference[0] == pytest.approx(1.0, abs=1e-12)
+    if n_sites >= 7:  # on smaller rings the bound states overlap, by up to 0.098 at n = 3
+        assert reference[0] == pytest.approx(1.0, abs=1e-12)
     assert reference[3] > 0.1
     assert np.max(np.abs(bound.weights(block) - reference)) < 1e-14
     for row, expected in zip(block[[0, 3, 5]], reference[[0, 3, 5]]):

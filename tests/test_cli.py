@@ -546,7 +546,12 @@ def test_default_quench_manifest_reports_numerical_health(tmp_path):
     out = tmp_path / "out"
     assert run(["quench", "--out", out]) == 0
     stats = json.loads((out / "manifest.json").read_text())["stats"]
-    assert set(stats) == {"max_norm_error", "max_total_energy_drift"}
+    assert set(stats) == {
+        "interval", "halfwidth", "recursions", "matvecs", "max_norm_error", "max_total_energy_drift"
+    }
+    # 800 samples in windows of 8, on the Collatz–Wielandt interval: 187 products per window
+    assert (stats["interval"], stats["recursions"], stats["matvecs"]) == ("collatz-wielandt", 100, 18_700)
+    assert stats["halfwidth"] == pytest.approx(16.639, abs=1e-3)
     assert 0.0 <= stats["max_norm_error"] <= 1e-12
     assert 0.0 <= stats["max_total_energy_drift"] <= 1e-10
 

@@ -162,6 +162,18 @@ def test_operator_products_match_fock_oracle(params):
 
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
+def test_expectations_match_fock_oracle(params):
+    # Re <psi|H|psi> on the packed layout: the halo cells carry values but weigh nothing
+    basis = build_basis(params.n_sites)
+    h, reference = build_hamiltonian(params, basis), fock_sector_matrix(params)
+    rng = np.random.default_rng(params.n_sites)
+    block = rng.standard_normal((5, basis.dim)) + 1j * rng.standard_normal((5, basis.dim))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    expected = np.einsum("ij,jk,ik->i", block.conj(), reference, block).real
+    assert np.max(np.abs(h.expectations(block) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
 def test_spectral_bounds_are_the_dense_row_sum_interval(params):
     # the interval of the row sums weighted by unit (Gershgorin's) and by random positive
     # weights, against the dense matrix; spectral_bounds lies inside Gershgorin's
@@ -176,7 +188,7 @@ def test_spectral_bounds_are_the_dense_row_sum_interval(params):
         assert lo == pytest.approx(np.min(diag - offdiag @ d_lo / d_lo), abs=1e-13)
         assert hi == pytest.approx(np.max(diag + offdiag @ d_hi / d_hi), abs=1e-13)
     lo, hi = _interval(h, ones, ones)
-    tight_lo, tight_hi = spectral_bounds(h)
+    tight_lo, tight_hi, _ = spectral_bounds(h)
     assert lo <= tight_lo and tight_hi <= hi
 
 

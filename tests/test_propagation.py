@@ -14,7 +14,14 @@ from pairquench import (
     build_hamiltonian,
     build_stark,
 )
-from pairquench.propagation import SAMPLE_BLOCK, _bessel_j, _interval, _power_weights, spectral_bounds
+from pairquench.propagation import (
+    SAMPLE_BLOCK,
+    TERM_BUFFER,
+    _bessel_j,
+    _interval,
+    _power_weights,
+    spectral_bounds,
+)
 from pairquench.spectrum import _csr
 
 from conftest import F_BLOCH
@@ -134,8 +141,9 @@ def chain31():
 def test_bounds_contain_dense_spectrum(params):
     h = build_hamiltonian(params, build_basis(params.n_sites))
     vals = np.linalg.eigvalsh(h.toarray())
-    lo, hi = spectral_bounds(h)
+    lo, hi, source = spectral_bounds(h)
     assert lo <= vals[0] and vals[-1] <= hi
+    assert source == "collatz-wielandt"
     # the Collatz–Wielandt interval is narrower than Gershgorin's at both ends
     ones = np.ones(vals.size)
     gershgorin = _interval(h, ones, ones)
@@ -172,14 +180,15 @@ def test_underflowing_weights_fall_back_to_gershgorin():
     assert np.any(_power_weights(h.gauged().scaled(lo, 1.0)) == 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no weighted radius divides by the zero
-        assert spectral_bounds(h) == (lo, hi)
+        assert spectral_bounds(h) == (lo, hi, "gershgorin")
 
 
 def test_small_dense_matrix_gets_its_gershgorin_interval(random_hamiltonian, exact_bounds):
     # at every size, even 60 dense states, where it is about four times as wide as the spectrum
     dense = random_hamiltonian.toarray()
     radius = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
-    lo, hi = spectral_bounds(random_hamiltonian)
+    lo, hi, source = spectral_bounds(random_hamiltonian)
+    assert source == "gershgorin"
     assert lo == pytest.approx(np.min(np.diag(dense) - radius), abs=1e-12)
     assert hi == pytest.approx(np.max(np.diag(dense) + radius), abs=1e-12)
     assert lo < exact_bounds[0] and exact_bounds[1] < hi
@@ -189,7 +198,7 @@ def test_diagonal_bounds_are_attained_and_advance_exactly():
     rng = np.random.default_rng(5)
     d = rng.uniform(-3.0, 2.0, 100)
     h = MatrixOperator(np.diag(d))
-    assert spectral_bounds(h) == (d.min(), d.max())
+    assert spectral_bounds(h) == (d.min(), d.max(), "gershgorin")
     psi = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
     psi /= np.linalg.norm(psi)
     cheb = ChebyshevPropagator(h)
@@ -200,7 +209,7 @@ def test_diagonal_bounds_are_attained_and_advance_exactly():
 def test_identity_multiple_gets_a_nonzero_width():
     # a Gershgorin interval of zero width would divide by zero in the rescaling
     h = MatrixOperator(2.5 * np.eye(100))
-    lo, hi = spectral_bounds(h)
+    lo, hi, _ = spectral_bounds(h)
     assert lo == 2.5 and hi - lo == pytest.approx(1e-9)
     psi = np.full(100, 0.1, dtype=complex)
     for t in (0.3, 7.0, 120.0):
@@ -226,6 +235,59 @@ def test_advance_rows_match_separate_recursions(chain31):
     assert rows.shape == (len(earlier) + 1, psi.size)
     for row, offset in zip(rows, earlier + [8.0]):
         assert np.max(np.abs(row - loop_chebyshev_advance(cheb, psi, offset))) <= 1e-15
+
+
+def _step_of_length(cheb, n_terms: int) -> float:
+    """The smallest step (to 1e-12) whose series has ``n_terms`` terms, by bisection on the term count."""
+    lo, hi = 0.0, 1.0
+    while cheb._coefficients(hi).size < n_terms:
+        hi *= 2.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cheb._coefficients(mid).size < n_terms else (lo, mid)
+    assert cheb._coefficients(hi).size == n_terms
+    return hi
+
+
+def test_term_buffer_holds_the_two_terms_before_each_new_one():
+    # each kernel forms terms[s] from terms[s - 1] and terms[s - 2]; with 2 rows
+    # terms[s - 2] would be terms[s] itself, read while it is written
+    assert TERM_BUFFER >= 3
+
+
+@pytest.mark.parametrize("n_terms", [TERM_BUFFER - 1, TERM_BUFFER, TERM_BUFFER + 1, 2 * TERM_BUFFER + 1])
+@pytest.mark.parametrize("rows", [1, 8])
+def test_series_around_the_term_buffer_match_real_operator_recursion(chain31, n_terms, rows):
+    # series that end just before, on and just after a full buffer, and one term into a
+    # third buffer, in one row and in eight rows that end in different buffers
+    h, psi = chain31
+    cheb = ChebyshevPropagator(h)
+    dt = _step_of_length(cheb, n_terms)
+    offsets = dt * np.arange(1, rows + 1) / rows
+    got = cheb.advance(psi, dt, offsets[:-1]).reshape(rows, -1)
+    for row, offset in zip(got, offsets):
+        assert np.max(np.abs(row - loop_chebyshev_advance(cheb, psi, offset))) <= 1e-15
+    assert (cheb.recursions, cheb.matvecs) == (1, n_terms - 1)
+
+
+def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, random_state):
+    h, psi = chain31
+    cheb = ChebyshevPropagator(h)
+    assert (cheb.interval, cheb.recursions, cheb.matvecs) == ("collatz-wielandt", 0, 0)
+    cheb.advance(psi, 2.0, [0.5, 1.0])
+    cheb.advance(psi, 3.0)
+    terms = len(cheb._coefficients(2.0)) + len(cheb._coefficients(3.0))
+    assert cheb.stats() == {
+        "interval": "collatz-wielandt",
+        "halfwidth": cheb.halfwidth,
+        "recursions": 2,
+        "matvecs": terms - 2,
+    }
+    assert ChebyshevPropagator(random_hamiltonian).interval == "gershgorin"
+    given = ChebyshevPropagator(random_hamiltonian, bounds=(-50.0, 50.0))
+    assert (given.interval, given.halfwidth) == ("given", 50.0)
+    list(given.samples(random_state, [0.0, 0.5, 1.0]))  # t = 0 is no recursion
+    assert given.recursions == 1
 
 
 @pytest.mark.parametrize("earlier", [[2.0, 1.0], [0.0, 1.0], [1.0, 8.0], [1.0, 1.0]])
