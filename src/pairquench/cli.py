@@ -22,7 +22,7 @@ import numpy as np
 from . import reporting, three_site
 from .bound_band import band_scan
 from .model import ModelParams
-from .quench import QuenchWorkspace, WavePacketSpec, packet_weights, run_quench, sweep_transfer
+from .quench import IncompleteBandError, QuenchWorkspace, WavePacketSpec, run_quench, sweep_transfer
 
 EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
 
@@ -49,12 +49,6 @@ def _three_sites(raw: str) -> int:
     if value != 3:
         raise ValueError("the three-site model has n_sites = 3")
     return value
-
-
-def _open_boundary(raw: str) -> str:
-    if raw != "open":
-        raise ValueError("every experiment runs on the open chain")
-    return raw
 
 
 def _k0_pi(raw: str) -> float:
@@ -123,14 +117,31 @@ def _branch(raw: str) -> str:
         raise ValueError(f"choose one of {', '.join(_BRANCH_ALIASES)}") from None
 
 
-# (section, key, parser, required) per experiment; a parser raises ValueError
+# the model rows that three-site and spectrum share
+_CHAIN_MODEL = [
+    ("model", "kappa", _non_negative, True),
+    ("model", "u", _finite, True),
+    ("model", "v", _finite, True),
+]
+# the bound-pair packet of quench and sweep needs kappa > 0, u != 0 and v == u
+_PAIR_MODEL = [
+    ("model", "n_sites", _odd_sites, True),
+    ("model", "kappa", _pair_hopping, True),
+    ("model", "u", _pair_interaction, True),
+    ("model", "v", _finite, True),
+]
+_PACKET = [
+    ("packet", "k0_pi", _k0_pi, True),
+    ("packet", "width", _positive, True),
+    ("packet", "center_site", int, True),
+    ("packet", "branch", _branch, False),
+]
+
+# (section, key, parser, required) per experiment, every key a config may hold; a parser raises ValueError
 SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     "three-site": [
         ("model", "n_sites", _three_sites, True),
-        ("model", "kappa", _non_negative, True),
-        ("model", "u", _finite, True),
-        ("model", "v", _finite, True),
-        ("model", "boundary", _open_boundary, False),
+        *_CHAIN_MODEL,
         ("three_site", "fields", _fields, True),
         ("three_site", "t_max", _non_negative, True),
         ("three_site", "dt", _positive, True),
@@ -139,14 +150,10 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
         ("model", "n_sites", _odd_sites, True),
         ("model", "kappa", _non_negative, True),
         ("model", "u", _finite, True),
-        ("model", "boundary", _open_boundary, False),
     ],
     "spectrum": [
         ("model", "n_sites", _sites, True),
-        ("model", "kappa", _non_negative, True),
-        ("model", "u", _finite, True),
-        ("model", "v", _finite, True),
-        ("model", "boundary", _open_boundary, False),
+        *_CHAIN_MODEL,
         ("spectrum", "f_start", _finite, True),
         ("spectrum", "f_stop", _finite, True),
         ("spectrum", "f_count", _field_count, True),
@@ -155,29 +162,15 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
         ("spectrum", "window_hi", _finite, False),
     ],
     "quench": [
-        ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _pair_hopping, True),
-        ("model", "u", _pair_interaction, True),
-        ("model", "v", _finite, True),
+        *_PAIR_MODEL,
         ("model", "field", _finite, True),
-        ("model", "boundary", _open_boundary, False),
-        ("packet", "k0_pi", _k0_pi, True),
-        ("packet", "width", _positive, True),
-        ("packet", "center_site", int, True),
-        ("packet", "branch", _branch, False),
+        *_PACKET,
         ("time", "t_max", _non_negative, True),
         ("time", "dt", _positive, True),
     ],
     "sweep": [
-        ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _pair_hopping, True),
-        ("model", "u", _pair_interaction, True),
-        ("model", "v", _finite, True),
-        ("model", "boundary", _open_boundary, False),
-        ("packet", "k0_pi", _k0_pi, True),
-        ("packet", "width", _positive, True),
-        ("packet", "center_site", int, True),
-        ("packet", "branch", _branch, False),
+        *_PAIR_MODEL,
+        *_PACKET,
         ("sweep", "f_start", _finite, True),
         ("sweep", "f_stop", _finite, True),
         ("sweep", "f_step", _positive, True),
@@ -185,7 +178,8 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
     ],
 }
 
-_PAPER_MODEL = {"n_sites": 111, "kappa": 1.0, "u": -6.24, "v": -6.24}
+_PAPER_BAND = {"n_sites": 111, "kappa": 1.0, "u": -6.24}
+_PAPER_MODEL = dict(_PAPER_BAND, v=_PAPER_BAND["u"])
 _PAPER_PACKET = {"k0_pi": -0.9, "width": 0.2, "center_site": 36, "branch": "+"}
 
 DEFAULTS: dict[str, dict[str, dict]] = {
@@ -193,7 +187,7 @@ DEFAULTS: dict[str, dict[str, dict]] = {
         "model": {"n_sites": 3, "kappa": 0.4, "u": -6.0, "v": -6.0},
         "three_site": {"fields": [-3.0, -1.0], "t_max": 100.0, "dt": 0.05},
     },
-    "band": {"model": dict(_PAPER_MODEL)},
+    "band": {"model": dict(_PAPER_BAND)},
     "spectrum": {
         "model": {"n_sites": 3, "kappa": 0.4, "u": -6.0, "v": -6.0},
         "spectrum": {"f_start": -5.0, "f_stop": -1.0, "f_count": 81, "r_threshold": 1.0},
@@ -224,11 +218,13 @@ class ConfigError(Exception):
 
 
 def load_config(experiment: str, path: str | None) -> dict[str, dict]:
-    """Resolve the run configuration, validating every required field."""
+    """Resolve the run configuration: every schema key valid, every required one given, no other."""
     if path is None:
         return copy.deepcopy(DEFAULTS[experiment])
-    # values are numbers and words, so a '%' is a typo, never an interpolation
-    parser = configparser.ConfigParser(interpolation=None)
+    # values are numbers and words, so a '%' is a typo, never an interpolation; no
+    # header names the empty section, so [DEFAULT] is an ordinary (unknown) section
+    # whose keys reach no other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:  # no section header, a repeated section or key
@@ -236,6 +232,14 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     if not read:
         raise ConfigError([f"config file not found: {path}"])
     problems = []
+    known: dict[str, set[str]] = {}
+    for section, key, _, _ in SCHEMA[experiment]:
+        known.setdefault(section, set()).add(key)
+    for section in parser.sections():
+        if section not in known:
+            problems.append(f"unknown section [{section}]")
+            continue
+        problems.extend(f"unknown key [{section}] {key}" for key in parser[section] if key not in known[section])
     config: dict[str, dict] = {}
     for section, key, typ, required in SCHEMA[experiment]:
         if parser.has_option(section, key):
@@ -303,11 +307,6 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                 problems.append(f"invalid value for [three_site] fields: {f} (too large)")
     if problems:
         raise ConfigError(problems)
-    if experiment in ("quench", "sweep"):
-        try:  # the packet may sit where its branch has no bound state, or be too narrow
-            packet_weights(_packet_spec(config), band_scan(model["kappa"], model["u"], model["n_sites"]))
-        except ValueError as exc:
-            raise ConfigError([f"invalid [packet] for the bound band of [model]: {exc}"]) from None
     return config
 
 
@@ -443,6 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(problems: list[str]) -> int:
+    print("configuration error:", file=sys.stderr)
+    for problem in problems:
+        print(f"  {problem}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -451,15 +457,14 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.experiment, args.config)
     except ConfigError as exc:
-        print("configuration error:", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 2
+        return _config_error(exc.problems)
     # every writer creates the directory, so a run that fails in set-up leaves none
     out = Path(args.out) if args.out else Path("runs") / args.experiment
     started = time.perf_counter()
     try:
         outputs, stats = _RUNNERS[args.experiment](config, out, args.threads)
+    except IncompleteBandError as exc:  # from the packet check of QuenchWorkspace.prepare, before any writer
+        return _config_error([f"invalid [packet] for the bound band of [model]: {exc}"])
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

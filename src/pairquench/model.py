@@ -339,30 +339,22 @@ class PairHamiltonian:
         """``out = H x + prev`` (``H x`` without ``prev``) for one packed state, through ``bind``."""
         return self.bind(x, prev, out)()
 
-    def _packed_products(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi, S H psi)`` on the layout, ``phi = S psi`` packed, for a state or every row of a block: one ``step`` per row."""
+    def expectations(self, states: np.ndarray) -> np.ndarray:
+        """``Re <psi|H|psi>`` of a state, or of every row of a block, without leaving the layout.
+
+        With ``phi = S psi`` and ``S H psi`` packed (one ``step`` per row), the
+        value is the sum of ``Re(conj(phi) S H psi) / S**2`` over the slots: one
+        product of their float64 views by ``1 / S**2``, which is 0 on the ghost
+        and halo cells.
+        """
         packed = self.pack(np.asarray(states))
         out = aligned_array(packed.shape)
         rows = packed.reshape(-1, packed.shape[-1])
         for x, result in zip(rows, out.reshape(rows.shape)):
             self.step(x, None, result)
-        return packed, out
-
-    def expectations(self, states: np.ndarray) -> np.ndarray:
-        """``Re <psi|H|psi>`` of a state, or of every row of a block, without leaving the layout.
-
-        With ``phi = S psi`` and ``S H psi`` packed, the value is the sum of
-        ``Re(conj(phi) S H psi) / S**2`` over the slots: one product of their
-        float64 views by ``1 / S**2``, which is 0 on the ghost and halo cells.
-        """
-        packed, out = self._packed_products(states)
         products = out.view(float)
         products *= packed.view(float)
         return products @ self._inverse_weight
-
-    def __matmul__(self, states: np.ndarray) -> np.ndarray:
-        """``H psi`` of a basis-order state, or of every row of a block."""
-        return self.unpack(self._packed_products(states)[1])
 
     def _coo_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis-order ``(rows, cols)`` of every hop, read off the shift table."""

@@ -23,7 +23,7 @@ from .propagation import ChebyshevPropagator
 
 
 class IncompleteBandError(ValueError):
-    """The packet needs a bound state at a momentum where none exists."""
+    """The packet needs a bound state at a momentum where none exists, or has no weight on the grid."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,17 @@ class WavePacketSpec:
 WEIGHT_FLOOR = 1e-8
 
 
-def packet_weights(spec: WavePacketSpec, band: BandStructure) -> np.ndarray:
-    """Gaussian weight of the packet at every momentum of the band.
+def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundProjector) -> np.ndarray:
+    """Normalized packet of bound states on the selected branch.
 
-    Raises ``IncompleteBandError`` when the branch has no bound state at a
-    momentum whose weight exceeds ``WEIGHT_FLOOR`` times the peak weight, and
-    ``ValueError`` when no momentum carries weight.
+    ``bound`` is ``band.bound_matrix(basis)``: the packet is one superposition
+    of its table.  Raises ``IncompleteBandError`` when no momentum carries
+    weight, or when the branch has no bound state at a momentum whose
+    Gaussian weight exceeds ``WEIGHT_FLOOR`` times the peak weight.
     """
+    n = band.n_sites
+    if not 1 <= spec.center_site <= n:
+        raise ValueError(f"center site {spec.center_site} is outside the lattice")
     # a width whose square underflows gives inf and nan here, caught as no peak; one
     # whose square overflows gives a flat packet (a Python float square would raise)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -67,29 +71,15 @@ def packet_weights(spec: WavePacketSpec, band: BandStructure) -> np.ndarray:
         weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / spread)
     peak = weights.max()
     if not peak > 0.0:
-        raise ValueError(f"a packet of width {spec.width} carries no weight on the momentum grid")
-    for k, w, state in zip(band.momenta, weights, band.select(spec.branch)):
-        if state is None and w > WEIGHT_FLOOR * peak:
-            raise IncompleteBandError(
-                f"branch {spec.branch!r} has no bound state at K = {k:.6f} "
-                f"(relative weight {w / peak:.2e})"
-            )
-    return weights
-
-
-def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundProjector) -> np.ndarray:
-    """Normalized packet of bound states on the selected branch.
-
-    ``bound`` is ``band.bound_matrix(basis)``: the packet is one superposition
-    of its table.
-    """
-    n = band.n_sites
-    if not 1 <= spec.center_site <= n:
-        raise ValueError(f"center site {spec.center_site} is outside the lattice")
-    weights = packet_weights(spec, band)
+        raise IncompleteBandError(f"a packet of width {spec.width} carries no weight on the momentum grid")
     coef = np.zeros((n, bound.table.shape[2]), dtype=complex)
     for k, w, group, state in zip(band.momenta, weights, band.states, band.select(spec.branch)):
         if state is None:
+            if w > WEIGHT_FLOOR * peak:
+                raise IncompleteBandError(
+                    f"branch {spec.branch!r} has no bound state at K = {k:.6f} "
+                    f"(relative weight {w / peak:.2e})"
+                )
             continue
         row = round(k * n / (2.0 * np.pi)) % n  # the FFT-order row of K in the table
         coef[row, group.index(state)] = w * np.exp(-1j * spec.center_site * k)

@@ -121,16 +121,18 @@ def write_gnuplot(path: Path, experiment: str, csv_name: str) -> None:
 
 
 def versions() -> dict:
+    """Versions of the libraries of the run; scipy's is None unless the run loaded it (only spectrum does)."""
     import platform
-    from importlib.metadata import version
+    import sys
 
     import numpy
 
     from . import __version__
 
+    scipy = sys.modules.get("scipy")
     return {
         "pairquench": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": version("scipy"),  # from its metadata: no run but spectrum imports scipy
+        "scipy": None if scipy is None else scipy.__version__,
     }

@@ -252,6 +252,15 @@ def chain_checked_roots(
     )
 
 
+def stencil_product(h, states: np.ndarray) -> np.ndarray:
+    """``H psi`` of a basis-order state, or of every row of a block, through ``h.pack``, ``h.step`` and ``h.unpack``."""
+    packed = np.atleast_2d(h.pack(np.asarray(states)))
+    out = np.empty_like(packed)
+    for x, result in zip(packed, out):
+        h.step(x, None, result)
+    return h.unpack(out).reshape(np.shape(states))
+
+
 class MatrixOperator:
     """A dense or sparse matrix behind the operator interface of the propagators.
 

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairquench
+from pairquench import cli, quench
+from pairquench.bound_band import band_scan
 from pairquench.cli import (
+    DEFAULTS,
+    EXPERIMENTS,
     MAX_POINTS,
     SCHEMA,
     ConfigError,
@@ -125,10 +129,34 @@ def test_invalid_value_reported(tmp_path, capsys):
 
 
 def test_ring_boundary_rejected_at_config_time(tmp_path, capsys):
-    cfg = tmp_path / "torus.ini"
-    cfg.write_text("[model]\nn_sites = 111\nkappa = 1.0\nu = -6.24\nboundary = torus\n")
-    assert run(["band", "--config", cfg, "--out", tmp_path / "out"]) == 2
-    assert "invalid value for [model] boundary: 'torus'" in capsys.readouterr().err
+    # every run is on the open chain, so no config names a boundary
+    for boundary in ("torus", "open"):
+        cfg = tmp_path / f"{boundary}.ini"
+        cfg.write_text(f"[model]\nn_sites = 111\nkappa = 1.0\nu = -6.24\nboundary = {boundary}\n")
+        assert run(["band", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "configuration error:\n  unknown key [model] boundary\n"
+        assert not (tmp_path / "out").exists()
+
+
+# SMALL_QUENCH with kappa moved to [DEFAULT] and three typos: a run of it exited 0,
+# on the upper branch, with kappa copied from [DEFAULT] into every section
+TYPOS = "[DEFAULT]\nkappa = 1.0\n" + SMALL_QUENCH.replace("kappa = 1.0", "feild = 3").replace(
+    "center_site = 8", "center_site = 8\nbrnach = lower"
+) + "\n[tiem]\nt_max = 20\n"
+
+
+def test_unknown_sections_and_keys_rejected_together(tmp_path, capsys):
+    cfg = tmp_path / "typos.ini"
+    cfg.write_text(TYPOS)
+    assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error:",
+        "  unknown section [DEFAULT]",
+        "  unknown key [model] feild",
+        "  unknown key [packet] brnach",
+        "  unknown section [tiem]",
+        "  missing [model] kappa",  # [DEFAULT] lends no key
+    ]
     assert not (tmp_path / "out").exists()
 
 
@@ -321,6 +349,17 @@ def test_unreadable_config_rejected_before_output(tmp_path, capsys, text, messag
     assert not (tmp_path / "out").exists()
 
 
+def _ini(config: dict[str, dict]) -> str:
+    """INI text of a config of sections, list values joined with commas."""
+    return "".join(
+        f"[{section}]\n" + "".join(
+            f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+            for key, value in keys.items()
+        )
+        for section, keys in config.items()
+    )
+
+
 def _sections(text: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
     parser.read_string(text)
@@ -357,10 +396,7 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
         else:
             sections.setdefault(section, {})[key] = value.strip()
     path = tmp_path_factory.mktemp("fuzz") / "cfg.ini"
-    path.write_text("".join(
-        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
-        for name, keys in sections.items()
-    ))
+    path.write_text(_ini(sections))
     try:
         config = load_config(experiment, str(path))
     except ConfigError as exc:
@@ -382,8 +418,8 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
 def test_runs_leave_unneeded_scipy_unloaded(tmp_path):
     # only the spectrum experiment needs scipy (level assignment and shift-invert
     # eigsh): no module of it loads on import, nor in a quench, sweep, band or
-    # three-site run, which the Hamiltonian's stencil, the Chebyshev coefficients
-    # and the manifest's version record serve with numpy and the standard library
+    # three-site run, which the Hamiltonian's stencil and the Chebyshev coefficients
+    # serve with numpy and the standard library
     runs = []
     for experiment, text in (
         ("quench", SMALL_QUENCH), ("sweep", SMALL_SWEEP), ("band", SMALL_BAND), ("three-site", THREE_SITE)
@@ -410,6 +446,10 @@ print("spectrum loaded scipy:", "scipy.sparse.linalg" in sys.modules)
     lines = run_python(["-c", probe]).stdout.splitlines()
     assert [line for line in lines if line.startswith("loaded:")] == ["loaded: []"] * 3
     assert "spectrum loaded scipy: True" in lines
+    # so the manifest records scipy's version for spectrum alone
+    for experiment in CONFIGS:
+        scipy = json.loads((tmp_path / experiment / "manifest.json").read_text())["versions"]["scipy"]
+        assert isinstance(scipy, str) if experiment == "spectrum" else scipy is None, experiment
 
 
 def _probe(tmp_path, experiment: str, text: str, *options) -> dict:
@@ -462,6 +502,40 @@ def test_partial_band_packet_fails_before_output(tmp_path, capsys):
     assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "branch '+' has no bound state" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["quench", "sweep"])
+def test_one_band_scan_per_run(tmp_path, monkeypatch, experiment):
+    # the packet is checked on the band QuenchWorkspace.prepare scans, so the
+    # config check scans none
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return band_scan(*args)
+
+    monkeypatch.setattr(quench, "band_scan", counted)
+    monkeypatch.setattr(cli, "band_scan", counted)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIGS[experiment].replace("f_stop = -0.18", "f_stop = -0.22").replace("t_max = 20", "t_max = 2"))
+    assert run([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert scans == [(1.0, -6.24, 15)]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_defaults_round_trip_through_a_config_file(tmp_path, experiment):
+    # every built-in default is a schema key that load_config reads back unchanged
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text(_ini(DEFAULTS[experiment]))
+    assert load_config(experiment, str(cfg)) == DEFAULTS[experiment]
+
+
+def test_readme_example_config_is_the_default_quench(tmp_path):
+    # configparser has no inline comments: a '; ...' after a value became part of it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert load_config("quench", str(cfg)) == DEFAULTS["quench"]
 
 
 @pytest.mark.parametrize("branch", ["lower", "Upper", "+"])

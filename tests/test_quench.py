@@ -24,7 +24,7 @@ from pairquench import (
 from pairquench import quench
 from pairquench.model import separations
 
-from oracles import SpectralPropagator, bound_state_realspace, dense_bound_weight, energy_distribution
+from oracles import SpectralPropagator, bound_state_realspace, dense_bound_weight, energy_distribution, stencil_product
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ def test_trajectory_invariants(small_workspace):
     ws = small_workspace
     assert traj.transfer[0] == pytest.approx(ws.bound.weights(ws.psi0), abs=1e-12)
     assert traj.distance[0] == pytest.approx(separations(ws.basis) @ np.abs(ws.psi0) ** 2, abs=1e-12)
-    assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, ws.h0 @ ws.psi0).real, abs=1e-10)
+    assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, stencil_product(ws.h0, ws.psi0)).real, abs=1e-10)
 
 
 def test_backends_agree_on_small_quench():
@@ -350,7 +350,7 @@ def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, backend
     times = np.arange(0.0, 12.0)
     traj = evolve_workspace(ws, backend(h), times)
     states = np.vstack(list(backend(h).samples(ws.psi0, times)))
-    direct = [np.real(np.vdot(psi, h @ psi)) for psi in states]
+    direct = [np.real(np.vdot(psi, stencil_product(h, psi))) for psi in states]
     assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
 
 

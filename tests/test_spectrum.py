@@ -11,7 +11,7 @@ from pairquench.spectrum import (
     spectrum_vs_field,
 )
 
-from oracles import free_scattering_state
+from oracles import free_scattering_state, stencil_product
 
 THREE_SITE = ModelParams(3, kappa=0.4, u=-6.0, v=-6.0)
 
@@ -54,7 +54,7 @@ def test_classify_extended_scattering_state():
     psi, energy = free_scattering_state(basis, 3, 7)
     params = ModelParams(n, kappa=1.0, u=0.0, v=0.0)
     # oracle state is an exact eigenstate of the free chain
-    res = np.linalg.norm(build_h0(params, basis) @ psi - energy * psi)
+    res = np.linalg.norm(stencil_product(build_h0(params, basis), psi) - energy * psi)
     assert res < 1e-9
     rbar = float((basis.j - basis.i) @ np.abs(psi) ** 2)
     slc = SpectrumSlice(
