@@ -246,13 +246,6 @@ class BandStructure:
             out.append(hit[0] if hit else None)
         return out
 
-    def branch_complete(self, branch: str) -> bool:
-        return all(s is not None for s in self.select(branch))
-
-    def missing_momenta(self, branch: str) -> np.ndarray:
-        mask = np.array([s is None for s in self.select(branch)])
-        return self.momenta[mask]
-
     def bound_matrix(self, basis: TwoBosonBasis) -> BoundProjector:
         """Projector onto every bound state of the band, for states in ``basis``.
 

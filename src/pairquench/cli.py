@@ -225,6 +225,7 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     # header names the empty section, so [DEFAULT] is an ordinary (unknown) section
     # whose keys reach no other
     parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.optionxform = str  # key names match the schema exactly, as section names do
     try:
         read = parser.read(path)
     except configparser.Error as exc:  # no section header, a repeated section or key
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default runs/<experiment>)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for the sweep grid")
+                       help="worker processes of the sweep grid (1: one worker process)")
         p.add_argument("--emit-plots", action="store_true",
                        help="write gnuplot scripts next to the CSV output")
     return parser

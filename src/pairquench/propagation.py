@@ -53,11 +53,6 @@ CW_ITERATIONS = 25
 class PropagationAccuracyError(RuntimeError):
     """Propagation could not meet the requested tolerance."""
 
-    def __init__(self, message: str, achieved: float, target: float):
-        super().__init__(f"{message} (achieved {achieved:.3e}, target {target:.3e})")
-        self.achieved = achieved
-        self.target = target
-
 
 def _sample_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
@@ -152,16 +147,13 @@ class ChebyshevPropagator:
 
     It counts its own work: ``recursions`` run so far and the ``matvecs``
     (operator products, one per term after the first) they took; ``interval``
-    names where its spectral interval came from, ``"given"`` for ``bounds``.
+    names the source of its interval, as ``spectral_bounds`` returns it.
     """
 
-    def __init__(self, h, *, tol: float = 1e-12, bounds: tuple[float, float] | None = None):
+    def __init__(self, h, *, tol: float = 1e-12):
         self.h = h
         self.tol = tol
-        if bounds is None:
-            lo, hi, self.interval = spectral_bounds(h)
-        else:
-            (lo, hi), self.interval = bounds, "given"
+        lo, hi, self.interval = spectral_bounds(h)
         self.center = 0.5 * (hi + lo)
         self.halfwidth = 0.5 * (hi - lo)
         # B = -2i A for the rescaled operator A: the terms V_k = (-i)^k T_k(A) psi
@@ -197,9 +189,8 @@ class ChebyshevPropagator:
                 cut = min(int(keep[-1]) + 2, n_max + 1)
             if np.abs(bessel[cut - 1]) > 10.0 * self.tol:
                 raise PropagationAccuracyError(
-                    "Chebyshev series did not decay below tolerance",
-                    achieved=float(np.abs(bessel[cut - 1])),
-                    target=self.tol,
+                    "Chebyshev series did not decay below tolerance "
+                    f"(achieved {np.abs(bessel[cut - 1]):.3e}, target {self.tol:.3e})"
                 )
             coef = 2.0 * bessel[:cut]
             coef[0] = bessel[0]
@@ -273,9 +264,8 @@ class ChebyshevPropagator:
         drift = np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(psi))
         if drift.max() > 1e-8:
             raise PropagationAccuracyError(
-                "norm drifted during a Chebyshev step; spectral bounds too tight",
-                achieved=float(drift.max()),
-                target=1e-8,
+                "norm drifted during a Chebyshev step; spectral bounds too tight "
+                f"(achieved {drift.max():.3e}, target 1.000e-08)"
             )
         return out if offsets.size > 1 else out[0]
 

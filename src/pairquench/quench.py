@@ -257,13 +257,12 @@ def _sweep_init(*ctx) -> None:
     _WORKER_CTX = ctx
 
 
-def _sweep_point(field_value: float, ctx: tuple = ()) -> float:
-    """Bound weight at ``t_final`` after a quench to ``field_value``.
+def _sweep_point(field_value: float) -> float:
+    """Bound weight at ``t_final`` after a quench to ``field_value``, in a pool worker.
 
-    ``ctx`` is ``(workspace, t_final)``; a pool worker passes none and reads
-    the one its initializer stored.
+    The workspace and ``t_final`` are the ones the worker's initializer stored.
     """
-    workspace, t_final = ctx or _WORKER_CTX
+    workspace, t_final = _WORKER_CTX
     prop = ChebyshevPropagator(workspace.hamiltonian(field_value))
     # t_final positional: benchmarks/probe.py counts matvecs from advance's dt argument
     return float(workspace.bound.weights(prop.advance(workspace.psi0, t_final)))
@@ -278,37 +277,32 @@ def sweep_transfer(
 ) -> SweepResult:
     """Long-time bound weight across a grid of quench fields.
 
-    Grid points are independent; failures of single points are recorded and
-    the sweep continues.  Output ordering follows the input grid, so results
-    are identical regardless of ``workers`` (at most one per grid point and CPU).
-    The period is estimated only when every grid point succeeded, since the
-    autocorrelation assumes one field step between neighbouring values.
+    Every grid runs on one process pool of ``workers`` processes, at most one
+    per grid point and CPU and at least one, so ``workers=1`` is one worker
+    process.  Grid points are independent; the failure of a single point is
+    recorded against its field with its own message, and the sweep continues.
+    Output ordering follows the input grid, so results are identical
+    regardless of ``workers``.  The period is estimated only when every grid
+    point succeeded, since the autocorrelation assumes one field step between
+    neighbouring values.
     """
     f_values = np.asarray(f_values, dtype=float)
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if np.any(f_values == 0.0):
         raise ValueError("every field value in the sweep grid must be nonzero")
-    ctx = (workspace, float(t_final))
     transfer = np.full(f_values.size, np.nan)
     failures: list[tuple[float, str]] = []
-    workers = min(workers, f_values.size, os.cpu_count() or 1)
-    if workers <= 1:
-        for idx, f in enumerate(f_values):
+    workers = max(1, min(workers, f_values.size, os.cpu_count() or 1))
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_sweep_init, initargs=(workspace, float(t_final))
+    ) as pool:
+        futures = [pool.submit(_sweep_point, float(f)) for f in f_values]
+        for idx, fut in enumerate(futures):
             try:
-                transfer[idx] = _sweep_point(float(f), ctx)
+                transfer[idx] = fut.result()
             except Exception as exc:  # record and continue per grid point
-                failures.append((float(f), str(exc)))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_sweep_init, initargs=ctx
-        ) as pool:
-            futures = {idx: pool.submit(_sweep_point, float(f)) for idx, f in enumerate(f_values)}
-            for idx, fut in futures.items():
-                try:
-                    transfer[idx] = fut.result()
-                except Exception as exc:
-                    failures.append((float(f_values[idx]), str(exc)))
+                failures.append((float(f_values[idx]), str(exc)))
     if f_values.size >= 6 and np.isfinite(transfer).all():
         period = estimate_period(transfer, step=float(abs(f_values[1] - f_values[0])))
     else:

@@ -170,8 +170,8 @@ def test_criterion_3_completeness_threshold():
     complete = band_scan(1.0, -6.24, REF_N)
     partial = band_scan(1.0, -5.0, REF_N)
     elapsed = time.perf_counter() - started
-    ok_complete = complete.branch_complete("-") and complete.branch_complete("+")
-    ok_partial = not (partial.branch_complete("-") and partial.branch_complete("+"))
+    ok_complete = None not in complete.select("-") + complete.select("+")
+    ok_partial = None in partial.select("-") + partial.select("+")
     ok_time = elapsed < 5.0
     report(
         "criterion 3 (completeness threshold)",

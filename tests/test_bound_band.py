@@ -226,7 +226,7 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     band = band_scan(1.0, interaction, n_sites)
     basis = build_basis(n_sites)
     if interaction == -5.5:
-        assert band.missing_momenta("+").size == 3  # the table keeps zero columns there
+        assert band.select("+").count(None) == 3  # the table keeps zero columns there
     bound = band.bound_matrix(basis)
     assert bound.table.shape == (n_sites, (n_sites + 1) // 2, 2)
     rng = np.random.default_rng(n_sites)
@@ -268,19 +268,20 @@ def test_realspace_rejects_off_grid_momentum():
 
 def test_completeness_threshold():
     complete = band_scan(1.0, -6.24, 111)
-    assert complete.branch_complete("-")
-    assert complete.branch_complete("+")
+    assert None not in complete.select("-")
+    assert None not in complete.select("+")
 
     partial = band_scan(1.0, -5.0, 111)
-    assert partial.branch_complete("-")
-    assert not partial.branch_complete("+")
+    assert None not in partial.select("-")
+    assert None in partial.select("+")
     # the upper branch disappears around the band center
-    assert np.max(np.abs(partial.missing_momenta("+"))) < 1.3
+    missing = [k for k, state in zip(partial.momenta, partial.select("+")) if state is None]
+    assert np.max(np.abs(missing)) < 1.3
 
 
 def test_strong_coupling_band_detached():
     band = band_scan(0.4, -6.0, 111)
-    assert band.branch_complete("-") and band.branch_complete("+")
+    assert None not in band.select("-") + band.select("+")
     # the scattering continuum of sector K spans [-2 |J_K|, 2 |J_K|]
     margin = min(abs(s.energy) - 2.0 * abs(s.hop) for s in all_states(band))
     assert margin > 0

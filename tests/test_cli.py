@@ -160,6 +160,19 @@ def test_unknown_sections_and_keys_rejected_together(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_key_names_match_the_schema_exactly(tmp_path, capsys):
+    # as section names always did: an upper-case key loaded as n_sites before
+    cfg = tmp_path / "upper.ini"
+    cfg.write_text(SMALL_BAND.replace("n_sites", "N_SITES"))
+    assert run(["band", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error:",
+        "  unknown key [model] N_SITES",
+        "  missing [model] n_sites",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment", ["band", "quench", "sweep"])
 def test_even_site_count_rejected_at_config_time(tmp_path, capsys, experiment):
     text = {"band": SMALL_BAND, "quench": SMALL_QUENCH, "sweep": SMALL_SWEEP}[experiment]
@@ -491,6 +504,17 @@ def test_benchmark_probe_traces_pool_workers(tmp_path):
     points = [span for span in payload["spans"] if span[0] == "quench.sweep_point"]
     assert len(points) == 2
     assert any(span[4] != main_pid for span in points)
+    assert payload["counts"]["matvecs"] > 0
+
+
+def test_benchmark_probe_traces_a_one_worker_sweep(tmp_path):
+    # --threads 1 runs the grid on one worker process as well: every grid point
+    # is traced there, and its matvecs reach the record
+    payload = _probe(tmp_path, "sweep", SMALL_SWEEP, "--threads", 1)
+    main_pid = next(span[4] for span in payload["spans"] if span[0] == "cli.main")
+    points = [span for span in payload["spans"] if span[0] == "quench.sweep_point"]
+    assert len(points) == 5
+    assert all(span[4] != main_pid for span in points)
     assert payload["counts"]["matvecs"] > 0
 
 

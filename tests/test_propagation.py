@@ -13,6 +13,7 @@ from pairquench import (
     build_h0,
     build_hamiltonian,
     build_stark,
+    propagation,
 )
 from pairquench.propagation import (
     SAMPLE_BLOCK,
@@ -43,6 +44,16 @@ def exact_bounds(random_hamiltonian):
     vals = np.linalg.eigvalsh(random_hamiltonian.toarray())
     pad = 0.05 * (vals[-1] - vals[0])
     return vals[0] - pad, vals[-1] + pad
+
+
+@pytest.fixture
+def fixed_bounds(monkeypatch):
+    """``fix(lo, hi)``: every propagator built after it takes the interval ``[lo, hi]``, named ``"given"``."""
+
+    def fix(lo, hi):
+        monkeypatch.setattr(propagation, "spectral_bounds", lambda h: (lo, hi, "given"))
+
+    return fix
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +95,9 @@ def test_first_sample_is_initial_state(random_hamiltonian, random_state):
         assert np.linalg.norm(first[0] - random_state) < 1e-14
 
 
-def test_underestimated_bounds_raise(random_hamiltonian, random_state):
-    cheb = ChebyshevPropagator(random_hamiltonian, bounds=(-0.5, 0.5))
+def test_underestimated_bounds_raise(random_hamiltonian, random_state, fixed_bounds):
+    fixed_bounds(-0.5, 0.5)
+    cheb = ChebyshevPropagator(random_hamiltonian)
     with pytest.raises(PropagationAccuracyError):
         cheb.advance(random_state, 5.0)
 
@@ -98,7 +110,7 @@ def test_series_that_cannot_reach_tol_raises(random_hamiltonian, random_state):
 
 
 @pytest.mark.parametrize("z", [1e-300, 1e-9, 0.5, 17.9, 143.0, 14302.0])
-def test_chebyshev_coefficients_match_scipy_bessel(z):
+def test_chebyshev_coefficients_match_scipy_bessel(z, fixed_bounds):
     # Miller's recurrence against scipy's jv over every order the series may
     # keep; at 1e-300 the recurrence would overflow and is not run.  14302 is
     # one t = 800 step at n = 111, where jv's own error is about 1.3e-13
@@ -111,7 +123,8 @@ def test_chebyshev_coefficients_match_scipy_bessel(z):
     assert np.max(np.abs(residual)) <= 1e-15
     # the interval [-1, 1] makes dt the Bessel argument; the terms carry (-i)^k and
     # advance the centre phase, so the coefficients are the real J_0, 2 J_1, 2 J_2, ...
-    coef = ChebyshevPropagator(MatrixOperator(np.eye(2)), bounds=(-1.0, 1.0))._coefficients(z)
+    fixed_bounds(-1.0, 1.0)
+    coef = ChebyshevPropagator(MatrixOperator(np.eye(2)))._coefficients(z)
     kept = orders[: coef.size]
     assert coef.dtype == np.float64
     assert np.max(np.abs(coef - np.where(kept == 0, 1.0, 2.0) * jv(kept, z))) < 4e-13
@@ -270,7 +283,7 @@ def test_series_around_the_term_buffer_match_real_operator_recursion(chain31, n_
     assert (cheb.recursions, cheb.matvecs) == (1, n_terms - 1)
 
 
-def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, random_state):
+def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, random_state, fixed_bounds):
     h, psi = chain31
     cheb = ChebyshevPropagator(h)
     assert (cheb.interval, cheb.recursions, cheb.matvecs) == ("collatz-wielandt", 0, 0)
@@ -284,7 +297,8 @@ def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, r
         "matvecs": terms - 2,
     }
     assert ChebyshevPropagator(random_hamiltonian).interval == "gershgorin"
-    given = ChebyshevPropagator(random_hamiltonian, bounds=(-50.0, 50.0))
+    fixed_bounds(-50.0, 50.0)
+    given = ChebyshevPropagator(random_hamiltonian)
     assert (given.interval, given.halfwidth) == ("given", 50.0)
     list(given.samples(random_state, [0.0, 0.5, 1.0]))  # t = 0 is no recursion
     assert given.recursions == 1
@@ -311,10 +325,11 @@ def _record_recursions(cheb):
 
 
 @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
-def test_windowed_samples_match_spectral(random_hamiltonian, exact_bounds, random_state, count):
+def test_windowed_samples_match_spectral(random_hamiltonian, exact_bounds, fixed_bounds, random_state, count):
     rng = np.random.default_rng(count)
     times = 0.7 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, count - 1))])
-    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12, bounds=exact_bounds)
+    fixed_bounds(*exact_bounds)
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
     recursions = _record_recursions(cheb)
     got = np.vstack(list(cheb.samples(random_state, times)))
     want = np.vstack(list(SpectralPropagator(random_hamiltonian).samples(random_state, times)))
@@ -323,8 +338,9 @@ def test_windowed_samples_match_spectral(random_hamiltonian, exact_bounds, rando
     assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-10
 
 
-def test_long_steps_are_not_windowed(random_hamiltonian, exact_bounds, random_state):
-    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12, bounds=exact_bounds)
+def test_long_steps_are_not_windowed(random_hamiltonian, exact_bounds, fixed_bounds, random_state):
+    fixed_bounds(*exact_bounds)
+    cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
     assert cheb._is_short(1.0) and not cheb._is_short(50.0)
     recursions = _record_recursions(cheb)
     blocks = list(cheb.samples(random_state, [0.0, 50.0, 100.0, 101.0, 102.0]))
@@ -340,8 +356,9 @@ def test_samples_reject_unsorted_times(random_hamiltonian, random_state, backend
             list(prop.samples(random_state, times))
 
 
-def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_state):
-    cheb = ChebyshevPropagator(random_hamiltonian, bounds=(-0.5, 0.5))
+def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_state, fixed_bounds):
+    fixed_bounds(-0.5, 0.5)
+    cheb = ChebyshevPropagator(random_hamiltonian)
     assert cheb._is_short(1.0)
     with pytest.raises(PropagationAccuracyError):
         list(cheb.samples(random_state, np.arange(0.0, 9.0)))

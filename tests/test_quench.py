@@ -1,6 +1,8 @@
 import concurrent.futures
+import functools
 import gc
 import os
+import pickle
 import weakref
 
 import numpy as np
@@ -10,7 +12,9 @@ from pairquench import (
     ChebyshevPropagator,
     IncompleteBandError,
     ModelParams,
+    PropagationAccuracyError,
     QuenchWorkspace,
+    SingularParameterError,
     WavePacketSpec,
     band_scan,
     build_basis,
@@ -264,20 +268,24 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
         sweep_transfer(small_workspace, f_values, t_final=-1.0)
 
 
+#: the default 61-point sweep grid
+DEFAULT_GRID = -0.0995 + 7.5e-5 * np.arange(61)
+
+
+def periodic_point(field_value, failing=frozenset()):
+    """A sweep point of period 0.0015 that fails at the ``failing`` indices of ``DEFAULT_GRID``."""
+    if int(round((field_value - DEFAULT_GRID[0]) / 7.5e-5)) in failing:
+        raise RuntimeError("synthetic failure")
+    return 0.5 + 0.4 * np.cos(2.0 * np.pi * field_value / 0.0015)
+
+
 def test_sweep_period_needs_every_grid_point(monkeypatch):
-    # a curve of period 0.0015 on the default 61-point grid; with every other point
-    # failing, the surviving points are two field steps apart
-    f_values = -0.0995 + 7.5e-5 * np.arange(61)
-    failing = set()
-
-    def point(field_value, ctx):
-        if int(round((field_value - f_values[0]) / 7.5e-5)) in failing:
-            raise RuntimeError("synthetic failure")
-        return 0.5 + 0.4 * np.cos(2.0 * np.pi * field_value / 0.0015)
-
-    monkeypatch.setattr(quench, "_sweep_point", point)
+    # with every other point failing, the surviving points are two field steps apart;
+    # the pool pickles the point function, so it is a module-level one
+    f_values = DEFAULT_GRID
+    monkeypatch.setattr(quench, "_sweep_point", periodic_point)
     assert sweep_transfer(None, f_values, t_final=1.0).period.period == pytest.approx(0.0015)
-    failing.update(range(1, 61, 2))
+    monkeypatch.setattr(quench, "_sweep_point", functools.partial(periodic_point, failing=frozenset(range(1, 61, 2))))
     gapped = sweep_transfer(None, f_values, t_final=1.0)
     assert len(gapped.failures) == 30
     assert gapped.period.period is None
@@ -317,18 +325,46 @@ def test_sweep_starts_at_most_one_worker_per_grid_point(small_workspace, recordi
     serial = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=1)
     assert np.array_equal(pooled.transfer, serial.transfer)
     sweep_transfer(small_workspace, [-0.2], t_final=5.0, workers=5000)
-    assert recording_pool == [3]  # one grid point runs serially
+    assert recording_pool == [3, 1, 1]  # one grid point runs on one worker
 
 
-@pytest.mark.parametrize("cpus, expected", [(3, [3]), (None, [])], ids=["3-cpus", "unknown"])
+@pytest.mark.parametrize("cpus, expected", [(3, [3]), (None, [1])], ids=["3-cpus", "unknown"])
 def test_sweep_starts_at_most_one_worker_per_cpu(small_workspace, recording_pool, monkeypatch, cpus, expected):
-    # an unknown CPU count counts as one CPU, so the sweep runs serially
+    # an unknown CPU count counts as one CPU, so the sweep runs on one worker
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     f_values = -0.20 + 0.01 * np.arange(5)
     pooled = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=100_000)
     assert recording_pool == expected
     serial = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=1)
     assert np.array_equal(pooled.transfer, serial.transfer)
+
+
+class StrictAtOneField(ChebyshevPropagator):
+    """The sweep's propagator, with a tolerance it cannot reach for the Hamiltonian whose diagonal is ``failing``."""
+
+    failing = np.empty(0)
+
+    def __init__(self, h):
+        super().__init__(h, tol=1e-20 if np.array_equal(h.diagonal(), self.failing) else 1e-12)
+
+
+def test_sweep_failures_cross_the_pool_intact(small_workspace, monkeypatch):
+    f_values = [-0.2, -0.19, -0.18, -0.17]
+    monkeypatch.setattr(StrictAtOneField, "failing", small_workspace.hamiltonian(-0.18).diagonal())
+    monkeypatch.setattr(quench, "ChebyshevPropagator", StrictAtOneField)
+    serial = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=1)
+    pooled = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=2)
+    assert np.array_equal(serial.transfer, pooled.transfer, equal_nan=True)
+    assert serial.failures == pooled.failures
+    [(field_value, message)] = serial.failures
+    assert field_value == -0.18 and message.startswith("Chebyshev series did not decay below tolerance (achieved ")
+    assert np.isfinite(np.delete(serial.transfer, 2)).all()
+
+
+@pytest.mark.parametrize("error", [PropagationAccuracyError, IncompleteBandError, SingularParameterError])
+def test_errors_survive_a_pickle_round_trip(error):
+    copy = pickle.loads(pickle.dumps(error("a message")))
+    assert type(copy) is error and str(copy) == "a message"
 
 
 def test_serial_sweep_keeps_no_reference_to_the_workspace():
