@@ -14,7 +14,6 @@ import copy
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -205,10 +204,19 @@ DEFAULTS: dict[str, dict[str, dict]] = {
 }
 
 
+def _grid_points(start: float, stop: float, step: float) -> float:
+    """How many points ``start + step * k`` lie at or below ``stop``, to within 1e-9 of a step; inf past the floats."""
+    return np.floor((stop - start) / step + 1e-9) + 1.0
+
+
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """``start + step * k`` for ``k = 0, 1, ...``: the sweep fields and the sample times, never past ``stop``."""
+    return start + step * np.arange(int(_grid_points(start, stop, step)))
+
+
 def _sweep_grid(section: dict) -> np.ndarray:
     """Fields of a ``[sweep]`` section: ``f_start`` plus whole ``f_step`` steps up to ``f_stop``."""
-    count = int(round((section["f_stop"] - section["f_start"]) / section["f_step"])) + 1
-    return section["f_start"] + section["f_step"] * np.arange(count)
+    return _grid(section["f_start"], section["f_stop"], section["f_step"])
 
 
 class ConfigError(Exception):
@@ -261,7 +269,7 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
         problems.append(f"invalid value for [sweep] f_stop: {f_stop} (below f_start {f_start})")
     f_step = config.get("sweep", {}).get("f_step")
     if None not in (f_start, f_stop, f_step) and f_stop >= f_start:
-        if (f_stop - f_start) / f_step + 1 > MAX_POINTS:
+        if _grid_points(f_start, f_stop, f_step) > MAX_POINTS:
             problems.append(
                 f"invalid value for [sweep] f_step: {f_step} (more than {MAX_POINTS} fields from f_start to f_stop)"
             )
@@ -273,9 +281,19 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                     f"invalid [sweep] grid: the fields from f_start {f_start} in steps of {f_step} "
                     f"include F = {bad[0]} (every field must be finite and nonzero)"
                 )
+    window = config.get("spectrum", {})
+    ends = {"window_lo", "window_hi"} & window.keys()
+    if len(ends) == 1:
+        missing = ({"window_lo", "window_hi"} - ends).pop()
+        problems.append(f"missing [spectrum] {missing} (a window needs both window_lo and window_hi)")
+    elif ends and window["window_lo"] >= window["window_hi"]:
+        problems.append(
+            f"invalid value for [spectrum] window_hi: {window['window_hi']} "
+            f"(not above window_lo {window['window_lo']})"
+        )
     for section in ("time", "three_site"):
         times = config.get(section, {})
-        if {"t_max", "dt"} <= times.keys() and times["t_max"] / times["dt"] + 1 > MAX_POINTS:
+        if {"t_max", "dt"} <= times.keys() and _grid_points(0.0, times["t_max"], times["dt"]) > MAX_POINTS:
             problems.append(
                 f"invalid value for [{section}] t_max: {times['t_max']} "
                 f"(more than {MAX_POINTS} samples at dt {times['dt']})"
@@ -334,7 +352,7 @@ def _packet_spec(config: dict) -> WavePacketSpec:
 
 def _run_three_site(config, out: Path, threads: int) -> tuple[list[str], dict]:
     section = config["three_site"]
-    times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
+    times = _grid(0.0, section["t_max"], section["dt"])
     outputs = []
     for f in section["fields"]:
         params = _model_params(config, field=f)
@@ -362,12 +380,9 @@ def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
     from . import spectrum  # scipy.optimize loads only for this experiment
 
     section = config["spectrum"]
-    params = _model_params(config, field=0.0)
     f_values = np.linspace(section["f_start"], section["f_stop"], section["f_count"])
-    window = None
-    if "window_lo" in section and "window_hi" in section:
-        window = (section["window_lo"], section["window_hi"])
-    slices = spectrum.spectrum_vs_field(f_values, params, window)
+    window = (section["window_lo"], section["window_hi"]) if "window_lo" in section else None
+    slices = spectrum.spectrum_vs_field(f_values, _model_params(config), window)
     r_threshold = section.get("r_threshold", 1.0)
     labels = [spectrum.classify_levels(s, r_threshold) for s in slices]
     scan = spectrum.detect_avoided_crossings(slices, r_threshold=r_threshold)
@@ -378,9 +393,9 @@ def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
 
 def _run_quench(config, out: Path, threads: int) -> tuple[list[str], dict]:
     params = _model_params(config)
-    workspace = QuenchWorkspace.prepare(replace(params, field=0.0), _packet_spec(config))
+    workspace = QuenchWorkspace.prepare(params, _packet_spec(config))
     section = config["time"]
-    times = np.arange(0.0, section["t_max"] + 0.5 * section["dt"], section["dt"])
+    times = _grid(0.0, section["t_max"], section["dt"])
     trajectory = run_quench(workspace, params.field, times)
     reporting.write_trajectory_csv(out / "trajectory.csv", trajectory)
     stats = {
@@ -392,8 +407,7 @@ def _run_quench(config, out: Path, threads: int) -> tuple[list[str], dict]:
 
 
 def _run_sweep(config, out: Path, threads: int) -> tuple[list[str], dict]:
-    params = _model_params(config, field=0.0)
-    workspace = QuenchWorkspace.prepare(params, _packet_spec(config))
+    workspace = QuenchWorkspace.prepare(_model_params(config), _packet_spec(config))
     section = config["sweep"]
     f_values = _sweep_grid(section)
     sweep = sweep_transfer(workspace, f_values, section["t_f"], workers=threads)

@@ -8,11 +8,10 @@ applied matrix-free as a stencil.  Its product is two passes over
 constant-offset slices of a folded copy of the state, on buffers that start
 on a cache line, so no run that only propagates loads ``scipy``; ``bind``
 takes every view of one product once, so a recursion pays only the numpy
-passes per term, and ``step`` is one bound product.  ``radii`` gives the row
-sums weighted by any positive vector and ``gauged`` the sign-flipped hopping
-of the spectral bounds; ``expectations`` the energies of a block of states
-without leaving the layout; ``coo`` lists the elements for a sparse or dense
-matrix.
+passes per term, and ``step`` is one bound product.  ``bounding`` gives the
+pair ``(D - |O|, D + |O|)`` whose bound products give the spectral bounds;
+``expectations`` the energies of a block of states without leaving the
+layout; ``coo`` lists the elements for a sparse or dense matrix.
 """
 
 from __future__ import annotations
@@ -153,30 +152,6 @@ class _Hopping:
         weight[slots] = np.where(d == 0, 2.0, 1.0)
         return cls(n, w, (1 - w, w - 1, -w, w), slots, halo, mirror, scale, weight)
 
-    def pair_passes(self, x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> tuple[tuple, tuple]:
-        """The ``(left, right, sum)`` operands of the two passes of the neighbour sum of ``x`` into ``out``.
-
-        ``pairs[q] = x[q] + x[q + 1]`` into the scratch ``pairs`` (of ``x``'s
-        size), then ``pairs[p - W] + pairs[p + W - 1]`` into the body of
-        ``out``, every row but the ghost and halo rows (of no meaning off the
-        slots).
-        """
-        w, size = self.stride, x.size
-        return (x[:-1], x[1:], pairs[:-1]), (pairs[: size - 2 * w], pairs[2 * w - 1 : size - 1], out[w:-w])
-
-    def neighbour_sum(self, x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """Sum of a packed state ``x`` over the one-hop neighbours of every cell, into ``out``."""
-        for left, right, total in self.pair_passes(x, out, pairs):
-            np.add(left, right, out=total)
-        return out
-
-    def fill_halo(self, packed: np.ndarray) -> np.ndarray:
-        """Zero the ghost and halo rows of a packed state or block, then copy every mirror into its halo cell."""
-        w = self.stride
-        packed[..., :w] = packed[..., -w:] = 0.0
-        packed.T[self.halo] = packed.T[self.mirror]  # on the last axis, twice as fast as ``[..., halo]``
-        return packed
-
 
 class PairHamiltonian:
     """``diag(diagonal)`` plus the hopping ``-kappa`` between configurations one hop apart.
@@ -193,7 +168,7 @@ class PairHamiltonian:
     allocates them.  Every packed buffer the operator allocates starts on a
     cache line, and so does each of its rows.
 
-    Operators from ``add_diagonal``, ``scaled`` and ``gauged`` share the
+    Operators from ``add_diagonal``, ``scaled`` and ``bounding`` share the
     hopping tables; ``scaled`` by a complex factor gives a complex operator,
     such as the ``-2i A`` the Chebyshev recursion runs on.
     ``nnz`` counts the elements of the matrix, ``data`` is the diagonal and
@@ -237,27 +212,16 @@ class PairHamiltonian:
         """The operator ``factor * (self - shift)``."""
         return PairHamiltonian(self._hopping, self.kappa * factor, (self._diagonal - shift) * factor)
 
-    def gauged(self) -> "PairHamiltonian":
-        """``G H G`` for the gauge ``G = diag((-1)**(i + j))``: every hop flips its sign, the diagonal stays.
+    def bounding(self) -> tuple["PairHamiltonian", "PairHamiltonian"]:
+        """``(L, U) = (D - |O|, D + |O|)`` for the diagonal ``D`` and the hopping ``O``: hops ``-|kappa|``, then ``+|kappa|``.
 
-        Every hop changes ``i + j`` by one, so with ``kappa >= 0`` both
-        ``c - H`` and ``G H G - c`` are non-negative matrices for a large
-        enough ``c``.
+        For positive basis-order weights ``x``, ``(L x)_i / x_i`` and
+        ``(U x)_i / x_i`` are the ends of the Gershgorin interval of row ``i``
+        of ``X^-1 H X``, ``X = diag(x)``, which is similar to ``H``.  Both
+        ``c - L`` and ``U - c`` are non-negative matrices for a large enough ``c``.
         """
-        return PairHamiltonian(self._hopping, -self.kappa, self._diagonal)
-
-    def radii(self, weights: np.ndarray) -> np.ndarray:
-        """Off-diagonal absolute row sums weighted by positive basis-order ``weights`` d: ``sum_j |h_ij| d_j / d_i``.
-
-        They are the Gershgorin radii of ``D^-1 H D`` for ``D = diag(d)``,
-        which is similar to ``H``; with ``d = 1`` those of ``H`` itself.  On
-        the layout ``kappa S`` times the neighbour sum of ``S d``, divided by ``d``.
-        """
-        hop = self._hopping
-        packed = np.zeros(hop.weight.size)
-        packed[hop.slots] = hop.scale * weights
-        sums = hop.neighbour_sum(hop.fill_halo(packed), np.zeros_like(packed), np.empty_like(packed))
-        return abs(self.kappa) * hop.scale * sums[hop.slots] / weights
+        hop, kappa = self._hopping, abs(self.kappa)
+        return PairHamiltonian(hop, kappa, self._diagonal), PairHamiltonian(hop, -kappa, self._diagonal)
 
     def empty_packed(self, rows: int | None = None) -> np.ndarray:
         """An uninitialised packed state, or block of ``rows`` of them, starting on a cache line."""
@@ -269,7 +233,8 @@ class PairHamiltonian:
         hop = self._hopping
         packed = aligned_array(states.shape[:-1] + (hop.weight.size,), alloc=np.zeros)
         packed[..., hop.slots] = states * hop.scale
-        return hop.fill_halo(packed)
+        packed.T[hop.halo] = packed.T[hop.mirror]  # on the last axis, twice as fast as ``[..., halo]``
+        return packed
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The basis-order states of packed ones, the inverse of ``pack``."""
@@ -314,9 +279,12 @@ class PairHamiltonian:
         """
         hop = self._hopping
         diagonal, hops = self._packed_terms
-        w = hop.stride
-        (x_lo, x_hi, pairs), (left, right, body) = hop.pair_passes(x, out, self._scratch)
-        x_body, product = x[w:-w], self._scratch[w:-w]
+        w, size, scratch = hop.stride, x.size, self._scratch
+        # pairs[q] = x[q] + x[q + 1] into the scratch, then pairs[p - W] + pairs[p + W - 1]
+        # into every row of out but the ghost and halo rows (of no meaning off the slots)
+        x_lo, x_hi, pairs = x[:-1], x[1:], scratch[:-1]
+        left, right, body = scratch[: size - 2 * w], scratch[2 * w - 1 : size - 1], out[w:-w]
+        x_body, product = x[w:-w], scratch[w:-w]
         prev_body = None if prev is None else prev[w:-w]
         halo, mirror = hop.halo, hop.mirror
         add, multiply = np.add, np.multiply

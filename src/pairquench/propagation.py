@@ -10,11 +10,12 @@ Miller's backward recurrence ``J_{k-1} = (2k / z) J_k - J_{k+1}`` normalised
 by ``J_0 + 2 sum_k J_{2k} = 1`` (Numerical Recipes, ``bessj``).
 
 The Chebyshev engine takes an operator such as ``model.PairHamiltonian``:
-``diagonal()`` and ``radii(weights)`` give the interval, ``gauged()`` the
-sign structure that tightens it (None without one), and
-``scaled(shift, factor)`` the operator ``factor * (H - shift)``, whose
-``pack``, ``bind`` and ``unpack`` run a recursion on the operator's own
-layout of a state, in buffers from its ``empty_packed``.  The engine keeps
+``bounding()`` gives the pair ``(D - |O|, D + |O|)`` of its diagonal ``D``
+and off-diagonal part ``O``, whose bound products give the interval of every
+operator alike, and ``scaled(shift, factor)`` the operator
+``factor * (H - shift)``, whose ``pack``, ``bind`` and ``unpack`` run a
+recursion on the operator's own layout of a state, in buffers from its
+``empty_packed``.  The engine keeps
 ``B = -2i A`` for its rescaled operator ``A`` and runs the recursion on
 ``V_k = (-i)^k T_k(A) psi``: each term is one call of a kernel bound once per
 buffer row, ``V_{k+1} = B V_k + V_{k-1}``, and takes the real coefficient
@@ -87,29 +88,41 @@ def _bessel_j(n_max: int, z: float) -> np.ndarray:
     return out / (out[0] + 2.0 * out[2::2].sum())
 
 
-def _interval(h, below: np.ndarray, above: np.ndarray) -> tuple[float, float]:
-    """``[min(h_ii - R_i(below)), max(h_ii + R_i(above))]`` for the radii ``R`` weighted by positive vectors.
+def _ends(lower, upper, below: np.ndarray, above: np.ndarray) -> tuple[float, float]:
+    """``[min_i (L below)_i / below_i, max_i (U above)_i / above_i]`` for a bounding pair and positive weights.
 
-    It contains the spectrum by theorem for every pair of positive weights:
-    each end is an end of the Gershgorin interval of a matrix similar to
-    ``h``.  Unit weights give the Gershgorin interval of ``h`` itself.
+    Each ratio is one bound product on the operator's own layout.  The ends
+    are ends of the Gershgorin intervals of matrices similar to the operator
+    ``H`` of the pair, so they contain its spectrum by theorem for every pair
+    of positive weights.
     """
-    diag = h.diagonal()
-    return float(np.min(diag - h.radii(below))), float(np.max(diag + h.radii(above)))
+
+    def ratios(m, x: np.ndarray) -> np.ndarray:
+        return m.unpack(m.bind(m.pack(x), None, m.empty_packed())()).real / x
+
+    return float(np.min(ratios(lower, below))), float(np.max(ratios(upper, above)))
+
+
+def _interval(h, below: np.ndarray, above: np.ndarray) -> tuple[float, float]:
+    """``_ends`` of ``h``'s bounding pair; unit weights give the Gershgorin interval of ``h`` itself."""
+    return _ends(*h.bounding(), below, above)
 
 
 def _power_weights(m) -> np.ndarray:
     """``m^CW_ITERATIONS 1`` up to a factor, in basis order, by the bound kernel on ``m``'s layout.
 
     Each iterate is scaled to a largest entry of 1.  For a non-negative
-    ``m`` every entry stays non-negative; one that underflows reads 0.
+    ``m`` every entry stays non-negative; one that underflows reads 0, and
+    all read 0 once an iterate is 0.
     """
     x, y = m.pack(np.ones(m.shape[0])), m.empty_packed()
     passes = (m.bind(x, None, y), y), (m.bind(y, None, x), x)
     for k in range(CW_ITERATIONS):
         kernel, out = passes[k % 2]
-        kernel()
-        out /= out.real.max()
+        top = kernel().real.max()
+        if top == 0.0:
+            return np.zeros(m.shape[0])
+        out /= top
     return m.unpack(out).real
 
 
@@ -117,28 +130,26 @@ def spectral_bounds(h) -> tuple[float, float, str]:
     """Collatz–Wielandt interval of ``h``, at least 1e-9 wide, inside its Gershgorin interval.
 
     Returns ``(lo, hi, source)``, ``source`` naming the interval that stood:
-    ``"collatz-wielandt"`` or ``"gershgorin"``.  Without the sign structure
-    (``h.gauged()`` is None) it is the Gershgorin interval, ``_interval`` with
-    unit weights.  With it, the off-diagonal elements of ``h`` are
-    non-positive and those of ``G h G`` non-negative, so ``hi - h`` and
-    ``G h G - lo`` are non-negative matrices for the Gershgorin ends ``lo``
-    and ``hi``.  The lower end is weighted by
-    ``CW_ITERATIONS`` power steps of ``hi - h`` from ones, the upper end by
-    those of ``G h G - lo``: the Collatz–Wielandt bounds of a non-negative
-    matrix (Horn & Johnson, Matrix Analysis, ch. 8) approach the exact ends
-    as the weights approach its Perron vector, and hold for any positive
-    weights.  When an entry of either vector underflows to 0 the Gershgorin
-    interval stands.
+    ``"collatz-wielandt"`` or ``"gershgorin"``.  Both come from the bounding
+    pair ``(L, U) = (D - |O|, D + |O|)`` of ``h``, its diagonal ``D`` and
+    off-diagonal part ``O``, taken once: the Gershgorin ends ``lo`` and ``hi``
+    are ``_ends`` with unit weights, and ``hi - L`` and ``U - lo`` are
+    non-negative matrices.  The lower end is weighted by ``CW_ITERATIONS``
+    power steps of ``hi - L`` from ones, the upper end by those of
+    ``U - lo``: the Collatz–Wielandt bounds of a non-negative matrix (Horn &
+    Johnson, Matrix Analysis, ch. 8) approach the exact ends of ``L`` and
+    ``U``, which enclose the spectrum of ``h``, as the weights approach its
+    Perron vector, and hold for any positive weights.  When an entry of
+    either vector underflows to 0 the Gershgorin interval stands.
     """
+    lower, upper = h.bounding()
     ones = np.ones(h.shape[0])
-    lo, hi = _interval(h, ones, ones)
+    lo, hi = _ends(lower, upper, ones, ones)
     source = "gershgorin"
-    gauged = h.gauged()
-    if gauged is not None:
-        below, above = _power_weights(h.scaled(hi, -1.0)), _power_weights(gauged.scaled(lo, 1.0))
-        if np.all(below > 0.0) and np.all(above > 0.0):
-            tight_lo, tight_hi = _interval(h, below, above)
-            lo, hi, source = max(lo, tight_lo), min(hi, tight_hi), "collatz-wielandt"
+    below, above = _power_weights(lower.scaled(hi, -1.0)), _power_weights(upper.scaled(lo, 1.0))
+    if np.all(below > 0.0) and np.all(above > 0.0):
+        tight_lo, tight_hi = _ends(lower, upper, below, above)
+        lo, hi, source = max(lo, tight_lo), min(hi, tight_hi), "collatz-wielandt"
     return lo, lo + max(hi - lo, 1e-9), source
 
 
@@ -183,10 +194,7 @@ class ChebyshevPropagator:
             n_max = int(z + 45.0 * (z + 1.0) ** (1.0 / 3.0) + 40.0)
             bessel = _bessel_j(n_max, z)
             keep = np.nonzero(np.abs(bessel) > floor)[0]
-            if keep.size == 0:
-                cut = 2
-            else:
-                cut = min(int(keep[-1]) + 2, n_max + 1)
+            cut = min(int(keep[-1]) + 2, n_max + 1)
             if np.abs(bessel[cut - 1]) > 10.0 * self.tol:
                 raise PropagationAccuracyError(
                     "Chebyshev series did not decay below tolerance "

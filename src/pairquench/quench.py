@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,7 +171,7 @@ class QuenchWorkspace:
         band = band_scan(params.kappa, params.u, params.n_sites)
         bound = band.bound_matrix(basis)
         psi0 = prepare_wavepacket(packet, band, bound)
-        h0 = build_h0(replace(params, field=0.0), basis)
+        h0 = build_h0(params, basis)
         return cls(basis=basis, bound=bound, psi0=psi0, h0=h0)
 
     def hamiltonian(self, field_value: float) -> PairHamiltonian:

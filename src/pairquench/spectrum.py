@@ -9,14 +9,14 @@ split out as true crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigsh
 
-from .model import ModelParams, PairHamiltonian, build_basis, build_hamiltonian, separations
+from .model import ModelParams, PairHamiltonian, build_basis, build_h0, build_stark, separations
 
 LABEL_CORRELATED = "correlated"
 LABEL_UNCORRELATED = "uncorrelated"
@@ -90,19 +90,20 @@ def spectrum_vs_field(
     params: ModelParams,
     window: tuple[float, float] | None = None,
 ) -> list[SpectrumSlice]:
-    """Diagonalize the driven chain on a grid of field values.
+    """Diagonalize the driven chain on a grid of field values; ``params.field`` is not read.
 
+    The field-free chain is built once and each field adds its diagonal.
     Small problems (or no window) are solved densely; large windowed ones use
     sparse shift-invert around the window center.  Levels are tracked as the
     slices are produced, so at most two slices' eigenvectors are alive at once.
     """
     basis = build_basis(params.n_sites)
-    sep = separations(basis)
+    h0, sep = build_h0(params, basis), separations(basis)
     slices: list[SpectrumSlice] = []
     previous = None  # eigenvectors of the last slice, all that tracking the next one needs
     next_id = 0
     for f in np.asarray(f_values, dtype=float):
-        h = build_hamiltonian(replace(params, field=float(f)), basis)
+        h = h0.add_diagonal(build_stark(float(f), basis))
         if window is None or basis.dim <= MAX_DENSE_STATES:
             vals, vecs = np.linalg.eigh(h.toarray())
             if window is not None:

@@ -272,18 +272,14 @@ class MatrixOperator:
         self.matrix = sparse.csr_array(matrix)
         self.shape = self.matrix.shape
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-    def radii(self, weights: np.ndarray) -> np.ndarray:
-        return (abs(self.matrix) @ weights - np.abs(self.diagonal()) * weights) / weights
+    def bounding(self) -> tuple["MatrixOperator", "MatrixOperator"]:
+        """``(D - |O|, D + |O|)`` for the diagonal ``D`` and the off-diagonal part ``O``."""
+        diagonal = sparse.diags(self.matrix.diagonal())
+        off = abs(self.matrix - diagonal)
+        return MatrixOperator(diagonal - off), MatrixOperator(diagonal + off)
 
     def scaled(self, shift: float, factor: float | complex) -> "MatrixOperator":
         return MatrixOperator((self.matrix - sparse.identity(self.shape[0]) * shift) * factor)
-
-    def gauged(self) -> None:
-        """No gauge makes a general matrix non-negative off the diagonal, so the bounds stay Gershgorin's."""
-        return None
 
     def empty_packed(self, rows: int | None = None) -> np.ndarray:
         return np.empty(self.shape[0] if rows is None else (rows, self.shape[0]), dtype=complex)

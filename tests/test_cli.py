@@ -18,6 +18,7 @@ from pairquench.cli import (
     MAX_POINTS,
     SCHEMA,
     ConfigError,
+    _grid,
     _model_params,
     _packet_spec,
     _sweep_grid,
@@ -282,6 +283,14 @@ KEY_ERRORS = [
      "invalid [packet] for the bound band of [model]: a packet of width 1e-200 carries no weight"),
     ("sweep", "width = 0.35", "width = 1e-200",
      "invalid [packet] for the bound band of [model]: a packet of width 1e-200 carries no weight"),
+    # a lone window_lo was ignored (all 30 levels at n = 3), and window_lo >= window_hi
+    # wrote a header-only spectrum.csv, both with exit 0
+    ("spectrum", "f_count = 21", "f_count = 21\nwindow_lo = 100",
+     "missing [spectrum] window_hi (a window needs both window_lo and window_hi)"),
+    ("spectrum", "f_count = 21", "f_count = 21\nwindow_hi = -3",
+     "missing [spectrum] window_lo (a window needs both window_lo and window_hi)"),
+    ("spectrum", "f_count = 21", "f_count = 21\nwindow_lo = -3\nwindow_hi = -3",
+     "invalid value for [spectrum] window_hi: -3.0 (not above window_lo -3.0)"),
     # a grid through F = 0 failed in sweep_transfer after --out existed
     ("sweep", "f_start = -0.22\nf_stop = -0.18\nf_step = 0.01", "f_start = -0.1\nf_stop = 0.1\nf_step = 0.05",
      "invalid [sweep] grid: the fields from f_start -0.1 in steps of 0.05 include F = 0.0"),
@@ -420,12 +429,17 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
     assert params.u == params.v
     assert 1 <= packet.center_site <= params.n_sites
     if experiment == "sweep":
-        grid = _sweep_grid(config["sweep"])
-        assert 1 <= grid.size <= MAX_POINTS
+        section = config["sweep"]
+        grid, start, stop, step = _sweep_grid(section), section["f_start"], section["f_stop"], section["f_step"]
         assert np.all(np.isfinite(grid) & (grid != 0.0))
     else:
         assert np.isfinite(params.field)
-        assert config["time"]["t_max"] / config["time"]["dt"] + 1 <= MAX_POINTS
+        start, stop, step = 0.0, config["time"]["t_max"], config["time"]["dt"]
+        grid = _grid(start, stop, step)
+    assert 1 <= grid.size <= MAX_POINTS
+    # whole steps from the start that end at or before the stop, up to rounding
+    assert grid[0] == start and grid[-1] <= stop + 1e-9 * step + 2e-15 * np.abs(grid).max()
+    assert stop - grid[-1] < step
 
 
 def test_runs_leave_unneeded_scipy_unloaded(tmp_path):
@@ -597,6 +611,37 @@ def test_worker_count_rejected_before_output(tmp_path, capsys, threads):
     assert exit_info.value.code == 2
     assert "argument --threads: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_default_grids_keep_their_points():
+    # the 1e-9 of a step keeps each default stop, a whole number of steps, in its grid
+    assert _sweep_grid(DEFAULTS["sweep"]["sweep"]).size == 61
+    for (experiment, section), size in {("quench", "time"): 801, ("three-site", "three_site"): 2001}.items():
+        times = DEFAULTS[experiment][section]
+        assert _grid(0.0, times["t_max"], times["dt"]).size == size
+
+
+@pytest.mark.parametrize(
+    "experiment, old, new, csv, expected",
+    [
+        # a grid rounded to the nearest whole step sampled t = 11 and t = 1.2 past t_max
+        ("quench", "t_max = 20\ndt = 1.0", "t_max = 10\ndt = 5.5", "trajectory.csv", [0.0, 5.5]),
+        ("three-site", "t_max = 50\ndt = 0.5", "t_max = 1\ndt = 0.6", "three_site_F-3.csv", [0.0, 0.6]),
+        # and swept F = -0.18 past f_stop -0.19
+        ("sweep", "f_stop = -0.18\nf_step = 0.01", "f_stop = -0.19\nf_step = 0.02", "sweep.csv", [-0.22, -0.2]),
+    ],
+)
+def test_grids_stop_at_their_stop(tmp_path, experiment, old, new, csv, expected):
+    cfg = tmp_path / "cfg.ini"
+    text = CONFIGS[experiment]
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert run([experiment, "--config", cfg, "--out", out]) == 0
+    rows = (out / csv).read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx(expected, abs=1e-12)
+    if experiment == "sweep":
+        assert json.loads((out / "sweep_period.json").read_text())["f_stop"] == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_three_site_run_writes_expected_artifacts(tmp_path):

@@ -38,9 +38,9 @@ def random_hamiltonian():
 
 @pytest.fixture(scope="module")
 def exact_bounds(random_hamiltonian):
-    # the exact extremes padded by 5 % of the width: the Gershgorin interval of this
-    # dense matrix, [-42.5, 39.4] around an exact [-10.3, 10.4], would make every step
-    # of the window-policy tests long
+    # the exact extremes padded by 5 % of the width: the interval of this dense matrix,
+    # [-34.0, 33.6] (Gershgorin's [-42.5, 39.4]) around an exact [-10.3, 10.4], would make
+    # every step of the window-policy tests long
     vals = np.linalg.eigvalsh(random_hamiltonian.toarray())
     pad = 0.05 * (vals[-1] - vals[0])
     return vals[0] - pad, vals[-1] + pad
@@ -190,21 +190,22 @@ def test_underflowing_weights_fall_back_to_gershgorin():
     h = build_hamiltonian(ModelParams(5, 1e-300, -6.24, -6.24, field=-1.0), build_basis(5))
     ones = np.ones(h.shape[0])
     lo, hi = _interval(h, ones, ones)
-    assert np.any(_power_weights(h.gauged().scaled(lo, 1.0)) == 0.0)
+    assert np.any(_power_weights(h.bounding()[1].scaled(lo, 1.0)) == 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no weighted radius divides by the zero
         assert spectral_bounds(h) == (lo, hi, "gershgorin")
 
 
-def test_small_dense_matrix_gets_its_gershgorin_interval(random_hamiltonian, exact_bounds):
-    # at every size, even 60 dense states, where it is about four times as wide as the spectrum
+def test_small_dense_matrix_gets_an_interval_inside_gershgorin(random_hamiltonian):
+    # a general matrix takes the one Collatz–Wielandt path of the bounding pair, at every
+    # size, even 60 dense states, where Gershgorin's is about four times as wide as the spectrum
     dense = random_hamiltonian.toarray()
     radius = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
+    vals = np.linalg.eigvalsh(dense)
     lo, hi, source = spectral_bounds(random_hamiltonian)
-    assert source == "gershgorin"
-    assert lo == pytest.approx(np.min(np.diag(dense) - radius), abs=1e-12)
-    assert hi == pytest.approx(np.max(np.diag(dense) + radius), abs=1e-12)
-    assert lo < exact_bounds[0] and exact_bounds[1] < hi
+    assert source == "collatz-wielandt"
+    assert np.min(np.diag(dense) - radius) - 1e-12 <= lo <= vals[0]
+    assert vals[-1] <= hi <= np.max(np.diag(dense) + radius) + 1e-12
 
 
 def test_diagonal_bounds_are_attained_and_advance_exactly():
@@ -296,7 +297,7 @@ def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, r
         "recursions": 2,
         "matvecs": terms - 2,
     }
-    assert ChebyshevPropagator(random_hamiltonian).interval == "gershgorin"
+    assert ChebyshevPropagator(MatrixOperator(np.eye(3))).interval == "gershgorin"
     fixed_bounds(-50.0, 50.0)
     given = ChebyshevPropagator(random_hamiltonian)
     assert (given.interval, given.halfwidth) == ("given", 50.0)

@@ -25,8 +25,9 @@ from pairquench import (
     solve_bound_states,
     sweep_transfer,
 )
-from pairquench import quench
+from pairquench import propagation, quench
 from pairquench.model import separations
+from pairquench.propagation import _power_weights
 
 from oracles import SpectralPropagator, bound_state_realspace, dense_bound_weight, energy_distribution, stencil_product
 
@@ -143,7 +144,7 @@ def test_trajectory_invariants(small_workspace):
 
 
 def test_backends_agree_on_small_quench():
-    # run_quench is the Chebyshev engine on the Gershgorin interval at every size, and
+    # run_quench is the Chebyshev engine on its Collatz–Wielandt interval at every size, and
     # stays within 1e-12 of the exact dense spectrum on every observable, relative to
     # its largest magnitude above 1: roundoff of 300 windows moves a total energy of
     # -15 by up to 1.1e-12 at n = 43
@@ -159,6 +160,29 @@ def test_backends_agree_on_small_quench():
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(getattr(cheb, name) - want)) < 1e-12 * scale, (n_sites, name)
         assert np.linalg.norm(cheb.final_state - exact.final_state) < 1e-9
+
+
+def test_ratio_interval_moves_a_quench_by_at_most_1e_11(small_workspace, monkeypatch):
+    # the interval's ends as ratios of bound products, (L x)_i / x_i and (U x)_i / x_i,
+    # round differently from the weighted row sums h_ii -+ sum_j |h_ij| x_j / x_i of the
+    # dense matrix; no observable of a quench moves by more than 1e-11 * max(1, |v|)
+    ws, times = small_workspace, np.arange(0.0, 201.0)
+    h = ws.hamiltonian(-0.21)
+    dense = h.toarray()
+    diag = np.diag(dense)
+    off = np.abs(dense - np.diag(diag))
+    ones = np.ones(diag.size)
+    lo, hi = np.min(diag - off @ ones), np.max(diag + off @ ones)
+    lower, upper = h.bounding()
+    below, above = _power_weights(lower.scaled(hi, -1.0)), _power_weights(upper.scaled(lo, 1.0))
+    row_sums = max(lo, np.min(diag - off @ below / below)), min(hi, np.max(diag + off @ above / above))
+    assert propagation.spectral_bounds(h)[:2] == pytest.approx(row_sums, abs=1e-13)
+    ratio = run_quench(ws, -0.21, times)
+    monkeypatch.setattr(propagation, "spectral_bounds", lambda h: (*row_sums, "row sums"))
+    rows = run_quench(ws, -0.21, times)
+    for name in ("transfer", "distance", "energy", "norm", "total_energy"):
+        want = getattr(rows, name)
+        assert np.all(np.abs(getattr(ratio, name) - want) <= 1e-11 * np.maximum(1.0, np.abs(want))), name
 
 
 @pytest.mark.parametrize("backend", [SpectralPropagator, ChebyshevPropagator], ids=["spectral", "chebyshev"])
