@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from pairquench import ModelParams, QuenchWorkspace, WavePacketSpec, run_quench
+from pairquench.cli import _grid
 from pairquench.reporting import write_trajectory_csv
 
 FIELDS = {"bloch": -0.097120, "decay": -0.097815}
@@ -22,11 +23,13 @@ def main():
     parser.add_argument("--out", default="runs/bloch_vs_decay", metavar="DIR")
     parser.add_argument("--t-max", type=float, default=800.0)
     args = parser.parse_args()
+    if not 0.0 <= args.t_max < np.inf:
+        parser.error("argument --t-max: must be finite and not negative")
 
     params = ModelParams(n_sites=111, kappa=1.0, u=-6.24, v=-6.24)
     packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36)
     workspace = QuenchWorkspace.prepare(params, packet)
-    times = np.arange(0.0, args.t_max + 0.5, 1.0)
+    times = _grid(0.0, args.t_max, 1.0)  # the CLI's sample times: none past t_max
 
     out = Path(args.out)
     for label, field in FIELDS.items():

@@ -316,8 +316,15 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                 f"invalid value for [model] n_sites: {n_sites} (more than {MAX_DENSE_STATES} two-boson "
                 "states, which a spectrum without [spectrum] window_lo and window_hi diagonalises densely)"
             )
+    fields = config.get("three_site", {}).get("fields", [])
+    first_of: dict[str, float] = {}
+    for f in fields:
+        name = _three_site_name(f)
+        if name in first_of:
+            problems.append(f"invalid value for [three_site] fields: {first_of[name]} and {f} both write {name}")
+        first_of.setdefault(name, f)
     if {"u", "kappa"} <= model.keys():
-        for f in config.get("three_site", {}).get("fields", []):
+        for f in fields:
             try:  # a field of 0 or +-u makes a denominator vanish
                 three_site.rabi_constants(f, model["u"], model["kappa"])
             except three_site.SingularParameterError as exc:
@@ -350,6 +357,11 @@ def _packet_spec(config: dict) -> WavePacketSpec:
     )
 
 
+def _three_site_name(field: float) -> str:
+    """The CSV of one three-site field, named by its 12-digit rendering."""
+    return f"three_site_F{reporting.fmt(field)}.csv"
+
+
 def _run_three_site(config, out: Path, threads: int) -> tuple[list[str], dict]:
     section = config["three_site"]
     times = _grid(0.0, section["t_max"], section["dt"])
@@ -359,7 +371,7 @@ def _run_three_site(config, out: Path, threads: int) -> tuple[list[str], dict]:
         constants = three_site.rabi_constants(f, params.u, params.kappa)
         analytic = three_site.transfer_probability(times, constants)
         pair_loss, unpair = three_site.exact_pair_dynamics(params, times)
-        name = f"three_site_F{reporting.fmt(f)}.csv"
+        name = _three_site_name(f)
         reporting.write_csv(
             out / name,
             ["t", "transfer_analytic", "transfer_exact", "unpair_weight_exact"],
@@ -383,6 +395,8 @@ def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
     f_values = np.linspace(section["f_start"], section["f_stop"], section["f_count"])
     window = (section["window_lo"], section["window_hi"]) if "window_lo" in section else None
     slices = spectrum.spectrum_vs_field(f_values, _model_params(config), window)
+    if not any(s.energies.size for s in slices):
+        raise ValueError(f"no level lies in the window [{window[0]}, {window[1]}] at any field")
     r_threshold = section.get("r_threshold", 1.0)
     labels = [spectrum.classify_levels(s, r_threshold) for s in slices]
     scan = spectrum.detect_avoided_crossings(slices, r_threshold=r_threshold)

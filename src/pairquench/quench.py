@@ -108,27 +108,20 @@ class QuenchTrajectory:
     propagation: dict = field(default_factory=dict)
 
 
-def evolve(
-    propagator,
-    psi0: np.ndarray,
-    times,
-    *,
-    h0: PairHamiltonian,
-    bound: BoundProjector,
-    basis: TwoBosonBasis,
-) -> QuenchTrajectory:
-    """Evolve ``psi0`` under ``propagator.h``, sampling observables.
+def evolve(propagator, workspace: QuenchWorkspace, times) -> QuenchTrajectory:
+    """Evolve the workspace packet ``psi0`` under ``propagator.h``, sampling observables.
 
     ``propagator`` is a ``ChebyshevPropagator``, or any object with its ``h``
     and ``samples(psi0, times)``, such as an exact reference of a
     time-independent Hamiltonian.  ``times`` must be strictly increasing and
-    start at 0.  ``h0`` is the field-free Hamiltonian entering the energy
-    observable; ``bound`` projects onto the bound band for the transfer rate.
+    start at 0.  The workspace's field-free ``h0`` enters the energy
+    observable; its ``bound`` projects onto the bound band for the transfer rate.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise ValueError("times must start at 0")
-    sep = model.separations(basis)
+    h0, bound = workspace.h0, workspace.bound
+    sep = model.separations(workspace.basis)
     # the quench adds a diagonal field to h0, so the total energy costs a
     # diagonal product on top of the field-free energy
     h = propagator.h
@@ -144,7 +137,7 @@ def evolve(
         return weights, density @ sep, field_free, norm, field_free + density @ field_diag
 
     rows = []
-    for block in propagator.samples(psi0, times):
+    for block in propagator.samples(workspace.psi0, times):
         rows.append(block_observables(block))
     # one column per observable, in the field order of QuenchTrajectory
     observables = map(np.concatenate, zip(*rows))
@@ -181,14 +174,7 @@ class QuenchWorkspace:
 def run_quench(workspace: QuenchWorkspace, field_value: float, times) -> QuenchTrajectory:
     """Evolve the workspace packet under the quenched field, with the propagator's record."""
     propagator = ChebyshevPropagator(workspace.hamiltonian(field_value))
-    trajectory = evolve(
-        propagator,
-        workspace.psi0,
-        times,
-        h0=workspace.h0,
-        bound=workspace.bound,
-        basis=workspace.basis,
-    )
+    trajectory = evolve(propagator, workspace, times)
     trajectory.propagation = propagator.stats()
     return trajectory
 

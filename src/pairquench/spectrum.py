@@ -2,9 +2,12 @@
 
 Levels are tracked across the field grid by maximal eigenvector overlap
 (sorted-index continuity mixes branches near an anticrossing) while the grid
-is solved, so no slice keeps its eigenvectors; gap minima of energy-adjacent
-tracked pairs are reported as avoided crossings, with near-degenerate minima
-split out as true crossings.
+is solved, so no slice keeps its eigenvectors.  A large windowed scan takes
+the eigenpairs nearest the window center by shift-invert, asking for more
+until the farthest lies outside the window.  Crossing detection lays the
+tracked levels out as one table of fields x level ids; interior gap minima
+of energy-adjacent tracked pairs are reported as avoided crossings, with
+near-degenerate minima split out as true crossings.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def _window_eigenpairs(h: PairHamiltonian, window: tuple[float, float]):
     k = min(K_START, dim - 2)
     while True:
         vals, vecs = eigsh(matrix, k=k, sigma=center, v0=v0)
-        covered = vals.min() < lo and vals.max() > hi
+        # the k levels nearest the center hold every level of the window once the farthest lies outside it
+        covered = np.max(np.abs(vals - center)) > 0.5 * (hi - lo)
         if covered or k >= dim - 2:
             break
         k = min(2 * k, dim - 2)
@@ -194,42 +198,34 @@ def detect_avoided_crossings(
         raise ValueError("crossing detection needs at least 3 field slices")
     ambiguous = [segment for slc in slices for segment in slc.ambiguous]
 
-    energy_of: list[dict[int, float]] = []
-    corr_of: list[dict[int, float]] = []
-    for slc in slices:
-        energy_of.append(dict(zip(slc.level_ids.tolist(), slc.energies.tolist())))
-        corr_of.append(dict(zip(slc.level_ids.tolist(), slc.correlations.tolist())))
-
+    # one row per slice and one column per level id, NaN where the slice lacks the level
+    n_ids = 1 + max(int(slc.level_ids.max(initial=-1)) for slc in slices)
+    energy = np.full((len(slices), n_ids), np.nan)
+    corr = np.full_like(energy, np.nan)
     pairs: set[tuple[int, int]] = set()
-    for slc in slices:
-        sorted_ids = slc.level_ids[np.argsort(slc.energies)]
-        for x, y in zip(sorted_ids[:-1], sorted_ids[1:]):
-            pairs.add((min(int(x), int(y)), max(int(x), int(y))))
+    for s, slc in enumerate(slices):
+        energy[s, slc.level_ids] = slc.energies
+        corr[s, slc.level_ids] = slc.correlations
+        ordered = slc.level_ids[np.argsort(slc.energies)]
+        below, above = ordered[:-1], ordered[1:]
+        pairs.update(zip(np.minimum(below, above).tolist(), np.maximum(below, above).tolist()))
 
     avoided: list[AvoidedCrossing] = []
     exact: list[AvoidedCrossing] = []
     for ida, idb in sorted(pairs):
-        gaps = []
-        for s in range(len(slices)):
-            ea = energy_of[s].get(ida)
-            eb = energy_of[s].get(idb)
-            gaps.append(abs(ea - eb) if ea is not None and eb is not None else np.nan)
-        gaps = np.asarray(gaps)
-        for s in range(1, len(slices) - 1):
-            trio = gaps[s - 1 : s + 2]
-            if np.any(np.isnan(trio)):
-                continue
-            if trio[1] <= trio[0] and trio[1] <= trio[2]:
-                scale = max(1.0, abs(energy_of[s][ida]), abs(energy_of[s][idb]))
-                early = corr_of[s - 1]
-                event = AvoidedCrossing(
-                    f_center=slices[s].field,
-                    gap=float(trio[1]),
-                    level_pair=(ida, idb),
-                    classification=(_label(early[ida], r_threshold), _label(early[idb], r_threshold)),
-                )
-                if trio[1] <= TRUE_CROSSING_TOL * scale:
-                    exact.append(event)
-                else:
-                    avoided.append(event)
+        gaps = np.abs(energy[:, ida] - energy[:, idb])
+        # interior minima; a comparison with NaN is False, so no trio next to a missing level counts
+        minima = (gaps[1:-1] <= gaps[:-2]) & (gaps[1:-1] <= gaps[2:])
+        for s in (np.flatnonzero(minima) + 1).tolist():
+            scale = max(1.0, abs(energy[s, ida]), abs(energy[s, idb]))
+            event = AvoidedCrossing(
+                f_center=slices[s].field,
+                gap=float(gaps[s]),
+                level_pair=(ida, idb),
+                classification=(_label(corr[s - 1, ida], r_threshold), _label(corr[s - 1, idb], r_threshold)),
+            )
+            if gaps[s] <= TRUE_CROSSING_TOL * scale:
+                exact.append(event)
+            else:
+                avoided.append(event)
     return CrossingScan(avoided=avoided, true_crossings=exact, ambiguous=ambiguous)

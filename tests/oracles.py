@@ -7,9 +7,11 @@ The sector builder applies the same site operators to the occupation tuples
 of the two-particle sector alone, so it reaches lattices whose product space
 is out of reach.  The loop builders enumerate configurations one at a time
 into a dict index and keep the element-by-element arithmetic the array code
-must reproduce.  ``MatrixOperator`` puts any matrix behind the operator
-interface of the propagators, and ``SpectralPropagator`` is the exact dense
-reference the tests pass to ``evolve`` in place of the Chebyshev engine.
+must reproduce; ``loop_avoided_crossings`` walks every slice per level pair,
+as crossing detection did before its level table.  ``MatrixOperator`` puts
+any matrix behind the operator interface of the propagators, and
+``SpectralPropagator`` is the exact dense reference the tests pass to
+``evolve`` in place of the Chebyshev engine.
 
 The Hamiltonian builders take ``ring=True`` for the field-free ring, which
 the package does not build: it closes the chain with the bond between sites
@@ -23,6 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 from pairquench.bound_band import BandStructure, BoundState, _decay_roots, _on_site_amplitude
 from pairquench.propagation import SAMPLE_BLOCK, ChebyshevPropagator, _sample_times
 from pairquench.model import SQRT2, ModelParams, TwoBosonBasis
+from pairquench.spectrum import TRUE_CROSSING_TOL, AvoidedCrossing, CrossingScan, _label
 from pairquench.three_site import _guard
 
 _GRID_ATOL = 1e-9
@@ -493,3 +496,28 @@ def pair_unpair_hamiltonian(field: float, u: float, v: float, kappa: float) -> n
     e_unpair = 4.0 * field + 2.0 * kappa**2 * v / (field**2 - v**2)
     e_pair = u + 2.0 * field + 2.0 * kappa**2 / (u - v - field)
     return np.array([[e_unpair, coupling], [coupling, e_pair]])
+
+
+def loop_avoided_crossings(slices, r_threshold: float = 1.0) -> CrossingScan:
+    """``detect_avoided_crossings`` by per-slice dicts and a walk over every slice per level pair."""
+    energy_of = [dict(zip(s.level_ids.tolist(), s.energies.tolist())) for s in slices]
+    corr_of = [dict(zip(s.level_ids.tolist(), s.correlations.tolist())) for s in slices]
+    pairs = set()
+    for slc in slices:
+        sorted_ids = slc.level_ids[np.argsort(slc.energies)]
+        for x, y in zip(sorted_ids[:-1].tolist(), sorted_ids[1:].tolist()):
+            pairs.add((min(x, y), max(x, y)))
+    avoided, exact = [], []
+    for a, b in sorted(pairs):
+        gaps = [abs(e[a] - e[b]) if a in e and b in e else None for e in energy_of]
+        for s in range(1, len(slices) - 1):
+            trio = gaps[s - 1 : s + 2]
+            if None in trio or not (trio[1] <= trio[0] and trio[1] <= trio[2]):
+                continue
+            early = corr_of[s - 1]
+            event = AvoidedCrossing(
+                slices[s].field, trio[1], (a, b), (_label(early[a], r_threshold), _label(early[b], r_threshold))
+            )
+            scale = max(1.0, abs(energy_of[s][a]), abs(energy_of[s][b]))
+            (exact if trio[1] <= TRUE_CROSSING_TOL * scale else avoided).append(event)
+    return CrossingScan(avoided, exact, [segment for slc in slices for segment in slc.ambiguous])

@@ -257,6 +257,11 @@ KEY_ERRORS = [
     ("three-site", "fields = -3.0", "fields = 0.0", "invalid value for [three_site] fields: 0.0 (denominator field vanishes)"),
     ("three-site", "fields = -3.0", "fields = -3.0, -6.0", "invalid value for [three_site] fields: -6.0 (denominator field - u vanishes)"),
     ("three-site", "fields = -3.0", "fields = 6.0", "invalid value for [three_site] fields: 6.0 (denominator field + u vanishes)"),
+    # fields of one 12-digit rendering wrote one CSV, the second overwriting the first, with exit 0
+    ("three-site", "fields = -3.0", "fields = -3.0, -3.00000000000001",
+     "invalid value for [three_site] fields: -3.0 and -3.00000000000001 both write three_site_F-3.csv"),
+    ("three-site", "fields = -3.0", "fields = -3, -3",
+     "invalid value for [three_site] fields: -3.0 and -3.0 both write three_site_F-3.csv"),
     # site counts: band wrote an empty band.csv, quench failed after --out existed
     ("band", "n_sites = 15", "n_sites = -3", "invalid value for [model] n_sites: '-3'"),
     ("quench", "n_sites = 15", "n_sites = 1", "invalid value for [model] n_sites: '1'"),
@@ -724,6 +729,15 @@ def test_spectrum_run(tmp_path):
     assert {e["true_crossing"] for e in crossings["avoided"]} <= {False}
 
 
+def test_spectrum_window_without_levels_fails_before_output(tmp_path, capsys):
+    # it wrote a header-only spectrum.csv and an empty crossings.json, with exit 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SPECTRUM + "window_lo = 100\nwindow_hi = 200\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert "run failed: no level lies in the window [100.0, 200.0] at any field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reruns_byte_reproduce_csv_output(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_QUENCH)
@@ -789,11 +803,24 @@ def test_sweep_csv_identical_across_blas_and_worker_threads(tmp_path):
     assert len(set(csv.values())) == 1
 
 
+BLOCH_VS_DECAY = Path(__file__).resolve().parents[1] / "scripts" / "bloch_vs_decay.py"
+
+
 def test_bloch_vs_decay_script_writes_both_trajectories(tmp_path):
-    # the headline study script imports the public API; a short run writes both CSVs
-    script = Path(__file__).resolve().parents[1] / "scripts" / "bloch_vs_decay.py"
-    run_python([script, "--t-max", "2", "--out", tmp_path])
-    for label in ("bloch", "decay"):
-        header, *rows = (tmp_path / f"trajectory_{label}.csv").read_text().splitlines()
-        assert header == "t,transfer,distance,energy,norm"
-        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+    # the headline study script imports the public API; a short run writes both CSVs.
+    # t_max = 2.6 was rounded to the nearest whole step and sampled t = 3
+    for t_max in ("2", "2.6"):
+        run_python([BLOCH_VS_DECAY, "--t-max", t_max, "--out", tmp_path / t_max])
+        for label in ("bloch", "decay"):
+            header, *rows = (tmp_path / t_max / f"trajectory_{label}.csv").read_text().splitlines()
+            assert header == "t,transfer,distance,energy,norm"
+            assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+
+
+def test_bloch_vs_decay_script_rejects_a_negative_t_max(tmp_path):
+    # it ended in a ValueError traceback ("times must start at 0") from the empty time grid
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        run_python([BLOCH_VS_DECAY, "--t-max", "-1", "--out", tmp_path / "out"])
+    assert failed.value.returncode == 2
+    assert "argument --t-max: must be finite and not negative" in failed.value.stderr
+    assert not (tmp_path / "out").exists()

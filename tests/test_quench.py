@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import gc
 import os
@@ -44,14 +45,9 @@ def small_band():
     return band_scan(1.0, -6.24, 15)
 
 
-def evolve_workspace(ws, propagator, times):
-    """``evolve`` of the workspace packet under ``propagator``."""
-    return evolve(propagator, ws.psi0, times, h0=ws.h0, bound=ws.bound, basis=ws.basis)
-
-
 def spectral_quench(ws, field_value, times):
     """The exact reference of ``run_quench``: the same evolution on the dense spectrum."""
-    return evolve_workspace(ws, SpectralPropagator(ws.hamiltonian(field_value)), times)
+    return evolve(SpectralPropagator(ws.hamiltonian(field_value)), ws, times)
 
 
 def test_packet_is_normalized_bound_superposition(ref_psi0, ref_bound):
@@ -192,7 +188,7 @@ def test_blocked_transfer_matches_per_sample_projection(small_workspace, small_b
     ws = small_workspace
     times = np.arange(float(samples))
     h = ws.hamiltonian(-0.21)
-    traj = evolve_workspace(ws, backend(h), times)
+    traj = evolve(backend(h), ws, times)
     states = np.vstack(list(backend(h).samples(ws.psi0, times)))
     single = [dense_bound_weight(psi, small_band, ws.basis) for psi in states]
     assert traj.transfer.shape == (samples,)
@@ -218,14 +214,8 @@ def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_worksp
 def test_energy_constant_after_field_release(small_workspace):
     times = np.arange(0.0, 30.0, 1.0)
     traj = spectral_quench(small_workspace, -0.21, times)
-    released = evolve(
-        SpectralPropagator(small_workspace.h0),
-        traj.final_state,
-        np.arange(0.0, 20.0, 1.0),
-        h0=small_workspace.h0,
-        bound=small_workspace.bound,
-        basis=small_workspace.basis,
-    )
+    released_ws = dataclasses.replace(small_workspace, psi0=traj.final_state)
+    released = evolve(SpectralPropagator(small_workspace.h0), released_ws, np.arange(0.0, 20.0, 1.0))
     assert np.max(np.abs(released.energy - released.energy[0])) < 1e-8
 
 
@@ -234,14 +224,14 @@ def test_evolve_validates_time_grid(small_workspace):
     prop = ChebyshevPropagator(ws.hamiltonian(-0.2))
     for bad in ([], [1.0, 2.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError):
-            evolve_workspace(ws, prop, bad)
+            evolve(prop, ws, bad)
 
 
 def test_evolve_rejects_a_non_diagonal_quench(small_workspace):
     # the total energy adds only the diagonal of hamiltonian - h0
     ws = small_workspace
     with pytest.raises(ValueError, match="diagonal only"):
-        evolve_workspace(ws, ChebyshevPropagator(ws.h0.scaled(0.0, 2.0)), [0.0, 1.0])
+        evolve(ChebyshevPropagator(ws.h0.scaled(0.0, 2.0)), ws, [0.0, 1.0])
 
 
 def test_energy_distribution_completeness(small_workspace):
@@ -408,7 +398,7 @@ def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, backend
     ws = small_workspace
     h = ws.hamiltonian(-0.21) if quenched else ws.h0
     times = np.arange(0.0, 12.0)
-    traj = evolve_workspace(ws, backend(h), times)
+    traj = evolve(backend(h), ws, times)
     states = np.vstack(list(backend(h).samples(ws.psi0, times)))
     direct = [np.real(np.vdot(psi, stencil_product(h, psi))) for psi in states]
     assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
@@ -422,7 +412,7 @@ def test_chebyshev_transfer_converges_in_tol():
     h = ws.hamiltonian(-0.2)
     exact = spectral_quench(ws, -0.2, times).transfer
     errors = [
-        np.max(np.abs(evolve_workspace(ws, ChebyshevPropagator(h, tol=tol), times).transfer - exact))
+        np.max(np.abs(evolve(ChebyshevPropagator(h, tol=tol), ws, times).transfer - exact))
         for tol in (1e-6, 1e-9, 1e-12)
     ]
     assert errors[0] > errors[1] > errors[2]

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from pairquench import ModelParams, build_basis, build_h0, spectrum
+from pairquench.model import build_stark
 from pairquench.spectrum import (
     SpectrumSlice,
     classify_levels,
@@ -11,7 +13,7 @@ from pairquench.spectrum import (
     spectrum_vs_field,
 )
 
-from oracles import free_scattering_state, stencil_product
+from oracles import free_scattering_state, loop_avoided_crossings, stencil_product
 
 THREE_SITE = ModelParams(3, kappa=0.4, u=-6.0, v=-6.0)
 
@@ -120,6 +122,49 @@ def test_windowed_scan_matches_dense(monkeypatch):
     assert windowed.energies.size == dense.energies.size > 0
     assert np.allclose(windowed.energies, dense.energies, atol=1e-8)
     assert np.allclose(windowed.correlations, dense.correlations, atol=1e-8)
+
+
+@pytest.mark.parametrize("ends", [(-1.0, 2.0), (-48.0, -47.0)], ids=["lowest-levels", "below-spectrum"])
+def test_window_at_a_spectral_end_takes_one_shift_invert_solve(monkeypatch, ends):
+    # a window at an end of the spectrum never has levels on both sides of it, so
+    # k doubled to dim - 2 (8 solves at n = 65, 100 s per field)
+    params = ModelParams(20, kappa=0.4, u=-6.0, v=-6.0)
+    basis = build_basis(params.n_sites)
+    levels = np.linalg.eigvalsh(build_h0(params, basis).add_diagonal(build_stark(-1.0, basis)).toarray())
+    window = (levels[0] + ends[0], levels[0] + ends[1])
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "MAX_DENSE_STATES", 64)
+    monkeypatch.setattr(spectrum, "eigsh", recorded)
+    windowed = spectrum_vs_field([-1.0], params, window)[0]
+    assert solves == [spectrum.K_START]
+    inside = levels[(levels >= window[0]) & (levels <= window[1])]
+    assert windowed.energies.size == inside.size
+    assert np.allclose(windowed.energies, inside, rtol=0.0, atol=1e-9)
+
+
+# unwindowed scans, one with 30 true crossings at kappa = 0, and windowed scans whose
+# levels come and go, one with 10 ambiguous tracking steps
+@pytest.mark.parametrize(
+    "params, fields, window",
+    [
+        (ModelParams(4, kappa=0.5, u=-4.0, v=-1.0), np.linspace(-6.0, -0.5, 121), None),
+        (ModelParams(6, kappa=0.3, u=-6.0, v=-6.0), np.linspace(-5.0, -1.0, 41), (-20.0, -5.0)),
+        (ModelParams(5, kappa=0.0, u=-6.0, v=-6.0), np.linspace(-5.0, -1.0, 21), None),
+        (ModelParams(7, kappa=0.8, u=3.0, v=1.0), np.linspace(-3.0, 3.0, 61), (-2.0, 2.0)),
+    ],
+    ids=["n4", "n6-window", "n5-kappa0", "n7-ambiguous"],
+)
+def test_detection_matches_the_per_slice_loop(params, fields, window):
+    slices = spectrum_vs_field(fields, params, window)
+    for r_threshold in (1.0, 2.5):
+        scan = detect_avoided_crossings(slices, r_threshold=r_threshold)
+        assert scan == loop_avoided_crossings(slices, r_threshold)
+    assert scan.avoided
 
 
 def test_detection_needs_three_slices():
