@@ -21,12 +21,13 @@ bound branch) and a second root -- the upper branch -- exactly when
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import SQRT2, TwoBosonBasis
+from .model import SQRT2, PairHamiltonian, TwoBosonBasis
 
 BRANCH_LOWER = "-"
 BRANCH_UPPER = "+"
@@ -72,14 +73,35 @@ class BoundState:
 
 
 def _decay_roots(reduced_u: float) -> list[float]:
-    """Real roots of the decay cubic with 0 < |y| < 1, Newton-polished."""
-    u = reduced_u
-    coeffs = [u, u * u - 1.0, 2.0 * u, 1.0]
+    """Real roots of the decay cubic with 0 < |y| < 1, Newton-polished.
+
+    They are the reciprocals of the roots ``x`` of the monic cubic
+    ``x^3 + 2u x^2 + (u^2 - 1) x + u`` with ``|x| > 1``, taken in closed form:
+    ``x = t - 2u/3`` turns it into ``t^3 + p t + q`` with ``p = -(u^2 + 3)/3 < 0``
+    and ``q = u (45 - 2u^2) / 27``, so ``t = 2 r cos(theta)``, ``r = sqrt(-p/3)``,
+    gives ``cos(3 theta) = -q / (2 r^3)`` (Viete's trigonometric solution).
+    ``1 - cos(3 theta)^2`` is formed as one fraction, free of cancellation, and
+    its sign tells three real roots (``theta`` in three branches) from one
+    (``cosh`` in place of ``cos``); it vanishes only at ``|u|`` 0.2381 and
+    2.9696, where the double root has ``|y| > 1``.  No eigenvalue solver runs.
+    """
+    u = float(reduced_u)
+    s = u * u + 3.0
+    radius = 2.0 * math.sqrt(s) / 3.0
+    cos3 = u * (2.0 * u * u - 45.0) / (2.0 * s * math.sqrt(s))
+    sin3_squared = (216.0 * u**4 - 1917.0 * u * u + 108.0) / (4.0 * s**3)
+    if sin3_squared >= 0.0:
+        third = math.atan2(math.sqrt(sin3_squared), cos3) / 3.0
+        depressed = [radius * math.cos(third - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    else:
+        arcosh = math.log(abs(cos3) + math.sqrt(-sin3_squared))
+        depressed = [math.copysign(radius * math.cosh(arcosh / 3.0), cos3)]
     out = []
-    for y in np.roots(coeffs):
-        if abs(y.imag) > 1e-9 * max(1.0, abs(y.real)):
+    for t in depressed:
+        x = t - 2.0 * u / 3.0
+        if abs(x) <= 1.0:
             continue
-        y = float(y.real)
+        y = 1.0 / x
         if not 1e-14 < abs(y) < 1.0 - 1e-12:
             continue
         for _ in range(4):
@@ -230,6 +252,17 @@ class BoundProjector(NamedTuple):
         psi[self.order] = grid.T.reshape(-1)
         return psi
 
+    def on_layout(self, h: PairHamiltonian) -> "BoundProjector":
+        """The projector whose ``weights`` read states on ``h``'s packed layout, ``S psi``.
+
+        ``order`` names the cell of every grid cell's configuration, and the
+        table takes ``1 / S``: ``1 / sqrt(2)`` on row ``d = 0``, the same-site
+        pairs.  ``superpose`` of the result is not a basis-order state.
+        """
+        table = self.table.copy()
+        table[:, 0] /= SQRT2
+        return BoundProjector(table=table, order=h.indices[self.order])
+
 
 @dataclass(frozen=True)
 class BandStructure:
@@ -245,6 +278,14 @@ class BandStructure:
             hit = [s for s in group if s.branch == branch]
             out.append(hit[0] if hit else None)
         return out
+
+    def completeness(self) -> dict[str, dict]:
+        """Per branch, whether every momentum has a bound state on it and the momenta that have none."""
+        record = {}
+        for branch in (BRANCH_LOWER, BRANCH_UPPER):
+            missing = [float(k) for k, state in zip(self.momenta, self.select(branch)) if state is None]
+            record[branch] = {"complete": not missing, "missing_momenta": missing}
+        return record
 
     def bound_matrix(self, basis: TwoBosonBasis) -> BoundProjector:
         """Projector onto every bound state of the band, for states in ``basis``.

@@ -385,7 +385,7 @@ def _run_band(config, out: Path, threads: int) -> tuple[list[str], dict]:
     model = config["model"]
     band = band_scan(model["kappa"], model["u"], model["n_sites"])
     reporting.write_band_csv(out / "band.csv", band)
-    return ["band.csv"], {}
+    return ["band.csv"], {"band": band.completeness()}
 
 
 def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
@@ -416,6 +416,7 @@ def _run_quench(config, out: Path, threads: int) -> tuple[list[str], dict]:
         **trajectory.propagation,
         "max_norm_error": float(np.max(np.abs(trajectory.norm - 1.0))),
         "max_total_energy_drift": float(np.max(np.abs(trajectory.total_energy - trajectory.total_energy[0]))),
+        "band": workspace.band.completeness(),
     }
     return ["trajectory.csv"], stats
 
@@ -440,7 +441,7 @@ def _run_sweep(config, out: Path, threads: int) -> tuple[list[str], dict]:
             "failures": [{"F": f, "error": msg} for f, msg in sweep.failures],
         },
     )
-    return ["sweep.csv", "sweep_period.json"], {}
+    return ["sweep.csv", "sweep_period.json"], {**sweep.stats, "band": workspace.band.completeness()}
 
 
 _RUNNERS = {

@@ -10,8 +10,9 @@ on a cache line, so no run that only propagates loads ``scipy``; ``bind``
 takes every view of one product once, so a recursion pays only the numpy
 passes per term, and ``step`` is one bound product.  ``bounding`` gives the
 pair ``(D - |O|, D + |O|)`` whose bound products give the spectral bounds;
-``expectations`` the energies of a block of states without leaving the
-layout; ``coo`` lists the elements for a sparse or dense matrix.
+``norms``, ``cell_weights`` and ``expectations`` read observables of packed
+states without unpacking them; ``coo`` lists the elements for a sparse or
+dense matrix.
 """
 
 from __future__ import annotations
@@ -152,6 +153,18 @@ class _Hopping:
         weight[slots] = np.where(d == 0, 2.0, 1.0)
         return cls(n, w, (1 - w, w - 1, -w, w), slots, halo, mirror, scale, weight)
 
+    def cell_weights(self, columns: np.ndarray) -> np.ndarray:
+        """``columns / scale**2`` per float64 of the layout on the slots, 0 elsewhere (``PairHamiltonian.cell_weights``)."""
+        columns = np.asarray(columns, dtype=float)
+        weights = np.zeros((self.weight.size,) + columns.shape[1:])
+        weights[self.slots] = columns / (self.scale**2).reshape((-1,) + (1,) * (columns.ndim - 1))
+        return np.repeat(weights, 2, axis=0)
+
+    @cached_property
+    def inverse_weight(self) -> np.ndarray:
+        """``1 / scale**2`` per float64 of the layout on the slots, 0 elsewhere; one table for every operator on it."""
+        return self.cell_weights(np.ones(self.slots.size))
+
 
 class PairHamiltonian:
     """``diag(diagonal)`` plus the hopping ``-kappa`` between configurations one hop apart.
@@ -193,7 +206,7 @@ class PairHamiltonian:
 
     @property
     def indices(self) -> np.ndarray:
-        """The cell of every configuration; the benchmark probe reads its ``itemsize``."""
+        """The cell of every configuration on the packed layout (the benchmark probe reads its ``itemsize``)."""
         return self._hopping.slots
 
     @property
@@ -257,13 +270,15 @@ class PairHamiltonian:
     def _scratch(self) -> np.ndarray:
         return self.empty_packed()
 
-    @cached_property
-    def _inverse_weight(self) -> np.ndarray:
-        # 1 / S**2 per float64 of the layout on the slots, 0 elsewhere
-        hop = self._hopping
-        inverse = np.zeros(hop.weight.size)
-        inverse[hop.slots] = 1.0 / hop.scale**2
-        return np.repeat(inverse, 2)
+    def cell_weights(self, columns: np.ndarray) -> np.ndarray:
+        """``columns / S**2`` per float64 of the packed layout on the slots, 0 elsewhere.
+
+        ``columns`` is one basis-order column or several side by side.  The
+        squared float64 view of a packed block times the result sums ``|psi|**2``
+        times each column over the basis, for every row: ``|phi|**2 / S**2`` is
+        ``|psi|**2`` on a slot, and the ghost and halo cells weigh 0.
+        """
+        return self._hopping.cell_weights(columns)
 
     def bind(self, x: np.ndarray, prev: np.ndarray | None, out: np.ndarray):
         """A call that sets ``out = H x + prev`` (``H x`` without ``prev``) for packed states, and returns ``out``.
@@ -307,22 +322,26 @@ class PairHamiltonian:
         """``out = H x + prev`` (``H x`` without ``prev``) for one packed state, through ``bind``."""
         return self.bind(x, prev, out)()
 
-    def expectations(self, states: np.ndarray) -> np.ndarray:
-        """``Re <psi|H|psi>`` of a state, or of every row of a block, without leaving the layout.
+    def norms(self, packed: np.ndarray) -> np.ndarray:
+        """The norms of packed states, a state or every row of a block, with no temporary of their size."""
+        values = packed.view(float)
+        return np.sqrt(np.einsum("...c,...c,c->...", values, values, self._hopping.inverse_weight))
 
-        With ``phi = S psi`` and ``S H psi`` packed (one ``step`` per row), the
+    def expectations(self, packed: np.ndarray) -> np.ndarray:
+        """``Re <psi|H|psi>`` of packed states ``phi = S psi``, a state or every row of a block.
+
+        With ``S H psi`` packed (one ``step`` per row, into one buffer), the
         value is the sum of ``Re(conj(phi) S H psi) / S**2`` over the slots: one
         product of their float64 views by ``1 / S**2``, which is 0 on the ghost
         and halo cells.
         """
-        packed = self.pack(np.asarray(states))
-        out = aligned_array(packed.shape)
         rows = packed.reshape(-1, packed.shape[-1])
-        for x, result in zip(rows, out.reshape(rows.shape)):
-            self.step(x, None, result)
-        products = out.view(float)
-        products *= packed.view(float)
-        return products @ self._inverse_weight
+        product, values = self.empty_packed(), np.empty(len(rows))
+        for k, x in enumerate(rows):
+            products = self.step(x, None, product).view(float)
+            products *= x.view(float)
+            values[k] = products @ self._hopping.inverse_weight
+        return values if packed.ndim > 1 else values[0]
 
     def _coo_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis-order ``(rows, cols)`` of every hop, read off the shift table."""

@@ -13,23 +13,24 @@ The Chebyshev engine takes an operator such as ``model.PairHamiltonian``:
 ``bounding()`` gives the pair ``(D - |O|, D + |O|)`` of its diagonal ``D``
 and off-diagonal part ``O``, whose bound products give the interval of every
 operator alike, and ``scaled(shift, factor)`` the operator
-``factor * (H - shift)``, whose ``pack``, ``bind`` and ``unpack`` run a
-recursion on the operator's own layout of a state, in buffers from its
-``empty_packed``.  The engine keeps
-``B = -2i A`` for its rescaled operator ``A`` and runs the recursion on
-``V_k = (-i)^k T_k(A) psi``: each term is one call of a kernel bound once per
-buffer row, ``V_{k+1} = B V_k + V_{k-1}``, and takes the real coefficient
-``2 J_k``; each returned state gets its phase ``exp(-i center t)`` once.
-One recursion returns the states at several offsets: the terms go into a
-fixed buffer of ``TERM_BUFFER`` rows that is added into every offset's row
-with one real matrix product per buffer, on float64 views, through a block
-the propagator keeps; every state it returns is back in basis order.
+``factor * (H - shift)``, whose ``bind`` runs a recursion on the operator's
+own packed layout of a state (``pack``), in buffers from its
+``empty_packed``, and whose ``norms`` reads the norm of a packed state.  The
+engine keeps ``B = -2i A`` for its rescaled operator ``A`` and runs the
+recursion on ``V_k = (-i)^k T_k(A) psi``: each term is one call of a kernel
+bound once per buffer row, ``V_{k+1} = B V_k + V_{k-1}``, and takes the real
+coefficient ``2 J_k``; each returned state gets its phase ``exp(-i center t)``
+once.  One recursion returns the states at several offsets: the terms go
+into a fixed buffer of ``TERM_BUFFER`` rows that is added into every
+offset's row with one real matrix product per buffer, on float64 views,
+through a block the propagator keeps.  States enter and leave ``advance`` and
+``samples`` on the packed layout, so nothing is unpacked between windows.
 ``samples`` yields blocks of up to ``SAMPLE_BLOCK`` states, one row per
 sample time and one matrix product or recursion per block; a Chebyshev block
-spans several times only while each step of it is short enough that its own
-series is mostly overhead.  A propagator counts its recursions and operator
-products and names the source of its interval, on the instance, for the run
-record.
+spans several times only while each step of it is short enough that one
+recursion for the block costs less than one per sample (``WINDOW_RATIO``).
+A propagator counts its recursions and operator products and names the
+source of its interval, on the instance, for the run record.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 
-#: most rows of a block yielded by ``samples`` (8 states at dim 6216 are 0.8 MB)
+#: most rows of a block yielded by ``samples`` (8 packed states at n = 111 are 0.86 MB)
 SAMPLE_BLOCK = 8
 
 #: Chebyshev terms added into the output rows per matrix product.  At dim 6216
@@ -49,6 +50,13 @@ TERM_BUFFER = 8
 
 #: power steps behind each end of the Collatz–Wielandt interval of ``spectral_bounds``
 CW_ITERATIONS = 25
+
+#: a step is windowed while its series has at least this many terms per unit of
+#: ``halfwidth * step``: timed at n = 111, F = -0.09712 on 40 samples (best of 5, one
+#: BLAS thread), windows take 0.272 s against 0.284 s for one recursion per sample at
+#: step 12 (1.31 terms per unit), 0.307 against 0.310 s at 14 (1.28) and 0.354
+#: against 0.347 s at 16 (1.26); the rule keeps a 1-step quench at 100 windows
+WINDOW_RATIO = 1.3
 
 
 class PropagationAccuracyError(RuntimeError):
@@ -206,23 +214,22 @@ class ChebyshevPropagator:
         return self._coeff_cache[key]
 
     def _is_short(self, step: float) -> bool:
-        """Whether most of a step's own series is overhead beyond its phase."""
-        return self._coefficients(step).size >= 2.0 * self.halfwidth * step
+        """Whether a step's own series is long enough, against ``halfwidth * step``, that a window pays (``WINDOW_RATIO``)."""
+        return self._coefficients(step).size >= WINDOW_RATIO * self.halfwidth * step
 
     def _sum_series(self, psi: np.ndarray, coef: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Rows ``sum_k coef[r, k] (-i)^k T_k(A) psi`` for real ``coef``, where row ``r`` has ``ends[r]`` (ascending) terms.
+        """Packed rows ``sum_k coef[r, k] (-i)^k T_k(A) psi`` for real ``coef`` and a packed ``psi``, where row ``r`` has ``ends[r]`` (ascending) terms.
 
         The recursion runs on the packed layout of ``B = -2i A``, in buffers
-        the operator allocates, and the rows are unpacked once at the end.
-        The terms go into a fixed buffer of ``TERM_BUFFER`` rows; each row's
-        kernel is bound once per call, so a term is one call of it.  Each
-        full buffer is added into the rows whose series has not ended through
-        one real matrix product, on float64 views, into ``part``, which the
-        propagator keeps: one allocated per call faulted its pages in on every
-        window.  The term buffer stays per call, as its pages then serve the
-        caller's temporaries between windows, where a kept one would add to
-        the peak memory.  The returned rows are a new array, so a caller may
-        keep them.
+        the operator allocates, and the rows stay on it.  The terms go into a
+        fixed buffer of ``TERM_BUFFER`` rows; each row's kernel is bound once
+        per call, so a term is one call of it.  Each full buffer is added into
+        the rows whose series has not ended through one real matrix product,
+        on float64 views, into ``part``, which the propagator keeps: one
+        allocated per call faulted its pages in on every window.  The term
+        buffer stays per call, as its pages then serve the caller's
+        temporaries between windows, where a kept one would add to the peak
+        memory.  The returned rows are a new array, so a caller may keep them.
         """
         b = self._b
         rows, n_terms = coef.shape
@@ -234,7 +241,7 @@ class ChebyshevPropagator:
         terms = b.empty_packed(min(TERM_BUFFER, n_terms))
         # the kernel of a row forms its term from the two rows before it, cyclically
         kernels = [b.bind(terms[slot - 1], terms[slot - 2], terms[slot]) for slot in range(len(terms))]
-        terms[0] = b.pack(psi)
+        terms[0] = psi
         b.bind(terms[0], None, terms[1])()
         terms[1] *= 0.5
         real_terms, real_out = terms.view(float), out.view(float)
@@ -249,14 +256,16 @@ class ChebyshevPropagator:
                 active = int(np.searchsorted(ends, start, side="right"))
                 np.matmul(coef[active:, start : k + 1], real_terms[: slot + 1], out=part[active:])
                 real_out[active:] += part[active:]
-        return b.unpack(out)
+        return out
 
     def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:
-        """State after ``dt``, or with sorted offsets ``earlier`` in (0, dt) one row per offset.
+        """Packed state after ``dt`` from the packed state ``psi``, or with sorted offsets ``earlier`` in (0, dt) one row per offset.
 
-        The rows are the states at ``earlier`` followed by the state at
-        ``dt``, all from one recursion as long as ``dt``'s series (a shorter
-        offset never needs more terms).  Every row passes the norm-drift check.
+        ``psi`` and the rows are on the layout of ``h.pack``.  The rows are the
+        states at ``earlier`` followed by the state at ``dt``, all from one
+        recursion as long as ``dt``'s series (a shorter offset never needs more
+        terms), each with its phase ``exp(-i center t)``.  Every row passes the
+        norm-drift check.
         """
         offsets = np.append(np.asarray(earlier, dtype=float), float(dt))
         if offsets.size > 1 and (offsets[0] <= 0.0 or np.any(np.diff(offsets) <= 0.0)):
@@ -269,7 +278,7 @@ class ChebyshevPropagator:
             row[: c.size] = c
         out = self._sum_series(psi, coef, ends)
         out *= np.exp(-1j * self.center * offsets)[:, np.newaxis]
-        drift = np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(psi))
+        drift = np.abs(self._b.norms(out) - self._b.norms(psi))
         if drift.max() > 1e-8:
             raise PropagationAccuracyError(
                 "norm drifted during a Chebyshev step; spectral bounds too tight "
@@ -278,16 +287,19 @@ class ChebyshevPropagator:
         return out if offsets.size > 1 else out[0]
 
     def samples(self, psi0: np.ndarray, times):
-        """States at strictly increasing ``times`` >= 0, one block per recursion.
+        """Packed states (on the layout of ``h.pack``) at strictly increasing ``times`` >= 0, one block per recursion.
 
-        A block holds up to ``SAMPLE_BLOCK`` consecutive samples while every step
-        in it is short (``_is_short``), otherwise one; a sample at t = 0 is its own.
+        ``psi0`` is in basis order.  A block holds up to ``SAMPLE_BLOCK``
+        consecutive samples while every step in it is short (``_is_short``),
+        otherwise one; a sample at t = 0 is its own.  Only a copy of a block's
+        last row is carried into the next recursion, so a block the caller has
+        let go of is freed before it.
         """
         times = _sample_times(times)
-        block = psi0.astype(complex, copy=True).reshape(1, -1)
+        carried = self.h.pack(psi0)
         base, start = 0.0, 0
         if times.size and times[0] == 0.0:
-            yield block
+            yield carried[np.newaxis]
             start = 1
         while start < times.size:
             stop = start + 1
@@ -296,6 +308,8 @@ class ChebyshevPropagator:
                 while stop < limit and self._is_short(times[stop] - times[stop - 1]):
                     stop += 1
             offsets = times[start:stop] - base
-            block = self.advance(block[-1], offsets[-1], offsets[:-1]).reshape(offsets.size, -1)
+            block = self.advance(carried, offsets[-1], offsets[:-1]).reshape(offsets.size, -1)
+            carried = block[-1].copy()
             yield block
+            del block  # the caller's now: not held through the next recursion
             base, start = times[stop - 1], stop

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,46 +113,57 @@ def evolve(propagator, workspace: QuenchWorkspace, times) -> QuenchTrajectory:
     """Evolve the workspace packet ``psi0`` under ``propagator.h``, sampling observables.
 
     ``propagator`` is a ``ChebyshevPropagator``, or any object with its ``h``
-    and ``samples(psi0, times)``, such as an exact reference of a
-    time-independent Hamiltonian.  ``times`` must be strictly increasing and
-    start at 0.  The workspace's field-free ``h0`` enters the energy
-    observable; its ``bound`` projects onto the bound band for the transfer rate.
+    and ``samples(psi0, times)`` yielding blocks of packed states, such as an
+    exact reference of a time-independent Hamiltonian.  ``times`` must be
+    strictly increasing and start at 0.  Every observable is read off the
+    packed rows: the norm, separation and field energy as one product of
+    ``|phi|**2`` by per-cell weights, the field-free energy of the workspace's
+    ``h0`` by ``expectations``, the bound weight by the workspace's projector
+    on the packed layout.  Only ``final_state`` is unpacked.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise ValueError("times must start at 0")
     h0, bound = workspace.h0, workspace.bound
-    sep = model.separations(workspace.basis)
-    # the quench adds a diagonal field to h0, so the total energy costs a
-    # diagonal product on top of the field-free energy
+    # the quench adds a diagonal field to h0 on the same layout, so the total
+    # energy costs a diagonal product on top of the field-free energy
     h = propagator.h
     if (h.n_sites, h.kappa) != (h0.n_sites, h0.kappa):
         raise ValueError("the quenched Hamiltonian must differ from h0 on the diagonal only")
-    field_diag = h.diagonal() - h0.diagonal()
+    # |phi|^2 of a row, on its float64 view, times these: its squared norm, separation and field energy
+    weights = h0.cell_weights(
+        np.stack([np.ones(h0.shape[0]), model.separations(workspace.basis), h.diagonal() - h0.diagonal()], 1)
+    )
+    last = None
 
-    # a function, so that no block's densities are held through the next block's recursion
+    # a function of one block that keeps only a copy of its last row, so that no
+    # block outlives its observables into the next block's recursion
     def block_observables(block: np.ndarray) -> tuple:
+        nonlocal last
+        last = block[-1].copy()
+        norm_squared, distance, field_energy = (np.square(block.view(float)) @ weights).T
         field_free = h0.expectations(block)
-        weights, norm = bound.weights(block), np.linalg.norm(block, axis=1)
-        density = np.abs(block) ** 2
-        return weights, density @ sep, field_free, norm, field_free + density @ field_diag
+        return bound.weights(block), distance, field_free, np.sqrt(norm_squared), field_free + field_energy
 
-    rows = []
-    for block in propagator.samples(workspace.psi0, times):
-        rows.append(block_observables(block))
+    rows = list(map(block_observables, propagator.samples(workspace.psi0, times)))
     # one column per observable, in the field order of QuenchTrajectory
     observables = map(np.concatenate, zip(*rows))
-    return QuenchTrajectory(times, *observables, final_state=block[-1])
+    return QuenchTrajectory(times, *observables, final_state=h0.unpack(last))
 
 
 @dataclass
 class QuenchWorkspace:
-    """Shared immutable inputs of a quench study: basis, bound-band projector, packet state, operator."""
+    """Shared immutable inputs of a quench study: basis, band and its projector, packet state, operator.
+
+    ``bound`` projects states on the packed layout of ``h0`` (and of every
+    ``hamiltonian``) onto the bound band; ``psi0`` is in basis order.
+    """
 
     basis: TwoBosonBasis
     bound: BoundProjector
     psi0: np.ndarray
     h0: PairHamiltonian
+    band: BandStructure = field(repr=False)
 
     @classmethod
     def prepare(cls, params: ModelParams, packet: WavePacketSpec) -> "QuenchWorkspace":
@@ -165,7 +177,7 @@ class QuenchWorkspace:
         bound = band.bound_matrix(basis)
         psi0 = prepare_wavepacket(packet, band, bound)
         h0 = build_h0(params, basis)
-        return cls(basis=basis, bound=bound, psi0=psi0, h0=h0)
+        return cls(basis=basis, bound=bound.on_layout(h0), psi0=psi0, h0=h0, band=band)
 
     def hamiltonian(self, field_value: float) -> PairHamiltonian:
         return self.h0.add_diagonal(build_stark(field_value, self.basis))
@@ -225,13 +237,17 @@ def estimate_period(values, step: float) -> PeriodEstimate:
 
 @dataclass
 class SweepResult:
-    """Long-time bound weight per quench field value."""
+    """Long-time bound weight per quench field value.
+
+    ``stats`` is the sweep's run record (``_sweep_stats``).
+    """
 
     f_values: np.ndarray
     transfer: np.ndarray
     t_final: float
     period: PeriodEstimate
     failures: list[tuple[float, str]]
+    stats: dict
 
 
 #: (workspace, t_final) of the running sweep; set in pool worker processes only
@@ -243,15 +259,43 @@ def _sweep_init(*ctx) -> None:
     _WORKER_CTX = ctx
 
 
-def _sweep_point(field_value: float) -> float:
-    """Bound weight at ``t_final`` after a quench to ``field_value``, in a pool worker.
+def _sweep_point(field_value: float) -> tuple[float, dict]:
+    """Bound weight at ``t_final`` after a quench to ``field_value``, in a pool worker, with the point's record.
 
     The workspace and ``t_final`` are the ones the worker's initializer stored.
+    The record is the propagator's ``stats()`` and the point's wall time
+    ``wall_s``.
     """
+    started = time.perf_counter()
     workspace, t_final = _WORKER_CTX
-    prop = ChebyshevPropagator(workspace.hamiltonian(field_value))
+    h = workspace.hamiltonian(field_value)
+    prop = ChebyshevPropagator(h)
     # t_final positional: benchmarks/probe.py counts matvecs from advance's dt argument
-    return float(workspace.bound.weights(prop.advance(workspace.psi0, t_final)))
+    weight = float(workspace.bound.weights(prop.advance(h.pack(workspace.psi0), t_final)))
+    return weight, {**prop.stats(), "wall_s": time.perf_counter() - started}
+
+
+def _sweep_stats(records: list[dict], failures: int) -> dict:
+    """Run record of a sweep from the records of its successful points.
+
+    The failure count, the median and largest point wall time, the summed
+    ``recursions`` and ``matvecs``, and how many points took each interval
+    source; the wall times are None when no point succeeded.
+    """
+    walls = sorted(r["wall_s"] for r in records)
+    middle = len(walls) // 2
+    intervals: dict[str, int] = {}
+    for r in records:
+        intervals[r["interval"]] = intervals.get(r["interval"], 0) + 1
+    return {
+        "failures": failures,
+        # the middle value, or the mean of the middle two (np.median would load numpy.ma, 1 MiB)
+        "point_wall_s_p50": (walls[middle] + walls[-middle - 1]) / 2.0 if walls else None,
+        "point_wall_s_max": walls[-1] if walls else None,
+        "recursions": sum(r["recursions"] for r in records),
+        "matvecs": sum(r["matvecs"] for r in records),
+        "intervals": dict(sorted(intervals.items())),
+    }
 
 
 def sweep_transfer(
@@ -270,7 +314,8 @@ def sweep_transfer(
     Output ordering follows the input grid, so results are identical
     regardless of ``workers``.  The period is estimated only when every grid
     point succeeded, since the autocorrelation assumes one field step between
-    neighbouring values.
+    neighbouring values.  Each point returns its own record with its weight,
+    and ``stats`` sums them.
     """
     f_values = np.asarray(f_values, dtype=float)
     if t_final <= 0:
@@ -279,6 +324,7 @@ def sweep_transfer(
         raise ValueError("every field value in the sweep grid must be nonzero")
     transfer = np.full(f_values.size, np.nan)
     failures: list[tuple[float, str]] = []
+    records: list[dict] = []
     workers = max(1, min(workers, f_values.size, os.cpu_count() or 1))
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_sweep_init, initargs=(workspace, float(t_final))
@@ -286,9 +332,11 @@ def sweep_transfer(
         futures = [pool.submit(_sweep_point, float(f)) for f in f_values]
         for idx, fut in enumerate(futures):
             try:
-                transfer[idx] = fut.result()
+                transfer[idx], record = fut.result()
             except Exception as exc:  # record and continue per grid point
                 failures.append((float(f_values[idx]), str(exc)))
+            else:
+                records.append(record)
     if f_values.size >= 6 and np.isfinite(transfer).all():
         period = estimate_period(transfer, step=float(abs(f_values[1] - f_values[0])))
     else:
@@ -299,4 +347,5 @@ def sweep_transfer(
         t_final=float(t_final),
         period=period,
         failures=failures,
+        stats=_sweep_stats(records, len(failures)),
     )

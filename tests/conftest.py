@@ -63,5 +63,6 @@ def ref_h0_ring():
 
 
 @pytest.fixture(scope="session")
-def ref_workspace(ref_basis, ref_bound, ref_psi0, ref_h0_open):
-    return QuenchWorkspace(basis=ref_basis, bound=ref_bound, psi0=ref_psi0, h0=ref_h0_open)
+def ref_workspace(ref_basis, ref_band, ref_bound, ref_psi0, ref_h0_open):
+    bound = ref_bound.on_layout(ref_h0_open)
+    return QuenchWorkspace(basis=ref_basis, bound=bound, psi0=ref_psi0, h0=ref_h0_open, band=ref_band)

@@ -11,7 +11,9 @@ must reproduce; ``loop_avoided_crossings`` walks every slice per level pair,
 as crossing detection did before its level table.  ``MatrixOperator`` puts
 any matrix behind the operator interface of the propagators, and
 ``SpectralPropagator`` is the exact dense reference the tests pass to
-``evolve`` in place of the Chebyshev engine.
+``evolve`` in place of the Chebyshev engine.  ``eigen_decay_roots`` finds the
+bound-pair decay roots with an eigenvalue solver, the reference of their
+closed form.
 
 The Hamiltonian builders take ``ring=True`` for the field-free ring, which
 the package does not build: it closes the chain with the bond between sites
@@ -189,6 +191,29 @@ def dense_superpose(coef: np.ndarray, band: BandStructure, basis: TwoBosonBasis)
     return psi
 
 
+def eigen_decay_roots(reduced_u: float) -> list[float]:
+    """Real roots of the decay cubic ``u y^3 + (u^2 - 1) y^2 + 2u y + 1`` with 0 < |y| < 1, by ``np.roots``.
+
+    The eigenvalues of the companion matrix (LAPACK ``dgeev``) with an imaginary
+    part below 1e-9 of their size, then the same four Newton steps as
+    ``bound_band._decay_roots``: the reference of its closed form.
+    """
+    u = reduced_u
+    out = []
+    for y in np.roots([u, u * u - 1.0, 2.0 * u, 1.0]):
+        if abs(y.imag) > 1e-9 * max(1.0, abs(y.real)):
+            continue
+        y = float(y.real)
+        if not 1e-14 < abs(y) < 1.0 - 1e-12:
+            continue
+        for _ in range(4):
+            p = u * y**3 + (u * u - 1.0) * y**2 + 2.0 * u * y + 1.0
+            dp = 3.0 * u * y**2 + 2.0 * (u * u - 1.0) * y + 2.0 * u
+            y -= p / dp
+        out.append(y)
+    return sorted(set(out))
+
+
 def chain_bands(hop: float, interaction: float, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the truncated relative chain r = 0 .. length."""
     diag = np.zeros(length + 1)
@@ -300,6 +325,9 @@ class MatrixOperator:
 
         return kernel
 
+    def norms(self, packed: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(packed, axis=-1)
+
     def __matmul__(self, states: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(states).T).T
 
@@ -310,21 +338,21 @@ class MatrixOperator:
 class SpectralPropagator:
     """Exact evolution through a dense eigendecomposition of ``h``, which it keeps.
 
-    ``h`` is an array or has ``toarray()``.
+    ``h`` has ``toarray()`` and ``pack()``: like the Chebyshev engine, it
+    yields its states on ``h``'s packed layout.
     """
 
     def __init__(self, h):
         self.h = h
-        dense = h.toarray() if hasattr(h, "toarray") else np.asarray(h, dtype=float)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.toarray())
 
     def samples(self, psi0: np.ndarray, times):
-        """States at strictly increasing ``times`` >= 0, ``SAMPLE_BLOCK`` rows per block."""
+        """Packed states at strictly increasing ``times`` >= 0, ``SAMPLE_BLOCK`` rows per block."""
         times = _sample_times(times)
         coef = self.eigenvectors.T @ psi0
         for start in range(0, times.size, SAMPLE_BLOCK):
             phases = np.exp(-1j * np.outer(times[start : start + SAMPLE_BLOCK], self.eigenvalues))
-            yield (phases * coef) @ self.eigenvectors.T
+            yield self.h.pack((phases * coef) @ self.eigenvectors.T)
 
 
 def loop_chebyshev_advance(prop: ChebyshevPropagator, psi: np.ndarray, dt: float) -> np.ndarray:

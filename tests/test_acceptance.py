@@ -278,7 +278,8 @@ def test_criterion_7_property_suite(ref_workspace, traj_bloch, eig_bloch):
     vals, vecs = eig_bloch
     coef = vecs.T @ ws.psi0
     spectral = vecs @ (np.exp(-1j * vals * 800.0) * coef)
-    cheb = ChebyshevPropagator(ws.hamiltonian(F_BLOCH), tol=1e-12).advance(ws.psi0, 800.0)
+    h = ws.hamiltonian(F_BLOCH)
+    cheb = h.unpack(ChebyshevPropagator(h, tol=1e-12).advance(h.pack(ws.psi0), 800.0))
     backend_gap = float(np.linalg.norm(spectral - cheb))
 
     # probability sum rule checked through literal number operators

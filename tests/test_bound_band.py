@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import lambertw
 
 from pairquench import (
+    ModelParams,
     band_scan,
     build_basis,
+    build_h0,
     momentum_grid,
     solve_bound_states,
 )
-from pairquench.bound_band import decay_cutoff
+from pairquench.bound_band import _decay_roots, decay_cutoff
 from pairquench.reporting import write_band_csv
 
 from oracles import (
@@ -21,6 +23,7 @@ from oracles import (
     chain_isolated_energies,
     dense_bound_weight,
     dense_superpose,
+    eigen_decay_roots,
     loop_bound_state_realspace,
 )
 
@@ -30,6 +33,23 @@ def test_momentum_grid_excludes_zone_edge():
     assert np.allclose(grid, 2 * np.pi * np.array([-2, -1, 0, 1, 2]) / 5)
     with pytest.raises(ValueError):
         momentum_grid(6)
+
+
+def test_closed_form_decay_roots_match_the_eigenvalue_oracle():
+    # a dense grid of reduced interactions, the branch threshold |u| = 3 (a root at |y| = 1)
+    # and the points next to it, the double roots at |u| 0.2381 and 2.9696 (both at |y| > 1),
+    # and the large |u| of sectors next to K = pi, where two roots lie near -1/u
+    threshold = [3.0, 3.0 - 1e-9, 3.0 + 1e-9, 3.0 - 1e-12, 3.0 + 1e-12, 2.9696, 0.2381, 0.0]
+    grid = np.concatenate([np.linspace(0.0, 40.0, 8_001), np.geomspace(1e-6, 1e5, 1_001), threshold])
+    counts = set()
+    for u in np.concatenate([grid, -grid]):
+        closed, oracle = _decay_roots(u), eigen_decay_roots(u)
+        assert len(closed) == len(oracle), u
+        assert all(abs(a - b) <= 1e-14 for a, b in zip(closed, oracle)), u
+        counts.add(len(closed))
+    assert counts == {0, 1, 2}
+    # the upper branch appears past the threshold: one root at u = -3 (the other at y = 1), two beyond
+    assert len(_decay_roots(-3.0)) == 1 and len(_decay_roots(-3.0 - 1e-9)) == 2
 
 
 def test_momentum_sector_relations():
@@ -253,6 +273,11 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     for row, expected in zip(block[[0, 3, 5]], reference[[0, 3, 5]]):
         assert np.ndim(bound.weights(row)) == 0
         assert abs(bound.weights(row) - expected) < 1e-14
+    # the same overlaps gathered straight from the packed layout S psi, 1 / S in the table
+    h = build_h0(ModelParams(n_sites, 1.0, interaction, interaction), basis)
+    packed = bound.on_layout(h)
+    assert np.max(np.abs(packed.weights(h.pack(block)) - reference)) < 1e-14
+    assert abs(packed.weights(h.pack(block[0])) - reference[0]) < 1e-14
 
 
 def test_projection_rejects_mismatched_basis():

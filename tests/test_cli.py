@@ -695,8 +695,10 @@ def test_default_quench_manifest_reports_numerical_health(tmp_path):
     assert run(["quench", "--out", out]) == 0
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert set(stats) == {
-        "interval", "halfwidth", "recursions", "matvecs", "max_norm_error", "max_total_energy_drift"
+        "interval", "halfwidth", "recursions", "matvecs", "max_norm_error", "max_total_energy_drift", "band"
     }
+    # the headline coupling binds a pair on both branches at every momentum
+    assert stats["band"] == {branch: {"complete": True, "missing_momenta": []} for branch in "-+"}
     # 800 samples in windows of 8, on the Collatz–Wielandt interval: 187 products per window
     assert (stats["interval"], stats["recursions"], stats["matvecs"]) == ("collatz-wielandt", 100, 18_700)
     assert stats["halfwidth"] == pytest.approx(16.639, abs=1e-3)
@@ -715,6 +717,14 @@ def test_sweep_run_with_sidecar(tmp_path):
     sidecar = json.loads((out / "sweep_period.json").read_text())
     assert sidecar["t_f"] == 30.0
     assert sidecar["failures"] == []
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert set(stats) == {
+        "failures", "point_wall_s_p50", "point_wall_s_max", "recursions", "matvecs", "intervals", "band"
+    }
+    # five points of one recursion each, every one on its Collatz–Wielandt interval
+    assert (stats["failures"], stats["recursions"], stats["intervals"]) == (0, 5, {"collatz-wielandt": 5})
+    assert stats["matvecs"] > 5 * 30 and 0.0 < stats["point_wall_s_p50"] <= stats["point_wall_s_max"]
+    assert stats["band"]["+"] == {"complete": True, "missing_momenta": []}
 
 
 def test_spectrum_run(tmp_path):
@@ -760,6 +770,21 @@ def test_default_band_config_runs(tmp_path):
     lines = (out / "band.csv").read_text().splitlines()
     assert lines[0] == "K,branch,beta,energy"
     assert len(lines) == 1 + 2 * 111  # complete double band at the default coupling
+
+
+def test_band_manifest_names_the_missing_momenta(tmp_path):
+    # at u = -4 the upper branch needs |u / J_K| > 3, so it lacks the momenta around K = 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_BAND.replace("-6.24", "-4.0"))
+    out = tmp_path / "out"
+    assert run(["band", "--config", cfg, "--out", out]) == 0
+    record = json.loads((out / "manifest.json").read_text())["stats"]["band"]
+    band = band_scan(1.0, -4.0, 15)
+    for branch in "-+":
+        missing = [k for k, state in zip(band.momenta, band.select(branch)) if state is None]
+        assert record[branch] == {"complete": not missing, "missing_momenta": missing}
+    assert record["-"]["complete"] and not record["+"]["complete"]
+    assert 0.0 in record["+"]["missing_momenta"]
 
 
 def test_quench_csv_identical_across_blas_threads(tmp_path):

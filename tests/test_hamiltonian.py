@@ -162,6 +162,21 @@ def test_operator_products_match_fock_oracle(params):
 
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
+def test_packed_norms_and_cell_weights_match_basis_order(params):
+    # |phi|^2 / S^2 summed over the slots, for a state and a block; the halo cells weigh nothing
+    basis = build_basis(params.n_sites)
+    h = build_hamiltonian(params, basis)
+    rng = np.random.default_rng(params.n_sites)
+    block = rng.standard_normal((5, basis.dim)) + 1j * rng.standard_normal((5, basis.dim))
+    packed = h.pack(block)
+    assert np.max(np.abs(h.norms(packed) - np.linalg.norm(block, axis=1))) < 1e-13
+    assert h.norms(packed[2]) == pytest.approx(np.linalg.norm(block[2]), abs=1e-13)
+    columns = rng.standard_normal((basis.dim, 3))
+    sums = np.square(packed.view(float)) @ h.cell_weights(columns)
+    assert np.max(np.abs(sums - np.abs(block) ** 2 @ columns)) < 1e-12
+
+
+@pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
 def test_expectations_match_fock_oracle(params):
     # Re <psi|H|psi> on the packed layout: the halo cells carry values but weigh nothing
     basis = build_basis(params.n_sites)
@@ -170,7 +185,7 @@ def test_expectations_match_fock_oracle(params):
     block = rng.standard_normal((5, basis.dim)) + 1j * rng.standard_normal((5, basis.dim))
     block /= np.linalg.norm(block, axis=1, keepdims=True)
     expected = np.einsum("ij,jk,ik->i", block.conj(), reference, block).real
-    assert np.max(np.abs(h.expectations(block) - expected)) < 1e-13
+    assert np.max(np.abs(h.expectations(h.pack(block)) - expected)) < 1e-13
 
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
@@ -266,7 +281,7 @@ def test_packed_buffers_start_on_cache_lines(n, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(prop._b, "empty_packed", recorded)
-    prop.advance(psi, 2.0, [0.5, 1.0])
+    prop.advance(h.pack(psi), 2.0, [0.5, 1.0])
     assert len(made) == 3 and _on_cache_lines(*made)  # the kept block products, the sums, the terms
 
     # alignment changes only the speed: a step on copies 16 bytes past a cache line is bitwise the same

@@ -238,14 +238,15 @@ def test_advance_matches_real_operator_recursion(chain31, dt):
     h, psi = chain31
     cheb = ChebyshevPropagator(h)
     assert cheb.h is h
-    assert np.max(np.abs(cheb.advance(psi, dt) - loop_chebyshev_advance(cheb, psi, dt))) <= 1e-15
+    got = h.unpack(cheb.advance(h.pack(psi), dt))
+    assert np.max(np.abs(got - loop_chebyshev_advance(cheb, psi, dt))) <= 1e-15
 
 
 def test_advance_rows_match_separate_recursions(chain31):
     h, psi = chain31
     cheb = ChebyshevPropagator(h)
     earlier = [0.5, 1.0, 2.5, 3.0, 7.0]
-    rows = cheb.advance(psi, 8.0, earlier)
+    rows = h.unpack(cheb.advance(h.pack(psi), 8.0, earlier))
     assert rows.shape == (len(earlier) + 1, psi.size)
     for row, offset in zip(rows, earlier + [8.0]):
         assert np.max(np.abs(row - loop_chebyshev_advance(cheb, psi, offset))) <= 1e-15
@@ -278,7 +279,7 @@ def test_series_around_the_term_buffer_match_real_operator_recursion(chain31, n_
     cheb = ChebyshevPropagator(h)
     dt = _step_of_length(cheb, n_terms)
     offsets = dt * np.arange(1, rows + 1) / rows
-    got = cheb.advance(psi, dt, offsets[:-1]).reshape(rows, -1)
+    got = h.unpack(cheb.advance(h.pack(psi), dt, offsets[:-1]).reshape(rows, -1))
     for row, offset in zip(got, offsets):
         assert np.max(np.abs(row - loop_chebyshev_advance(cheb, psi, offset))) <= 1e-15
     assert (cheb.recursions, cheb.matvecs) == (1, n_terms - 1)
@@ -288,8 +289,8 @@ def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, r
     h, psi = chain31
     cheb = ChebyshevPropagator(h)
     assert (cheb.interval, cheb.recursions, cheb.matvecs) == ("collatz-wielandt", 0, 0)
-    cheb.advance(psi, 2.0, [0.5, 1.0])
-    cheb.advance(psi, 3.0)
+    cheb.advance(h.pack(psi), 2.0, [0.5, 1.0])
+    cheb.advance(h.pack(psi), 3.0)
     terms = len(cheb._coefficients(2.0)) + len(cheb._coefficients(3.0))
     assert cheb.stats() == {
         "interval": "collatz-wielandt",
@@ -309,7 +310,7 @@ def test_propagator_records_its_interval_and_work(chain31, random_hamiltonian, r
 def test_advance_rejects_misplaced_offsets(chain31, earlier):
     h, psi = chain31
     with pytest.raises(ValueError):
-        ChebyshevPropagator(h).advance(psi, 8.0, earlier)
+        ChebyshevPropagator(h).advance(h.pack(psi), 8.0, earlier)
 
 
 def _record_recursions(cheb):
@@ -349,6 +350,21 @@ def test_long_steps_are_not_windowed(random_hamiltonian, exact_bounds, fixed_bou
     assert [len(block) for block in blocks] == [1, 1, 1, 2]
 
 
+def test_headline_windows_follow_the_measured_crossover(ref_workspace):
+    # windows pay down to about 1.3 terms per unit of halfwidth * step (WINDOW_RATIO): at
+    # the headline point a step of 4 (1.67) is windowed and a step of 32 (1.16) is not
+    h = ref_workspace.hamiltonian(F_BLOCH)
+    cheb = ChebyshevPropagator(h)
+    assert cheb._is_short(1.0) and cheb._is_short(4.0) and cheb._is_short(12.0)
+    assert not cheb._is_short(16.0) and not cheb._is_short(32.0)
+    recursions = _record_recursions(cheb)
+    blocks = list(cheb.samples(ref_workspace.psi0, 4.0 * np.arange(17)))
+    assert recursions == [7, 7] and [len(block) for block in blocks] == [1, 8, 8]
+    recursions.clear()
+    blocks = list(cheb.samples(ref_workspace.psi0, 32.0 * np.arange(3)))
+    assert recursions == [0, 0] and [len(block) for block in blocks] == [1, 1, 1]
+
+
 @pytest.mark.parametrize("backend", [SpectralPropagator, ChebyshevPropagator])
 def test_samples_reject_unsorted_times(random_hamiltonian, random_state, backend):
     prop = backend(random_hamiltonian)
@@ -366,7 +382,7 @@ def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_sta
 
 
 def test_headline_operator_keeps_the_benchmark_probe_contract(ref_workspace):
-    # a traced benchmark run reads these of the propagator's operator and calls advance(psi, dt)
+    # a traced benchmark run reads these of the propagator's operator and calls advance(packed psi, dt)
     h = ref_workspace.hamiltonian(F_BLOCH)
     prop = ChebyshevPropagator(h)
     assert prop.h is h and h.shape == (6216, 6216)
@@ -387,6 +403,6 @@ def test_headline_operator_keeps_the_benchmark_probe_contract(ref_workspace):
 
     prop._b.bind = counted
     dt = 0.5
-    psi = prop.advance(ref_workspace.psi0, dt)
-    assert psi.shape == ref_workspace.psi0.shape
+    psi = prop.advance(h.pack(ref_workspace.psi0), dt)
+    assert h.unpack(psi).shape == ref_workspace.psi0.shape
     assert len(calls) == len(prop._coefficients(dt)) - 1 > 1

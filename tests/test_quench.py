@@ -4,6 +4,7 @@ import functools
 import gc
 import os
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_trajectory_invariants(small_workspace):
     assert np.all(traj.distance >= 0.0) and np.all(traj.distance <= 14.0)
     # the first sample reproduces the initial observables exactly
     ws = small_workspace
-    assert traj.transfer[0] == pytest.approx(ws.bound.weights(ws.psi0), abs=1e-12)
+    assert traj.transfer[0] == pytest.approx(ws.bound.weights(ws.h0.pack(ws.psi0)), abs=1e-12)
     assert traj.distance[0] == pytest.approx(separations(ws.basis) @ np.abs(ws.psi0) ** 2, abs=1e-12)
     assert traj.energy[0] == pytest.approx(np.vdot(ws.psi0, stencil_product(ws.h0, ws.psi0)).real, abs=1e-10)
 
@@ -189,7 +190,7 @@ def test_blocked_transfer_matches_per_sample_projection(small_workspace, small_b
     times = np.arange(float(samples))
     h = ws.hamiltonian(-0.21)
     traj = evolve(backend(h), ws, times)
-    states = np.vstack(list(backend(h).samples(ws.psi0, times)))
+    states = h.unpack(np.vstack(list(backend(h).samples(ws.psi0, times))))
     single = [dense_bound_weight(psi, small_band, ws.basis) for psi in states]
     assert traj.transfer.shape == (samples,)
     assert np.max(np.abs(traj.transfer - single)) < 1e-14
@@ -206,9 +207,9 @@ def test_mixed_block_sizes_match_spectral_and_per_sample_projection(small_worksp
     exact = spectral_quench(ws, -0.21, times)
     for name in ("transfer", "distance", "energy", "norm", "total_energy"):
         assert np.max(np.abs(getattr(cheb, name) - getattr(exact, name))) < 1e-9, name
-    single = [dense_bound_weight(psi, small_band, ws.basis) for psi in np.vstack(blocks)]
+    single = [dense_bound_weight(psi, small_band, ws.basis) for psi in h.unpack(np.vstack(blocks))]
     assert np.max(np.abs(cheb.transfer - single)) < 1e-14
-    assert np.array_equal(cheb.final_state, blocks[-1][-1])
+    assert np.array_equal(cheb.final_state, h.unpack(blocks[-1][-1]))
 
 
 def test_energy_constant_after_field_release(small_workspace):
@@ -287,10 +288,11 @@ DEFAULT_GRID = -0.0995 + 7.5e-5 * np.arange(61)
 
 
 def periodic_point(field_value, failing=frozenset()):
-    """A sweep point of period 0.0015 that fails at the ``failing`` indices of ``DEFAULT_GRID``."""
+    """A sweep point of period 0.0015, with a synthetic record, that fails at the ``failing`` indices of ``DEFAULT_GRID``."""
     if int(round((field_value - DEFAULT_GRID[0]) / 7.5e-5)) in failing:
         raise RuntimeError("synthetic failure")
-    return 0.5 + 0.4 * np.cos(2.0 * np.pi * field_value / 0.0015)
+    record = {"interval": "synthetic", "halfwidth": 1.0, "recursions": 1, "matvecs": 2, "wall_s": 0.0}
+    return 0.5 + 0.4 * np.cos(2.0 * np.pi * field_value / 0.0015), record
 
 
 def test_sweep_period_needs_every_grid_point(monkeypatch):
@@ -303,6 +305,9 @@ def test_sweep_period_needs_every_grid_point(monkeypatch):
     gapped = sweep_transfer(None, f_values, t_final=1.0)
     assert len(gapped.failures) == 30
     assert gapped.period.period is None
+    assert gapped.stats["failures"] == 30
+    counters = gapped.stats["recursions"], gapped.stats["matvecs"], gapped.stats["intervals"]
+    assert counters == (31, 62, {"synthetic": 31})
 
 
 @pytest.fixture
@@ -375,6 +380,25 @@ def test_sweep_failures_cross_the_pool_intact(small_workspace, monkeypatch):
     assert np.isfinite(np.delete(serial.transfer, 2)).all()
 
 
+def test_sweep_records_its_points_and_failures(small_workspace, monkeypatch):
+    # each point returns its propagator's record with its weight; a failed point adds only to the count
+    f_values = [-0.2, -0.19, -0.18]
+    monkeypatch.setattr(StrictAtOneField, "failing", small_workspace.hamiltonian(-0.19).diagonal())
+    monkeypatch.setattr(quench, "ChebyshevPropagator", StrictAtOneField)
+    stats = sweep_transfer(small_workspace, f_values, t_final=5.0, workers=2).stats
+    props = [ChebyshevPropagator(small_workspace.hamiltonian(f)) for f in (-0.2, -0.18)]
+    terms = sum(len(prop._coefficients(5.0)) for prop in props)
+    assert (stats["failures"], stats["recursions"], stats["matvecs"]) == (1, 2, terms - 2)
+    assert stats["intervals"] == {"collatz-wielandt": 2}
+    assert 0.0 < stats["point_wall_s_p50"] <= stats["point_wall_s_max"] < 60.0
+    monkeypatch.setattr(quench, "ChebyshevPropagator", functools.partial(ChebyshevPropagator, tol=1e-20))
+    lost = sweep_transfer(small_workspace, f_values[:1], t_final=5.0, workers=1).stats
+    assert lost == {
+        "failures": 1, "point_wall_s_p50": None, "point_wall_s_max": None,
+        "recursions": 0, "matvecs": 0, "intervals": {},
+    }
+
+
 @pytest.mark.parametrize("error", [PropagationAccuracyError, IncompleteBandError, SingularParameterError])
 def test_errors_survive_a_pickle_round_trip(error):
     copy = pickle.loads(pickle.dumps(error("a message")))
@@ -392,6 +416,45 @@ def test_serial_sweep_keeps_no_reference_to_the_workspace():
     assert psi0() is None
 
 
+def test_packed_observables_match_basis_order_oracles(small_workspace, small_band):
+    # every observable of evolve is read off packed rows; here each is taken again from the
+    # unpacked states with dense matrices and the column-by-column bound projection
+    ws = small_workspace
+    times = np.arange(0.0, 21.0)
+    h = ws.hamiltonian(-0.21)
+    traj = run_quench(ws, -0.21, times)
+    states = h.unpack(np.vstack(list(ChebyshevPropagator(h).samples(ws.psi0, times))))
+    density = np.abs(states) ** 2
+    dense_h0, dense_h = ws.h0.toarray(), h.toarray()
+    oracles = {
+        "transfer": dense_bound_weight(states, small_band, ws.basis),
+        "distance": density @ separations(ws.basis),
+        "energy": np.einsum("ij,jk,ik->i", states.conj(), dense_h0, states).real,
+        "norm": np.linalg.norm(states, axis=1),
+        "total_energy": np.einsum("ij,jk,ik->i", states.conj(), dense_h, states).real,
+    }
+    for name, want in oracles.items():
+        assert np.max(np.abs(getattr(traj, name) - want)) < 1e-13 * max(1.0, np.max(np.abs(want))), name
+    assert np.array_equal(traj.final_state, states[-1])
+
+
+def test_headline_quench_keeps_its_traced_peak_low():
+    # the peak of Python allocations above the set-up, through the first windows of the headline
+    # quench; it was 5.1 MiB while every window was unpacked beside the last block and the term
+    # buffer, and is 4.0 MiB with the blocks on the packed layout
+    params = ModelParams(111, kappa=1.0, u=-6.24, v=-6.24)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36)
+    ws = QuenchWorkspace.prepare(params, packet)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_quench(ws, -0.097120, np.arange(0.0, 41.0))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
 @pytest.mark.parametrize("backend", [SpectralPropagator, ChebyshevPropagator], ids=["spectral", "chebyshev"])
 @pytest.mark.parametrize("quenched", [True, False])
 def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, backend, quenched):
@@ -399,7 +462,7 @@ def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, backend
     h = ws.hamiltonian(-0.21) if quenched else ws.h0
     times = np.arange(0.0, 12.0)
     traj = evolve(backend(h), ws, times)
-    states = np.vstack(list(backend(h).samples(ws.psi0, times)))
+    states = h.unpack(np.vstack(list(backend(h).samples(ws.psi0, times))))
     direct = [np.real(np.vdot(psi, stencil_product(h, psi))) for psi in states]
     assert np.max(np.abs(traj.total_energy - direct)) < 1e-12
 

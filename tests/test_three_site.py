@@ -124,7 +124,7 @@ def test_closed_form_matches_spectral_propagator(field):
     prop = SpectralPropagator(build_hamiltonian(params, basis))
     psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[basis.rank(1, 1)] = 1.0
-    psi_t = np.vstack(list(prop.samples(psi0, times)))
+    psi_t = prop.h.unpack(np.vstack(list(prop.samples(psi0, times))))
     pair_loss, unpair_weight = exact_pair_dynamics(params, times)
     assert np.max(np.abs(pair_loss - (1.0 - np.abs(psi_t[:, basis.rank(1, 1)]) ** 2))) < 1e-14
     assert np.max(np.abs(unpair_weight - np.abs(psi_t[:, basis.rank(1, 3)]) ** 2)) < 1e-14
