@@ -412,13 +412,7 @@ def _run_quench(config, out: Path, threads: int) -> tuple[list[str], dict]:
     times = _grid(0.0, section["t_max"], section["dt"])
     trajectory = run_quench(workspace, params.field, times)
     reporting.write_trajectory_csv(out / "trajectory.csv", trajectory)
-    stats = {
-        **trajectory.propagation,
-        "max_norm_error": float(np.max(np.abs(trajectory.norm - 1.0))),
-        "max_total_energy_drift": float(np.max(np.abs(trajectory.total_energy - trajectory.total_energy[0]))),
-        "band": workspace.band.completeness(),
-    }
-    return ["trajectory.csv"], stats
+    return ["trajectory.csv"], {**trajectory.propagation, "band": workspace.band.completeness()}
 
 
 def _run_sweep(config, out: Path, threads: int) -> tuple[list[str], dict]:

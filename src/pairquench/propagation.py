@@ -111,11 +111,6 @@ def _ends(lower, upper, below: np.ndarray, above: np.ndarray) -> tuple[float, fl
     return float(np.min(ratios(lower, below))), float(np.max(ratios(upper, above)))
 
 
-def _interval(h, below: np.ndarray, above: np.ndarray) -> tuple[float, float]:
-    """``_ends`` of ``h``'s bounding pair; unit weights give the Gershgorin interval of ``h`` itself."""
-    return _ends(*h.bounding(), below, above)
-
-
 def _power_weights(m) -> np.ndarray:
     """``m^CW_ITERATIONS 1`` up to a factor, in basis order, by the bound kernel on ``m``'s layout.
 
@@ -259,13 +254,12 @@ class ChebyshevPropagator:
         return out
 
     def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:
-        """Packed state after ``dt`` from the packed state ``psi``, or with sorted offsets ``earlier`` in (0, dt) one row per offset.
+        """Block of packed states from the packed state ``psi``: one row per sorted offset ``earlier`` in (0, dt), then ``dt``'s.
 
-        ``psi`` and the rows are on the layout of ``h.pack``.  The rows are the
-        states at ``earlier`` followed by the state at ``dt``, all from one
-        recursion as long as ``dt``'s series (a shorter offset never needs more
-        terms), each with its phase ``exp(-i center t)``.  Every row passes the
-        norm-drift check.
+        ``psi`` and the rows are on the layout of ``h.pack``.  The rows all come
+        from one recursion as long as ``dt``'s series (a shorter offset never
+        needs more terms), each with its phase ``exp(-i center t)``.  Every row
+        passes the norm-drift check.
         """
         offsets = np.append(np.asarray(earlier, dtype=float), float(dt))
         if offsets.size > 1 and (offsets[0] <= 0.0 or np.any(np.diff(offsets) <= 0.0)):
@@ -284,7 +278,7 @@ class ChebyshevPropagator:
                 "norm drifted during a Chebyshev step; spectral bounds too tight "
                 f"(achieved {drift.max():.3e}, target 1.000e-08)"
             )
-        return out if offsets.size > 1 else out[0]
+        return out
 
     def samples(self, psi0: np.ndarray, times):
         """Packed states (on the layout of ``h.pack``) at strictly increasing ``times`` >= 0, one block per recursion.
@@ -308,7 +302,7 @@ class ChebyshevPropagator:
                 while stop < limit and self._is_short(times[stop] - times[stop - 1]):
                     stop += 1
             offsets = times[start:stop] - base
-            block = self.advance(carried, offsets[-1], offsets[:-1]).reshape(offsets.size, -1)
+            block = self.advance(carried, offsets[-1], offsets[:-1])
             carried = block[-1].copy()
             yield block
             del block  # the caller's now: not held through the next recursion

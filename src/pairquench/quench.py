@@ -95,8 +95,9 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundPr
 class QuenchTrajectory:
     """Sampled observables along one quench evolution.
 
-    ``propagation`` is the propagator's own record of the run (``run_quench``
-    fills it from ``ChebyshevPropagator.stats``), empty otherwise.
+    ``propagation`` is the run record ``run_quench`` fills: the propagator's
+    ``stats()`` and the worst norm error and total-energy drift of the
+    samples; empty otherwise.
     """
 
     times: np.ndarray
@@ -184,10 +185,14 @@ class QuenchWorkspace:
 
 
 def run_quench(workspace: QuenchWorkspace, field_value: float, times) -> QuenchTrajectory:
-    """Evolve the workspace packet under the quenched field, with the propagator's record."""
+    """Evolve the workspace packet under the quenched field, with the run record in ``propagation``."""
     propagator = ChebyshevPropagator(workspace.hamiltonian(field_value))
     trajectory = evolve(propagator, workspace, times)
-    trajectory.propagation = propagator.stats()
+    trajectory.propagation = {
+        **propagator.stats(),
+        "max_norm_error": float(np.max(np.abs(trajectory.norm - 1.0))),
+        "max_total_energy_drift": float(np.max(np.abs(trajectory.total_energy - trajectory.total_energy[0]))),
+    }
     return trajectory
 
 
@@ -209,9 +214,10 @@ def estimate_period(values, step: float) -> PeriodEstimate:
     """Dominant period via the first autocorrelation peak of the series.
 
     The series is mean-subtracted; the first local maximum of the normalized
-    autocorrelation above ``MIN_PERIOD_STRENGTH`` wins, reported with the
-    sampling step as uncertainty.  A flat or aperiodic series yields period
-    None.
+    (unbiased) autocorrelation at lags up to ``n // 2`` above
+    ``MIN_PERIOD_STRENGTH`` wins, reported with the sampling step as
+    uncertainty.  A flat or aperiodic series yields period None, with the
+    largest autocorrelation over those lags as its strength.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -221,10 +227,10 @@ def estimate_period(values, step: float) -> PeriodEstimate:
     denom = float(np.dot(x, x))
     if denom < 1e-30:
         return PeriodEstimate(period=None, uncertainty=None, lag=None, strength=0.0)
-    lags = n - 2
-    acf = np.array([np.dot(x[: n - L], x[L:]) / (n - L) for L in range(lags)])
+    # lags up to n // 2 only: a longer lag averages too few products, and its value can exceed 1
+    acf = np.array([np.dot(x[: n - L], x[L:]) / (n - L) for L in range(n // 2 + 1)])
     acf /= acf[0]
-    for lag in range(1, lags - 1):
+    for lag in range(1, acf.size - 1):
         if acf[lag] >= acf[lag - 1] and acf[lag] >= acf[lag + 1] and acf[lag] > MIN_PERIOD_STRENGTH:
             return PeriodEstimate(
                 period=lag * step,
@@ -232,7 +238,7 @@ def estimate_period(values, step: float) -> PeriodEstimate:
                 lag=lag,
                 strength=float(acf[lag]),
             )
-    return PeriodEstimate(period=None, uncertainty=None, lag=None, strength=float(acf[1:].max(initial=0.0)))
+    return PeriodEstimate(period=None, uncertainty=None, lag=None, strength=float(acf[1:].max()))
 
 
 @dataclass
@@ -262,25 +268,24 @@ def _sweep_init(*ctx) -> None:
 def _sweep_point(field_value: float) -> tuple[float, dict]:
     """Bound weight at ``t_final`` after a quench to ``field_value``, in a pool worker, with the point's record.
 
-    The workspace and ``t_final`` are the ones the worker's initializer stored.
-    The record is the propagator's ``stats()`` and the point's wall time
-    ``wall_s``.
+    The point is ``run_quench`` on the workspace the worker's initializer
+    stored, sampled at times 0 and ``t_final`` only, so it takes the quench's
+    own path.  The record is the quench's run record plus the point's wall
+    time ``wall_s``.
     """
     started = time.perf_counter()
     workspace, t_final = _WORKER_CTX
-    h = workspace.hamiltonian(field_value)
-    prop = ChebyshevPropagator(h)
-    # t_final positional: benchmarks/probe.py counts matvecs from advance's dt argument
-    weight = float(workspace.bound.weights(prop.advance(h.pack(workspace.psi0), t_final)))
-    return weight, {**prop.stats(), "wall_s": time.perf_counter() - started}
+    trajectory = run_quench(workspace, field_value, (0.0, t_final))
+    return float(trajectory.transfer[-1]), {**trajectory.propagation, "wall_s": time.perf_counter() - started}
 
 
 def _sweep_stats(records: list[dict], failures: int) -> dict:
     """Run record of a sweep from the records of its successful points.
 
     The failure count, the median and largest point wall time, the summed
-    ``recursions`` and ``matvecs``, and how many points took each interval
-    source; the wall times are None when no point succeeded.
+    ``recursions`` and ``matvecs``, how many points took each interval
+    source, and the worst norm error and total-energy drift of any point;
+    the wall times and the worst values are None when no point succeeded.
     """
     walls = sorted(r["wall_s"] for r in records)
     middle = len(walls) // 2
@@ -295,6 +300,8 @@ def _sweep_stats(records: list[dict], failures: int) -> dict:
         "recursions": sum(r["recursions"] for r in records),
         "matvecs": sum(r["matvecs"] for r in records),
         "intervals": dict(sorted(intervals.items())),
+        "max_norm_error": max((r["max_norm_error"] for r in records), default=None),
+        "max_total_energy_drift": max((r["max_total_energy_drift"] for r in records), default=None),
     }
 
 

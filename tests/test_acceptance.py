@@ -267,6 +267,29 @@ def test_criterion_6_field_period(sweep_result):
 
 
 @pytest.mark.slow
+def test_sweep_minima_form_a_resonance_ladder_in_inverse_field(sweep_result):
+    # the transfer minima, each the vertex of the parabola through it and its neighbours, are
+    # evenly spaced in 1/F, and sit at F_m = E* / m for consecutive integers m, with
+    # E* = 1 / mean spacing (-6.4546 on the reference values, at m = 65, 66 and 67)
+    f, values = sweep_result.f_values, sweep_result.transfer
+    i = np.nonzero((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:]))[0] + 1
+    below, at, above = values[i - 1], values[i], values[i + 1]
+    minima = f[i] + 0.5 * (f[1] - f[0]) * (below - above) / (below - 2.0 * at + above)
+    spacing = np.diff(1.0 / minima)
+    e_star = 1.0 / spacing.mean()
+    rungs = e_star / minima
+    ok_spacing = minima.size >= 3 and np.max(np.abs(spacing / spacing.mean() - 1.0)) <= 0.01
+    ok_rungs = np.max(np.abs(rungs - np.round(rungs))) <= 0.05 and np.all(np.diff(np.round(rungs)) == 1.0)
+    report(
+        "resonance ladder in 1/F",
+        ok_spacing and ok_rungs,
+        f"minima at F={np.round(minima, 6).tolist()}, spacing in 1/F={np.round(spacing, 5).tolist()}, "
+        f"E*={e_star:.4f}, E*/F_m={np.round(rungs, 3).tolist()}",
+    )
+    assert ok_spacing and ok_rungs
+
+
+@pytest.mark.slow
 def test_criterion_7_property_suite(ref_workspace, traj_bloch, eig_bloch):
     started = time.perf_counter()
     ws = ref_workspace
@@ -279,7 +302,7 @@ def test_criterion_7_property_suite(ref_workspace, traj_bloch, eig_bloch):
     coef = vecs.T @ ws.psi0
     spectral = vecs @ (np.exp(-1j * vals * 800.0) * coef)
     h = ws.hamiltonian(F_BLOCH)
-    cheb = h.unpack(ChebyshevPropagator(h, tol=1e-12).advance(h.pack(ws.psi0), 800.0))
+    cheb = h.unpack(ChebyshevPropagator(h, tol=1e-12).advance(h.pack(ws.psi0), 800.0)[0])
     backend_gap = float(np.linalg.norm(spectral - cheb))
 
     # probability sum rule checked through literal number operators

@@ -524,6 +524,12 @@ def test_benchmark_probe_traces_pool_workers(tmp_path):
     assert len(points) == 2
     assert any(span[4] != main_pid for span in points)
     assert payload["counts"]["matvecs"] > 0
+    # the benchmark ends the solve at the last span named quench.run_quench, so a
+    # worker's quench must not carry that name; the traced run writes what an untraced one does
+    assert not [span for span in payload["spans"] if span[0] == "quench.run_quench" and span[4] != main_pid]
+    assert json.loads((tmp_path / "out" / "sweep_period.json").read_text())["failures"] == []
+    assert run(["sweep", "--config", tmp_path / "cfg.ini", "--out", tmp_path / "plain", "--threads", 1]) == 0
+    assert (tmp_path / "out" / "sweep.csv").read_bytes() == (tmp_path / "plain" / "sweep.csv").read_bytes()
 
 
 def test_benchmark_probe_traces_a_one_worker_sweep(tmp_path):
@@ -719,11 +725,14 @@ def test_sweep_run_with_sidecar(tmp_path):
     assert sidecar["failures"] == []
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert set(stats) == {
-        "failures", "point_wall_s_p50", "point_wall_s_max", "recursions", "matvecs", "intervals", "band"
+        "failures", "point_wall_s_p50", "point_wall_s_max", "recursions", "matvecs", "intervals",
+        "max_norm_error", "max_total_energy_drift", "band",
     }
     # five points of one recursion each, every one on its Collatz–Wielandt interval
     assert (stats["failures"], stats["recursions"], stats["intervals"]) == (0, 5, {"collatz-wielandt": 5})
     assert stats["matvecs"] > 5 * 30 and 0.0 < stats["point_wall_s_p50"] <= stats["point_wall_s_max"]
+    # every point runs the quench's own path, so the sweep records its worst drift too
+    assert 0.0 <= stats["max_norm_error"] <= 1e-12 and 0.0 <= stats["max_total_energy_drift"] <= 1e-10
     assert stats["band"]["+"] == {"complete": True, "missing_momenta": []}
 
 

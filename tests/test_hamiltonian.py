@@ -4,7 +4,7 @@ from scipy import sparse
 
 from pairquench import ChebyshevPropagator, ModelParams, build_basis, build_h0, build_hamiltonian, build_stark
 from pairquench.model import CACHE_LINE, SQRT2, PairHamiltonian, aligned_array
-from pairquench.propagation import _interval, spectral_bounds
+from pairquench.propagation import _ends, spectral_bounds
 from pairquench.spectrum import _csr
 
 from oracles import fock_sector_matrix, fock_two_boson_matrix, loop_build_h0, loop_pairs, stencil_product
@@ -199,10 +199,10 @@ def test_spectral_bounds_are_the_dense_row_sum_interval(params):
     ones = np.ones(diag.size)
     below, above = np.random.default_rng(params.n_sites).uniform(0.1, 1.0, (2, diag.size))
     for d_lo, d_hi in [(ones, ones), (below, above)]:
-        lo, hi = _interval(h, d_lo, d_hi)
+        lo, hi = _ends(*h.bounding(), d_lo, d_hi)
         assert lo == pytest.approx(np.min(diag - offdiag @ d_lo / d_lo), abs=1e-13)
         assert hi == pytest.approx(np.max(diag + offdiag @ d_hi / d_hi), abs=1e-13)
-    lo, hi = _interval(h, ones, ones)
+    lo, hi = _ends(*h.bounding(), ones, ones)
     tight_lo, tight_hi, _ = spectral_bounds(h)
     assert lo <= tight_lo and tight_hi <= hi
 

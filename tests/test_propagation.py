@@ -19,7 +19,7 @@ from pairquench.propagation import (
     SAMPLE_BLOCK,
     TERM_BUFFER,
     _bessel_j,
-    _interval,
+    _ends,
     _power_weights,
     spectral_bounds,
 )
@@ -69,15 +69,15 @@ def test_backends_agree(random_hamiltonian, random_state):
     times = [0.5, 3.0, 20.0]
     states = np.vstack(list(exact.samples(random_state, times)))
     for t, state in zip(times, states):
-        assert np.linalg.norm(state - cheb.advance(random_state, t)) < 1e-9
+        assert np.linalg.norm(state - cheb.advance(random_state, t)[0]) < 1e-9
 
 
 def test_stepping_matches_single_jump(random_hamiltonian, random_state):
     cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-12)
     stepped = random_state
     for _ in range(10):
-        stepped = cheb.advance(stepped, 1.5)
-    assert np.linalg.norm(stepped - cheb.advance(random_state, 15.0)) < 1e-9
+        stepped = cheb.advance(stepped, 1.5)[0]
+    assert np.linalg.norm(stepped - cheb.advance(random_state, 15.0)[0]) < 1e-9
 
 
 def test_unitarity_and_energy_conservation(random_hamiltonian, random_state):
@@ -159,12 +159,12 @@ def test_bounds_contain_dense_spectrum(params):
     assert source == "collatz-wielandt"
     # the Collatz–Wielandt interval is narrower than Gershgorin's at both ends
     ones = np.ones(vals.size)
-    gershgorin = _interval(h, ones, ones)
+    gershgorin = _ends(*h.bounding(), ones, ones)
     assert gershgorin[0] < lo and hi < gershgorin[1]
     # the theorem holds for any positive weights, not only the power iterates
     rng = np.random.default_rng(params.n_sites)
     for _ in range(5):
-        lo, hi = _interval(h, *rng.uniform(1e-3, 1.0, (2, vals.size)))
+        lo, hi = _ends(*h.bounding(), *rng.uniform(1e-3, 1.0, (2, vals.size)))
         assert lo <= vals[0] and vals[-1] <= hi
 
 
@@ -182,14 +182,14 @@ def test_unit_weights_give_the_gershgorin_interval_bit_for_bit(params, interval)
     # min(h_ii - R_i) and max(h_ii + R_i) of the Gershgorin radii R the operator computed before weights
     h = build_hamiltonian(params, build_basis(params.n_sites))
     ones = np.ones(h.shape[0])
-    assert _interval(h, ones, ones) == interval
+    assert _ends(*h.bounding(), ones, ones) == interval
 
 
 def test_underflowing_weights_fall_back_to_gershgorin():
     # a hopping of 1e-300 feeds the far entries of the iterates too little: one underflows to 0
     h = build_hamiltonian(ModelParams(5, 1e-300, -6.24, -6.24, field=-1.0), build_basis(5))
     ones = np.ones(h.shape[0])
-    lo, hi = _interval(h, ones, ones)
+    lo, hi = _ends(*h.bounding(), ones, ones)
     assert np.any(_power_weights(h.bounding()[1].scaled(lo, 1.0)) == 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no weighted radius divides by the zero
@@ -217,7 +217,7 @@ def test_diagonal_bounds_are_attained_and_advance_exactly():
     psi /= np.linalg.norm(psi)
     cheb = ChebyshevPropagator(h)
     for t in (0.3, 7.0, 120.0):
-        assert np.max(np.abs(cheb.advance(psi, t) - np.exp(-1j * d * t) * psi)) < 1e-12
+        assert np.max(np.abs(cheb.advance(psi, t)[0] - np.exp(-1j * d * t) * psi)) < 1e-12
 
 
 def test_identity_multiple_gets_a_nonzero_width():
@@ -227,7 +227,7 @@ def test_identity_multiple_gets_a_nonzero_width():
     assert lo == 2.5 and hi - lo == pytest.approx(1e-9)
     psi = np.full(100, 0.1, dtype=complex)
     for t in (0.3, 7.0, 120.0):
-        assert np.max(np.abs(ChebyshevPropagator(h).advance(psi, t) - np.exp(-2.5j * t) * psi)) < 1e-12
+        assert np.max(np.abs(ChebyshevPropagator(h).advance(psi, t)[0] - np.exp(-2.5j * t) * psi)) < 1e-12
 
 
 @pytest.mark.parametrize("dt", [1.0, 50.0])
@@ -238,7 +238,7 @@ def test_advance_matches_real_operator_recursion(chain31, dt):
     h, psi = chain31
     cheb = ChebyshevPropagator(h)
     assert cheb.h is h
-    got = h.unpack(cheb.advance(h.pack(psi), dt))
+    got = h.unpack(cheb.advance(h.pack(psi), dt)[0])
     assert np.max(np.abs(got - loop_chebyshev_advance(cheb, psi, dt))) <= 1e-15
 
 
@@ -279,7 +279,7 @@ def test_series_around_the_term_buffer_match_real_operator_recursion(chain31, n_
     cheb = ChebyshevPropagator(h)
     dt = _step_of_length(cheb, n_terms)
     offsets = dt * np.arange(1, rows + 1) / rows
-    got = h.unpack(cheb.advance(h.pack(psi), dt, offsets[:-1]).reshape(rows, -1))
+    got = h.unpack(cheb.advance(h.pack(psi), dt, offsets[:-1]))
     for row, offset in zip(got, offsets):
         assert np.max(np.abs(row - loop_chebyshev_advance(cheb, psi, offset))) <= 1e-15
     assert (cheb.recursions, cheb.matvecs) == (1, n_terms - 1)
@@ -404,5 +404,5 @@ def test_headline_operator_keeps_the_benchmark_probe_contract(ref_workspace):
     prop._b.bind = counted
     dt = 0.5
     psi = prop.advance(h.pack(ref_workspace.psi0), dt)
-    assert h.unpack(psi).shape == ref_workspace.psi0.shape
+    assert h.unpack(psi).shape == (1, *ref_workspace.psi0.shape)
     assert len(calls) == len(prop._coefficients(dt)) - 1 > 1

@@ -262,11 +262,30 @@ def test_estimate_period_synthetic_signal():
     assert est.uncertainty == step
 
 
+def test_estimate_period_searches_lags_up_to_half_the_series():
+    # two spikes 9 samples apart in 12: at lag 9 the unbiased autocorrelation averages
+    # three products and read 1.8; the lags up to 12 // 2 hold no peak, and none above 1
+    est = estimate_period([0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], 1.0)
+    assert (est.period, est.lag) == (None, None)
+    assert est.strength == pytest.approx(-0.04)
+
+
 def test_estimate_period_flat_series():
     est = estimate_period(np.ones(50), 0.1)
     assert est.period is None
     with pytest.raises(ValueError):
         estimate_period([1.0, 2.0], 0.1)
+
+
+def test_sweep_point_is_a_two_sample_quench(small_workspace, recording_pool):
+    # a grid point runs the quench's own path to t_final, and keeps its run record
+    sweep = sweep_transfer(small_workspace, [-0.2], t_final=50.0)
+    trajectory = run_quench(small_workspace, -0.2, [0.0, 50.0])
+    assert sweep.transfer[0] == trajectory.transfer[-1]
+    record = trajectory.propagation
+    assert (sweep.stats["recursions"], sweep.stats["matvecs"]) == (record["recursions"], record["matvecs"])
+    assert sweep.stats["max_norm_error"] == record["max_norm_error"]
+    assert sweep.stats["max_total_energy_drift"] == record["max_total_energy_drift"]
 
 
 def test_small_sweep_is_deterministic_and_bounded(small_workspace):
@@ -291,7 +310,10 @@ def periodic_point(field_value, failing=frozenset()):
     """A sweep point of period 0.0015, with a synthetic record, that fails at the ``failing`` indices of ``DEFAULT_GRID``."""
     if int(round((field_value - DEFAULT_GRID[0]) / 7.5e-5)) in failing:
         raise RuntimeError("synthetic failure")
-    record = {"interval": "synthetic", "halfwidth": 1.0, "recursions": 1, "matvecs": 2, "wall_s": 0.0}
+    record = {
+        "interval": "synthetic", "halfwidth": 1.0, "recursions": 1, "matvecs": 2,
+        "max_norm_error": 0.0, "max_total_energy_drift": 0.0, "wall_s": 0.0,
+    }
     return 0.5 + 0.4 * np.cos(2.0 * np.pi * field_value / 0.0015), record
 
 
@@ -391,11 +413,13 @@ def test_sweep_records_its_points_and_failures(small_workspace, monkeypatch):
     assert (stats["failures"], stats["recursions"], stats["matvecs"]) == (1, 2, terms - 2)
     assert stats["intervals"] == {"collatz-wielandt": 2}
     assert 0.0 < stats["point_wall_s_p50"] <= stats["point_wall_s_max"] < 60.0
+    assert 0.0 <= stats["max_norm_error"] <= 1e-12 and 0.0 <= stats["max_total_energy_drift"] <= 1e-10
     monkeypatch.setattr(quench, "ChebyshevPropagator", functools.partial(ChebyshevPropagator, tol=1e-20))
     lost = sweep_transfer(small_workspace, f_values[:1], t_final=5.0, workers=1).stats
     assert lost == {
         "failures": 1, "point_wall_s_p50": None, "point_wall_s_max": None,
         "recursions": 0, "matvecs": 0, "intervals": {},
+        "max_norm_error": None, "max_total_energy_drift": None,
     }
 
 
