@@ -223,17 +223,15 @@ class BoundProjector(NamedTuple):
     table: np.ndarray
     order: np.ndarray
 
-    def weights(self, states: np.ndarray) -> np.ndarray:
-        """Total bound-band weight of one state, or of every row of a block."""
+    def weights(self, block: np.ndarray) -> np.ndarray:
+        """Total bound-band weight of every row of a block of states."""
         n, rows = self.table.shape[:2]
-        block = states.reshape(-1, states.shape[-1])
         # the folded grid of every state as one gather, one transform per (state, row)
         # in place, then every momentum's sum over rows as one batched product: (m, state, slot)
         spectra = np.take(block, self.order, axis=-1).astype(complex, copy=False).reshape(-1, rows, n)
         np.fft.fft(spectra, axis=-1, out=spectra)
         overlaps = np.matmul(spectra.transpose(2, 0, 1), self.table)
-        weights = np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
-        return weights if states.ndim > 1 else weights[0]
+        return np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
 
     def superpose(self, coef: np.ndarray) -> np.ndarray:
         """Basis vector ``sum coef[m, slot] |b(m, slot)>``, the adjoint of the overlaps of ``weights``.

@@ -8,11 +8,10 @@ applied matrix-free as a stencil.  Its product is two passes over
 constant-offset slices of a folded copy of the state, on buffers that start
 on a cache line, so no run that only propagates loads ``scipy``; ``bind``
 takes every view of one product once, so a recursion pays only the numpy
-passes per term, and ``step`` is one bound product.  ``bounding`` gives the
-pair ``(D - |O|, D + |O|)`` whose bound products give the spectral bounds;
-``norms``, ``cell_weights`` and ``expectations`` read observables of packed
-states without unpacking them; ``coo`` lists the elements for a sparse or
-dense matrix.
+passes per term.  ``bounding`` gives the pair ``(D - |O|, D + |O|)`` whose
+bound products give the spectral bounds; ``cell_weights`` and
+``expectations`` read observables of blocks of packed states without
+unpacking them; ``coo`` lists the elements for a sparse or dense matrix.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ class PairHamiltonian:
     ``-kappa`` times 2 into ``(i, i)`` and 1 elsewhere, on the folded layout of
     ``_Hopping``: ``(n_sites // 2 + 3) * W`` cells for the padded stride
     ``W >= n_sites + 2``, in which every hop is a constant shift.  ``pack``
-    and ``unpack`` convert basis-order states; ``step`` works on packed
+    and ``unpack`` convert basis-order states; ``bind`` works on packed
     states, which carry the mirror of every halo cell; ``empty_packed``
     allocates them.  Every packed buffer the operator allocates starts on a
     cache line, and so does each of its rows.
@@ -318,30 +317,20 @@ class PairHamiltonian:
 
         return kernel
 
-    def step(self, x: np.ndarray, prev: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-        """``out = H x + prev`` (``H x`` without ``prev``) for one packed state, through ``bind``."""
-        return self.bind(x, prev, out)()
-
-    def norms(self, packed: np.ndarray) -> np.ndarray:
-        """The norms of packed states, a state or every row of a block, with no temporary of their size."""
-        values = packed.view(float)
-        return np.sqrt(np.einsum("...c,...c,c->...", values, values, self._hopping.inverse_weight))
-
     def expectations(self, packed: np.ndarray) -> np.ndarray:
-        """``Re <psi|H|psi>`` of packed states ``phi = S psi``, a state or every row of a block.
+        """``Re <psi|H|psi>`` of every row of a block of packed states ``phi = S psi``.
 
-        With ``S H psi`` packed (one ``step`` per row, into one buffer), the
-        value is the sum of ``Re(conj(phi) S H psi) / S**2`` over the slots: one
-        product of their float64 views by ``1 / S**2``, which is 0 on the ghost
-        and halo cells.
+        With ``S H psi`` packed (one bound product per row, into one buffer),
+        the value is the sum of ``Re(conj(phi) S H psi) / S**2`` over the
+        slots: one product of their float64 views by ``1 / S**2``, which is 0
+        on the ghost and halo cells.
         """
-        rows = packed.reshape(-1, packed.shape[-1])
-        product, values = self.empty_packed(), np.empty(len(rows))
-        for k, x in enumerate(rows):
-            products = self.step(x, None, product).view(float)
+        product, values = self.empty_packed(), np.empty(len(packed))
+        for k, x in enumerate(packed):
+            products = self.bind(x, None, product)().view(float)
             products *= x.view(float)
             values[k] = products @ self._hopping.inverse_weight
-        return values if packed.ndim > 1 else values[0]
+        return values
 
     def _coo_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis-order ``(rows, cols)`` of every hop, read off the shift table."""

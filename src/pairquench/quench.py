@@ -20,7 +20,7 @@ import numpy as np
 from . import model
 from .bound_band import BandStructure, BoundProjector, band_scan
 from .model import ModelParams, PairHamiltonian, TwoBosonBasis, build_basis, build_h0, build_stark
-from .propagation import ChebyshevPropagator
+from .propagation import ChebyshevPropagator, PropagationAccuracyError
 
 
 class IncompleteBandError(ValueError):
@@ -106,7 +106,6 @@ class QuenchTrajectory:
     energy: np.ndarray
     norm: np.ndarray
     total_energy: np.ndarray
-    final_state: np.ndarray = field(repr=False)
     propagation: dict = field(default_factory=dict)
 
 
@@ -117,10 +116,13 @@ def evolve(propagator, workspace: QuenchWorkspace, times) -> QuenchTrajectory:
     and ``samples(psi0, times)`` yielding blocks of packed states, such as an
     exact reference of a time-independent Hamiltonian.  ``times`` must be
     strictly increasing and start at 0.  Every observable is read off the
-    packed rows: the norm, separation and field energy as one product of
-    ``|phi|**2`` by per-cell weights, the field-free energy of the workspace's
-    ``h0`` by ``expectations``, the bound weight by the workspace's projector
-    on the packed layout.  Only ``final_state`` is unpacked.
+    packed rows, and no state is unpacked: the norm, separation and field
+    energy as one product of ``|phi|**2`` by per-cell weights, the field-free
+    energy of the workspace's ``h0`` by ``expectations``, the bound weight by
+    the workspace's projector on the packed layout.  Every sample's norm must
+    lie within 1e-8 of ``psi0``'s, or ``PropagationAccuracyError`` is raised:
+    a spectral interval too tight for ``h`` makes the Chebyshev series grow,
+    and once it overflows the norm reads NaN, which fails the check too.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
@@ -135,21 +137,25 @@ def evolve(propagator, workspace: QuenchWorkspace, times) -> QuenchTrajectory:
     weights = h0.cell_weights(
         np.stack([np.ones(h0.shape[0]), model.separations(workspace.basis), h.diagonal() - h0.diagonal()], 1)
     )
-    last = None
+    norm0 = np.linalg.norm(workspace.psi0)
 
-    # a function of one block that keeps only a copy of its last row, so that no
-    # block outlives its observables into the next block's recursion
     def block_observables(block: np.ndarray) -> tuple:
-        nonlocal last
-        last = block[-1].copy()
         norm_squared, distance, field_energy = (np.square(block.view(float)) @ weights).T
+        norm = np.sqrt(norm_squared)
+        drift = np.abs(norm - norm0).max()
+        if not drift <= 1e-8:  # a NaN drift fails too
+            raise PropagationAccuracyError(
+                "norm drifted during a Chebyshev step; spectral bounds too tight "
+                f"(achieved {drift:.3e}, target 1.000e-08)"
+            )
         field_free = h0.expectations(block)
-        return bound.weights(block), distance, field_free, np.sqrt(norm_squared), field_free + field_energy
+        return bound.weights(block), distance, field_free, norm, field_free + field_energy
 
+    # map, so that no loop variable holds a block through the next block's recursion
     rows = list(map(block_observables, propagator.samples(workspace.psi0, times)))
     # one column per observable, in the field order of QuenchTrajectory
     observables = map(np.concatenate, zip(*rows))
-    return QuenchTrajectory(times, *observables, final_state=h0.unpack(last))
+    return QuenchTrajectory(times, *observables)
 
 
 @dataclass

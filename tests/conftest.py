@@ -63,6 +63,13 @@ def ref_h0_ring():
 
 
 @pytest.fixture(scope="session")
+def small_workspace():
+    params = ModelParams(15, kappa=1.0, u=-6.24, v=-6.24)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8)
+    return QuenchWorkspace.prepare(params, packet)
+
+
+@pytest.fixture(scope="session")
 def ref_workspace(ref_basis, ref_band, ref_bound, ref_psi0, ref_h0_open):
     bound = ref_bound.on_layout(ref_h0_open)
     return QuenchWorkspace(basis=ref_basis, bound=bound, psi0=ref_psi0, h0=ref_h0_open, band=ref_band)

@@ -281,11 +281,11 @@ def chain_checked_roots(
 
 
 def stencil_product(h, states: np.ndarray) -> np.ndarray:
-    """``H psi`` of a basis-order state, or of every row of a block, through ``h.pack``, ``h.step`` and ``h.unpack``."""
+    """``H psi`` of a basis-order state, or of every row of a block, through ``h.pack``, ``h.bind`` and ``h.unpack``."""
     packed = np.atleast_2d(h.pack(np.asarray(states)))
     out = np.empty_like(packed)
     for x, result in zip(packed, out):
-        h.step(x, None, result)
+        h.bind(x, None, result)()
     return h.unpack(out).reshape(np.shape(states))
 
 
@@ -324,9 +324,6 @@ class MatrixOperator:
             return out
 
         return kernel
-
-    def norms(self, packed: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(packed, axis=-1)
 
     def __matmul__(self, states: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(states).T).T

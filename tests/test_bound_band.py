@@ -271,13 +271,13 @@ def test_projection_matches_dense_oracle(n_sites, interaction):
     assert reference[3] > 0.1
     assert np.max(np.abs(bound.weights(block) - reference)) < 1e-14
     for row, expected in zip(block[[0, 3, 5]], reference[[0, 3, 5]]):
-        assert np.ndim(bound.weights(row)) == 0
-        assert abs(bound.weights(row) - expected) < 1e-14
+        assert bound.weights(row[np.newaxis]).shape == (1,)  # a block of one
+        assert abs(bound.weights(row[np.newaxis])[0] - expected) < 1e-14
     # the same overlaps gathered straight from the packed layout S psi, 1 / S in the table
     h = build_h0(ModelParams(n_sites, 1.0, interaction, interaction), basis)
     packed = bound.on_layout(h)
     assert np.max(np.abs(packed.weights(h.pack(block)) - reference)) < 1e-14
-    assert abs(packed.weights(h.pack(block[0])) - reference[0]) < 1e-14
+    assert abs(packed.weights(h.pack(block[:1]))[0] - reference[0]) < 1e-14
 
 
 def test_projection_rejects_mismatched_basis():

@@ -13,7 +13,10 @@ from pairquench import (
     build_h0,
     build_hamiltonian,
     build_stark,
+    evolve,
     propagation,
+    run_quench,
+    sweep_transfer,
 )
 from pairquench.propagation import (
     SAMPLE_BLOCK,
@@ -95,11 +98,13 @@ def test_first_sample_is_initial_state(random_hamiltonian, random_state):
         assert np.linalg.norm(first[0] - random_state) < 1e-14
 
 
-def test_underestimated_bounds_raise(random_hamiltonian, random_state, fixed_bounds):
+def test_underestimated_bounds_raise(small_workspace, fixed_bounds):
+    # an interval far inside the spectrum makes the series grow; evolve's norm check sees it
     fixed_bounds(-0.5, 0.5)
-    cheb = ChebyshevPropagator(random_hamiltonian)
-    with pytest.raises(PropagationAccuracyError):
-        cheb.advance(random_state, 5.0)
+    cheb = ChebyshevPropagator(small_workspace.hamiltonian(-0.21))
+    with pytest.raises(PropagationAccuracyError, match="norm drifted during a Chebyshev step"):
+        evolve(cheb, small_workspace, (0.0, 5.0))
+    assert cheb.recursions == 1  # the one sample after t = 0, its own recursion
 
 
 def test_series_that_cannot_reach_tol_raises(random_hamiltonian, random_state):
@@ -373,12 +378,30 @@ def test_samples_reject_unsorted_times(random_hamiltonian, random_state, backend
             list(prop.samples(random_state, times))
 
 
-def test_underestimated_bounds_raise_from_samples(random_hamiltonian, random_state, fixed_bounds):
+def test_underestimated_bounds_raise_from_samples(small_workspace, fixed_bounds):
     fixed_bounds(-0.5, 0.5)
-    cheb = ChebyshevPropagator(random_hamiltonian)
+    cheb = ChebyshevPropagator(small_workspace.hamiltonian(-0.21))
     assert cheb._is_short(1.0)
-    with pytest.raises(PropagationAccuracyError):
-        list(cheb.samples(random_state, np.arange(0.0, 9.0)))
+    with pytest.raises(PropagationAccuracyError, match="norm drifted during a Chebyshev step"):
+        evolve(cheb, small_workspace, np.arange(0.0, 9.0))
+    assert cheb.recursions == 1  # the eight samples after t = 0 share one window
+
+
+def test_underestimated_bounds_fail_their_sweep_point(small_workspace, fixed_bounds):
+    # patched before the pool forks, so its one worker takes the interval too
+    fixed_bounds(-0.5, 0.5)
+    sweep = sweep_transfer(small_workspace, [-0.2], t_final=5.0, workers=1)
+    [(field_value, message)] = sweep.failures
+    assert field_value == -0.2 and message.startswith("norm drifted during a Chebyshev step")
+    assert np.isnan(sweep.transfer[0]) and sweep.stats["failures"] == 1
+
+
+def test_a_nan_norm_fails_the_drift_check(small_workspace, fixed_bounds):
+    # an interval a thousandth of the spectrum's width: the series overflows to a NaN norm,
+    # which no comparison `drift > 1e-8` would catch
+    fixed_bounds(-1e-3, 1e-3)
+    with np.errstate(all="ignore"), pytest.raises(PropagationAccuracyError, match=r"\(achieved nan,"):
+        run_quench(small_workspace, -0.21, (0.0, 1e5))
 
 
 def test_headline_operator_keeps_the_benchmark_probe_contract(ref_workspace):
