@@ -234,11 +234,13 @@ class BoundProjector(NamedTuple):
         return np.sum(np.abs(overlaps) ** 2, axis=(0, 2))
 
     def superpose(self, coef: np.ndarray) -> np.ndarray:
-        """Basis vector ``sum coef[m, slot] |b(m, slot)>``, the adjoint of the overlaps of ``weights``.
+        """Basis vector ``sum coef[g, slot] |b(g, slot)>``, the adjoint of the overlaps of ``weights``.
 
-        ``coef`` is (n, slots) in the row order of ``table``.
+        ``coef`` is (n, slots) in the band's momentum order, that of
+        ``BandStructure.momenta``, which ``ifftshift`` puts in the FFT order of ``table``.
         """
         n = self.table.shape[0]
+        coef = np.fft.ifftshift(coef, axes=0)
         # every momentum's sum over its bound states, conj(table) coef taken as
         # conj(table conj(coef)): one product over the slot axis, so no temporary
         # is as large as the table; then one inverse transform over the columns
@@ -299,17 +301,17 @@ class BandStructure:
         # the phase exp(-i K (d / 2 + 1)) of conj(P_d) exp(-i K)
         theta = 0.5 * separation + 1.0
         table = np.zeros((n, reach + 1, max(map(len, self.states))), dtype=complex)
-        for k, group in zip(self.momenta, self.states):
-            m = round(k * n / (2.0 * np.pi)) % n
+        for row, k, group in zip(table, self.momenta, self.states):
             for slot, state in enumerate(group):
                 psi0 = _on_site_amplitude(state)
                 amp = state.decay_ratio**separation
                 amp[0] = psi0
                 norm = np.sqrt(n * (psi0**2 + np.sum(amp[1:] ** 2)))
-                table[m, :, slot] = amp * np.exp(-1j * k * theta) / norm
+                row[:, slot] = amp * np.exp(-1j * k * theta) / norm
         d = basis.j - basis.i
         cells = np.where(d > reach, (n - d) * n + basis.j, d * n + basis.i) - 1
-        return BoundProjector(table=table, order=np.argsort(cells))
+        # ifftshift takes the band's momentum order to the FFT order of the transforms
+        return BoundProjector(table=np.fft.ifftshift(table, axes=0), order=np.argsort(cells))
 
 
 def band_scan(kappa: float, interaction: float, n_sites: int) -> BandStructure:

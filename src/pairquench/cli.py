@@ -23,80 +23,38 @@ from .bound_band import band_scan
 from .model import ModelParams
 from .quench import IncompleteBandError, QuenchWorkspace, WavePacketSpec, run_quench, sweep_transfer
 
-EXPERIMENTS = ("three-site", "band", "spectrum", "quench", "sweep")
-
 #: most sample times, sweep fields, spectrum fields or basis states one run may ask for
 MAX_POINTS = 10**6
 
 
-def _sites(raw: str) -> int:
-    value = int(raw)
-    if value < 2:
-        raise ValueError("need at least 2 sites")
-    return value
+def _checked(cast: Callable[[str], object], *rules: tuple[Callable[[object], bool], str]) -> Callable[[str], object]:
+    """A key parser: ``cast`` the text, then raise the message of the first rule ``(holds, message)`` that fails."""
+
+    def parse(raw: str):
+        value = cast(raw)
+        for holds, message in rules:
+            if not holds(value):
+                raise ValueError(message)
+        return value
+
+    return parse
 
 
-def _odd_sites(raw: str) -> int:
-    value = int(raw)
-    if value < 3 or value % 2 == 0:
-        raise ValueError("the ring momentum grid needs an odd site count of at least 3")
-    return value
-
-
-def _three_sites(raw: str) -> int:
-    value = int(raw)
-    if value != 3:
-        raise ValueError("the three-site model has n_sites = 3")
-    return value
-
-
-def _k0_pi(raw: str) -> float:
-    value = float(raw)
-    if not -1.0 <= value <= 1.0:
-        raise ValueError("the center momentum in units of pi must lie in [-1, 1]")
-    return value
-
-
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not np.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _positive(raw: str) -> float:
-    value = _finite(raw)
-    if value <= 0.0:
-        raise ValueError("must be positive")
-    return value
-
-
-def _non_negative(raw: str) -> float:
-    value = _finite(raw)
-    if value < 0.0:
-        raise ValueError("must not be negative")
-    return value
-
-
-def _pair_hopping(raw: str) -> float:
-    value = _non_negative(raw)
-    if value == 0.0:
-        raise ValueError("a bound-pair packet needs kappa > 0")
-    return value
-
-
-def _pair_interaction(raw: str) -> float:
-    value = _finite(raw)
-    if value == 0.0:
-        raise ValueError("a bound-pair packet needs u != 0")
-    return value
-
-
-def _field_count(raw: str) -> int:
-    value = int(raw)
-    if not 3 <= value <= MAX_POINTS:
-        raise ValueError(f"crossing detection needs 3..{MAX_POINTS} fields")
-    return value
+_FINITE = (np.isfinite, "must be finite")
+_NOT_NEGATIVE = (lambda x: x >= 0.0, "must not be negative")
+_sites = _checked(int, (lambda n: n >= 2, "need at least 2 sites"))
+_odd_sites = _checked(
+    int, (lambda n: n >= 3 and n % 2 == 1, "the ring momentum grid needs an odd site count of at least 3")
+)
+_three_sites = _checked(int, (lambda n: n == 3, "the three-site model has n_sites = 3"))
+# no finiteness rule: a nan fails the range
+_k0_pi = _checked(float, (lambda k: -1.0 <= k <= 1.0, "the center momentum in units of pi must lie in [-1, 1]"))
+_finite = _checked(float, _FINITE)
+_positive = _checked(float, _FINITE, (lambda x: x > 0.0, "must be positive"))
+_non_negative = _checked(float, _FINITE, _NOT_NEGATIVE)
+_pair_hopping = _checked(float, _FINITE, _NOT_NEGATIVE, (lambda x: x != 0.0, "a bound-pair packet needs kappa > 0"))
+_pair_interaction = _checked(float, _FINITE, (lambda x: x != 0.0, "a bound-pair packet needs u != 0"))
+_field_count = _checked(int, (lambda n: 3 <= n <= MAX_POINTS, f"crossing detection needs 3..{MAX_POINTS} fields"))
 
 
 def _fields(raw: str) -> list[float]:
@@ -118,89 +76,74 @@ def _branch(raw: str) -> str:
 
 # the model rows that three-site and spectrum share
 _CHAIN_MODEL = [
-    ("model", "kappa", _non_negative, True),
-    ("model", "u", _finite, True),
-    ("model", "v", _finite, True),
+    ("model", "kappa", _non_negative, True, 0.4),
+    ("model", "u", _finite, True, -6.0),
+    ("model", "v", _finite, True, -6.0),
 ]
 # the bound-pair packet of quench and sweep needs kappa > 0, u != 0 and v == u
 _PAIR_MODEL = [
-    ("model", "n_sites", _odd_sites, True),
-    ("model", "kappa", _pair_hopping, True),
-    ("model", "u", _pair_interaction, True),
-    ("model", "v", _finite, True),
+    ("model", "n_sites", _odd_sites, True, 111),
+    ("model", "kappa", _pair_hopping, True, 1.0),
+    ("model", "u", _pair_interaction, True, -6.24),
+    ("model", "v", _finite, True, -6.24),
 ]
 _PACKET = [
-    ("packet", "k0_pi", _k0_pi, True),
-    ("packet", "width", _positive, True),
-    ("packet", "center_site", int, True),
-    ("packet", "branch", _branch, False),
+    ("packet", "k0_pi", _k0_pi, True, -0.9),
+    ("packet", "width", _positive, True, 0.2),
+    ("packet", "center_site", int, True, 36),
+    ("packet", "branch", _branch, False, "+"),
 ]
 
-# (section, key, parser, required) per experiment, every key a config may hold; a parser raises ValueError
-SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool]]] = {
+# (section, key, parser, required, default) per experiment, every key a config may hold: a parser
+# raises ValueError, and the default is the value of a run without a config (None: no built-in value)
+SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool, object]]] = {
     "three-site": [
-        ("model", "n_sites", _three_sites, True),
+        ("model", "n_sites", _three_sites, True, 3),
         *_CHAIN_MODEL,
-        ("three_site", "fields", _fields, True),
-        ("three_site", "t_max", _non_negative, True),
-        ("three_site", "dt", _positive, True),
+        ("three_site", "fields", _fields, True, [-3.0, -1.0]),
+        ("three_site", "t_max", _non_negative, True, 100.0),
+        ("three_site", "dt", _positive, True, 0.05),
     ],
     "band": [
-        ("model", "n_sites", _odd_sites, True),
-        ("model", "kappa", _non_negative, True),
-        ("model", "u", _finite, True),
+        ("model", "n_sites", _odd_sites, True, 111),
+        ("model", "kappa", _non_negative, True, 1.0),
+        ("model", "u", _finite, True, -6.24),
     ],
     "spectrum": [
-        ("model", "n_sites", _sites, True),
+        ("model", "n_sites", _sites, True, 3),
         *_CHAIN_MODEL,
-        ("spectrum", "f_start", _finite, True),
-        ("spectrum", "f_stop", _finite, True),
-        ("spectrum", "f_count", _field_count, True),
-        ("spectrum", "r_threshold", _finite, False),
-        ("spectrum", "window_lo", _finite, False),
-        ("spectrum", "window_hi", _finite, False),
+        ("spectrum", "f_start", _finite, True, -5.0),
+        ("spectrum", "f_stop", _finite, True, -1.0),
+        ("spectrum", "f_count", _field_count, True, 81),
+        ("spectrum", "r_threshold", _finite, False, 1.0),
+        ("spectrum", "window_lo", _finite, False, None),
+        ("spectrum", "window_hi", _finite, False, None),
     ],
     "quench": [
         *_PAIR_MODEL,
-        ("model", "field", _finite, True),
+        ("model", "field", _finite, True, -0.097120),
         *_PACKET,
-        ("time", "t_max", _non_negative, True),
-        ("time", "dt", _positive, True),
+        ("time", "t_max", _non_negative, True, 800.0),
+        ("time", "dt", _positive, True, 1.0),
     ],
     "sweep": [
         *_PAIR_MODEL,
         *_PACKET,
-        ("sweep", "f_start", _finite, True),
-        ("sweep", "f_stop", _finite, True),
-        ("sweep", "f_step", _positive, True),
-        ("sweep", "t_f", _positive, True),
+        ("sweep", "f_start", _finite, True, -0.0995),
+        ("sweep", "f_stop", _finite, True, -0.0950),
+        ("sweep", "f_step", _positive, True, 7.5e-5),
+        ("sweep", "t_f", _positive, True, 800.0),
     ],
 }
+EXPERIMENTS = tuple(SCHEMA)
 
-_PAPER_BAND = {"n_sites": 111, "kappa": 1.0, "u": -6.24}
-_PAPER_MODEL = dict(_PAPER_BAND, v=_PAPER_BAND["u"])
-_PAPER_PACKET = {"k0_pi": -0.9, "width": 0.2, "center_site": 36, "branch": "+"}
-
+# the built-in config of every experiment, section by section in schema order
 DEFAULTS: dict[str, dict[str, dict]] = {
-    "three-site": {
-        "model": {"n_sites": 3, "kappa": 0.4, "u": -6.0, "v": -6.0},
-        "three_site": {"fields": [-3.0, -1.0], "t_max": 100.0, "dt": 0.05},
-    },
-    "band": {"model": dict(_PAPER_BAND)},
-    "spectrum": {
-        "model": {"n_sites": 3, "kappa": 0.4, "u": -6.0, "v": -6.0},
-        "spectrum": {"f_start": -5.0, "f_stop": -1.0, "f_count": 81, "r_threshold": 1.0},
-    },
-    "quench": {
-        "model": dict(_PAPER_MODEL, field=-0.097120),
-        "packet": dict(_PAPER_PACKET),
-        "time": {"t_max": 800.0, "dt": 1.0},
-    },
-    "sweep": {
-        "model": dict(_PAPER_MODEL),
-        "packet": dict(_PAPER_PACKET),
-        "sweep": {"f_start": -0.0995, "f_stop": -0.0950, "f_step": 7.5e-5, "t_f": 800.0},
-    },
+    experiment: {
+        section: {key: default for sec, key, _, _, default in rows if sec == section and default is not None}
+        for section in dict.fromkeys(row[0] for row in rows)
+    }
+    for experiment, rows in SCHEMA.items()
 }
 
 
@@ -242,7 +185,7 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
         raise ConfigError([f"config file not found: {path}"])
     problems = []
     known: dict[str, set[str]] = {}
-    for section, key, _, _ in SCHEMA[experiment]:
+    for section, key, _, _, _ in SCHEMA[experiment]:
         known.setdefault(section, set()).add(key)
     for section in parser.sections():
         if section not in known:
@@ -250,7 +193,7 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
             continue
         problems.extend(f"unknown key [{section}] {key}" for key in parser[section] if key not in known[section])
     config: dict[str, dict] = {}
-    for section, key, typ, required in SCHEMA[experiment]:
+    for section, key, typ, required, _ in SCHEMA[experiment]:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:

@@ -50,6 +50,10 @@ SAMPLE_BLOCK = 8
 #: least 3: each term is formed from the two before it in the same buffer
 TERM_BUFFER = 8
 
+#: most terms one step's series may take: the coefficients are then at most 80 MB, and
+#: one step at most t = 6e5 at halfwidth 16.64 (the default t_f = 800 takes 14.4k terms)
+MAX_TERMS = 10**7
+
 #: power steps behind each end of the Collatz–Wielandt interval of ``spectral_bounds``
 CW_ITERATIONS = 25
 
@@ -177,7 +181,7 @@ class ChebyshevPropagator:
         # the real coefficients 2 J_k; scaling by 2 is exact, so 0.5 B V_0 is V_1 bit for bit
         self._b = h.scaled(self.center, -2j / self.halfwidth)
         self._coeff_cache: dict[float, np.ndarray] = {}
-        # block products of _sum_series, sized by the longest window so far
+        # block products of advance, sized by the longest window so far
         self._part = np.empty((0, 0), dtype=complex)
         self.recursions = self.matvecs = 0
 
@@ -191,12 +195,21 @@ class ChebyshevPropagator:
         }
 
     def _coefficients(self, dt: float) -> np.ndarray:
-        """The real coefficients ``J_0, 2 J_1, 2 J_2, ...`` at ``halfwidth * dt``, one per term of the series."""
+        """The real coefficients ``J_0, 2 J_1, 2 J_2, ...`` at ``halfwidth * dt``, one per term of the series.
+
+        A step whose series bound ``z + 45 (z + 1)^(1/3) + 40``, ``z = halfwidth * dt``,
+        passes ``MAX_TERMS`` raises ``PropagationAccuracyError`` before any array is made.
+        """
         key = float(dt)
         if key not in self._coeff_cache:
-            z = self.halfwidth * dt
+            z = self.halfwidth * key  # a Python float: inf past the floats, never an overflow warning
             floor = max(self.tol * 1e-3, 1e-16)
-            n_max = int(z + 45.0 * (z + 1.0) ** (1.0 / 3.0) + 40.0)
+            length = z + 45.0 * (z + 1.0) ** (1.0 / 3.0) + 40.0
+            if not length <= MAX_TERMS:  # also a nan or an infinite step
+                raise PropagationAccuracyError(
+                    f"a step of {key:g} needs {length:.3g} Chebyshev terms, more than MAX_TERMS = {MAX_TERMS}"
+                )
+            n_max = int(length)
             bessel = _bessel_j(n_max, z)
             keep = np.nonzero(np.abs(bessel) > floor)[0]
             cut = min(int(keep[-1]) + 2, n_max + 1)
@@ -214,26 +227,35 @@ class ChebyshevPropagator:
         """Whether a step's own series is long enough, against ``halfwidth * step``, that a window pays (``WINDOW_RATIO``)."""
         return self._coefficients(step).size >= WINDOW_RATIO * self.halfwidth * step
 
-    def _sum_series(self, psi: np.ndarray, coef: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Packed rows ``sum_k coef[r, k] (-i)^k T_k(A) psi`` for real ``coef`` and a packed ``psi``, where row ``r`` has ``ends[r]`` (ascending) terms.
+    def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:
+        """Block of packed states from the packed state ``psi``: one row per sorted offset ``earlier`` in (0, dt), then ``dt``'s.
 
-        The recursion runs on the packed layout of ``B = -2i A``, in buffers
-        the operator allocates, and the rows stay on it.  The terms go into a
-        fixed buffer of ``TERM_BUFFER`` rows; each row's kernel is bound once
-        per call, so a term is one call of it.  Each full buffer is added into
-        the rows whose series has not ended through one real matrix product,
-        on float64 views, into ``part``, which the propagator keeps: one
-        allocated per call faulted its pages in on every window.  The term
-        buffer stays per call, as its pages then serve the caller's
-        temporaries between windows, where a kept one would add to the peak
-        memory.  The returned rows are a new array, so a caller may keep them.
+        ``psi`` and the rows are on the layout of ``h.pack``.  The rows all come
+        from one recursion as long as ``dt``'s series (a shorter offset never
+        needs more terms), each with its phase ``exp(-i center t)``.  The rows
+        are not checked: ``quench.evolve`` checks the norm of every sample.
+        The terms go into a fixed buffer of ``TERM_BUFFER`` rows, each one call
+        of a kernel bound once per call; each full buffer is added into the
+        rows whose series has not ended by one real matrix product, on float64
+        views, into ``_part``, which the propagator keeps (one per call faulted
+        its pages in on every window).  The term buffer stays per call: its
+        pages serve the caller's temporaries between windows, where a kept one
+        would add to the peak memory.  The returned rows are a new array.
         """
+        offsets = np.append(np.asarray(earlier, dtype=float), float(dt))
+        if offsets.size > 1 and (offsets[0] <= 0.0 or np.any(np.diff(offsets) <= 0.0)):
+            raise ValueError("earlier offsets must be sorted and lie in (0, dt)")
+        series = [self._coefficients(t) for t in offsets]
+        ends = np.array([c.size for c in series])
+        n_terms = int(ends[-1])
+        coef = np.zeros((offsets.size, n_terms))
+        for row, c in zip(coef, series):
+            row[: c.size] = c
         b = self._b
-        rows, n_terms = coef.shape
-        if self._part.shape[0] < rows:
-            self._part = b.empty_packed(rows)
-        part = self._part[:rows].view(float)
-        out = b.empty_packed(rows)
+        if self._part.shape[0] < offsets.size:
+            self._part = b.empty_packed(offsets.size)
+        part = self._part[: offsets.size].view(float)
+        out = b.empty_packed(offsets.size)
         out[:] = 0.0
         terms = b.empty_packed(min(TERM_BUFFER, n_terms))
         # the kernel of a row forms its term from the two rows before it, cyclically
@@ -253,26 +275,6 @@ class ChebyshevPropagator:
                 active = int(np.searchsorted(ends, start, side="right"))
                 np.matmul(coef[active:, start : k + 1], real_terms[: slot + 1], out=part[active:])
                 real_out[active:] += part[active:]
-        return out
-
-    def advance(self, psi: np.ndarray, dt: float, earlier=()) -> np.ndarray:
-        """Block of packed states from the packed state ``psi``: one row per sorted offset ``earlier`` in (0, dt), then ``dt``'s.
-
-        ``psi`` and the rows are on the layout of ``h.pack``.  The rows all come
-        from one recursion as long as ``dt``'s series (a shorter offset never
-        needs more terms), each with its phase ``exp(-i center t)``.  The rows
-        are not checked: ``quench.evolve`` checks the norm of every sample.
-        """
-        offsets = np.append(np.asarray(earlier, dtype=float), float(dt))
-        if offsets.size > 1 and (offsets[0] <= 0.0 or np.any(np.diff(offsets) <= 0.0)):
-            raise ValueError("earlier offsets must be sorted and lie in (0, dt)")
-        series = [self._coefficients(t) for t in offsets]
-        ends = np.array([c.size for c in series])
-        n_terms = int(ends[-1])
-        coef = np.zeros((offsets.size, n_terms))
-        for row, c in zip(coef, series):
-            row[: c.size] = c
-        out = self._sum_series(psi, coef, ends)
         out *= np.exp(-1j * self.center * offsets)[:, np.newaxis]
         return out
 

@@ -74,7 +74,7 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundPr
     if not peak > 0.0:
         raise IncompleteBandError(f"a packet of width {spec.width} carries no weight on the momentum grid")
     coef = np.zeros((n, bound.table.shape[2]), dtype=complex)
-    for k, w, group, state in zip(band.momenta, weights, band.states, band.select(spec.branch)):
+    for row, k, w, group, state in zip(coef, band.momenta, weights, band.states, band.select(spec.branch)):
         if state is None:
             if w > WEIGHT_FLOOR * peak:
                 raise IncompleteBandError(
@@ -82,8 +82,7 @@ def prepare_wavepacket(spec: WavePacketSpec, band: BandStructure, bound: BoundPr
                     f"(relative weight {w / peak:.2e})"
                 )
             continue
-        row = round(k * n / (2.0 * np.pi)) % n  # the FFT-order row of K in the table
-        coef[row, group.index(state)] = w * np.exp(-1j * spec.center_site * k)
+        row[group.index(state)] = w * np.exp(-1j * spec.center_site * k)
     psi = bound.superpose(coef)
     nrm = np.linalg.norm(psi)
     if nrm == 0.0:

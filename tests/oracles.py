@@ -181,13 +181,12 @@ def dense_bound_weight(states: np.ndarray, band: BandStructure, basis: TwoBosonB
 
 
 def dense_superpose(coef: np.ndarray, band: BandStructure, basis: TwoBosonBasis) -> np.ndarray:
-    """``sum coef[m, slot]`` times the bound state ``slot`` of the sector ``K = 2 pi m / n``,
+    """``sum coef[g, slot]`` times the bound state ``slot`` of the sector ``band.momenta[g]``,
     column by column: the reference of ``BoundProjector.superpose``."""
-    n = band.n_sites
     psi = np.zeros(basis.dim, dtype=complex)
-    for k, group in zip(band.momenta, band.states):
+    for row, group in zip(coef, band.states):
         for slot, state in enumerate(group):
-            psi += coef[round(k * n / (2.0 * np.pi)) % n, slot] * bound_state_realspace(state, basis)
+            psi += row[slot] * bound_state_realspace(state, basis)
     return psi
 
 

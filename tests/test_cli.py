@@ -299,6 +299,20 @@ KEY_ERRORS = [
     # a grid through F = 0 failed in sweep_transfer after --out existed
     ("sweep", "f_start = -0.22\nf_stop = -0.18\nf_step = 0.01", "f_start = -0.1\nf_stop = 0.1\nf_step = 0.05",
      "invalid [sweep] grid: the fields from f_start -0.1 in steps of 0.05 include F = 0.0"),
+    # the full message of every key parser, its rule's text included
+    ("band", "n_sites = 15", "n_sites = 4",
+     "invalid value for [model] n_sites: '4' (the ring momentum grid needs an odd site count of at least 3)"),
+    ("three-site", "n_sites = 3", "n_sites = 4",
+     "invalid value for [model] n_sites: '4' (the three-site model has n_sites = 3)"),
+    ("quench", "k0_pi = -0.9", "k0_pi = 1.5",
+     "invalid value for [packet] k0_pi: '1.5' (the center momentum in units of pi must lie in [-1, 1])"),
+    ("quench", "k0_pi = -0.9", "k0_pi = nan",
+     "invalid value for [packet] k0_pi: 'nan' (the center momentum in units of pi must lie in [-1, 1])"),
+    ("sweep", "t_f = 30", "t_f = -2", "invalid value for [sweep] t_f: '-2' (must be positive)"),
+    ("spectrum", "f_count = 21", "f_count = -5",
+     "invalid value for [spectrum] f_count: '-5' (crossing detection needs 3..1000000 fields)"),
+    ("quench", "center_site = 8", "center_site = 8\nbranch = up",
+     "invalid value for [packet] branch: 'up' (choose one of upper, lower, +, -)"),
 ]
 
 
@@ -605,6 +619,18 @@ def test_overflowing_packet_width_runs_as_a_flat_packet(tmp_path, width):
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(rows))
     assert np.max(np.abs(rows[:, 4] - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("times", ["t_max = 1e15\ndt = 1e14", "t_max = 1e308\ndt = 1e308"])
+def test_a_step_past_max_terms_fails_the_run_before_output(tmp_path, capsys, times):
+    # 11 and 2 samples pass load_config; a step of 1e14 ended in an _ArrayMemoryError
+    # traceback ("Unable to allocate 5.90 PiB"), one of 1e308 in an OverflowError traceback
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_QUENCH.replace("t_max = 20\ndt = 1.0", times))
+    assert run(["quench", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: a step of ") and "Chebyshev terms, more than MAX_TERMS" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_three_site_count_checked_at_config_time(tmp_path, capsys):

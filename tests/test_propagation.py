@@ -19,6 +19,7 @@ from pairquench import (
     sweep_transfer,
 )
 from pairquench.propagation import (
+    MAX_TERMS,
     SAMPLE_BLOCK,
     TERM_BUFFER,
     _bessel_j,
@@ -112,6 +113,26 @@ def test_series_that_cannot_reach_tol_raises(random_hamiltonian, random_state):
     cheb = ChebyshevPropagator(random_hamiltonian, tol=1e-20)
     with pytest.raises(PropagationAccuracyError, match="did not decay"):
         cheb.advance(random_state, 1.0)
+
+
+@pytest.mark.parametrize("dt", [1e14, np.inf])
+def test_a_step_past_max_terms_raises_before_any_allocation(small_workspace, monkeypatch, dt):
+    # a step of 1e14 asked np.zeros in _bessel_j for 5.90 PiB (a MemoryError), and an
+    # infinite one ended in an OverflowError from int(); the bound is checked first
+    cheb = ChebyshevPropagator(small_workspace.hamiltonian(-0.21))
+    psi = cheb.h.pack(small_workspace.psi0)
+    monkeypatch.setattr(propagation, "_bessel_j", lambda *args: pytest.fail("coefficients computed"))
+    with pytest.raises(PropagationAccuracyError, match=f"Chebyshev terms, more than MAX_TERMS = {MAX_TERMS}"):
+        cheb.advance(psi, dt)
+    assert cheb.recursions == 0
+
+
+def test_a_step_past_max_terms_fails_its_sweep_point(small_workspace):
+    sweep = sweep_transfer(small_workspace, [-0.2], t_final=1e15, workers=1)
+    [(field_value, message)] = sweep.failures
+    assert field_value == -0.2 and message.startswith("a step of 1e+15 needs")
+    assert message.endswith(f"Chebyshev terms, more than MAX_TERMS = {MAX_TERMS}")
+    assert np.isnan(sweep.transfer[0]) and sweep.stats["failures"] == 1
 
 
 @pytest.mark.parametrize("z", [1e-300, 1e-9, 0.5, 17.9, 143.0, 14302.0])
