@@ -11,25 +11,24 @@ from pathlib import Path
 
 import numpy as np
 
-from pairquench import ModelParams, QuenchWorkspace, WavePacketSpec, run_quench
-from pairquench.cli import _grid
+from pairquench import QuenchWorkspace, run_quench
+from pairquench.cli import _grid, _model_params, _packet_spec, load_config
 from pairquench.reporting import write_trajectory_csv
 
 FIELDS = {"bloch": -0.097120, "decay": -0.097815}
 
 
 def main():
+    config = load_config("quench", None)  # the CLI's headline model, packet and sample times
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/bloch_vs_decay", metavar="DIR")
-    parser.add_argument("--t-max", type=float, default=800.0)
+    parser.add_argument("--t-max", type=float, default=config["time"]["t_max"])
     args = parser.parse_args()
     if not 0.0 <= args.t_max < np.inf:
         parser.error("argument --t-max: must be finite and not negative")
 
-    params = ModelParams(n_sites=111, kappa=1.0, u=-6.24, v=-6.24)
-    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36)
-    workspace = QuenchWorkspace.prepare(params, packet)
-    times = _grid(0.0, args.t_max, 1.0)  # the CLI's sample times: none past t_max
+    workspace = QuenchWorkspace.prepare(_model_params(config), _packet_spec(config))
+    times = _grid(0.0, args.t_max, config["time"]["dt"])  # none past t_max
 
     out = Path(args.out)
     for label, field in FIELDS.items():

@@ -95,7 +95,7 @@ _PACKET = [
 ]
 
 # (section, key, parser, required, default) per experiment, every key a config may hold: a parser
-# raises ValueError, and the default is the value of a run without a config (None: no built-in value)
+# raises ValueError, and load_config takes the default where no file gives the key (None: none)
 SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool, object]]] = {
     "three-site": [
         ("model", "n_sites", _three_sites, True, 3),
@@ -137,15 +137,6 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool, object]]] 
 }
 EXPERIMENTS = tuple(SCHEMA)
 
-# the built-in config of every experiment, section by section in schema order
-DEFAULTS: dict[str, dict[str, dict]] = {
-    experiment: {
-        section: {key: default for sec, key, _, _, default in rows if sec == section and default is not None}
-        for section in dict.fromkeys(row[0] for row in rows)
-    }
-    for experiment, rows in SCHEMA.items()
-}
-
 
 def _grid_points(start: float, stop: float, step: float) -> float:
     """How many points ``start + step * k`` lie at or below ``stop``, to within 1e-9 of a step; inf past the floats."""
@@ -169,20 +160,24 @@ class ConfigError(Exception):
 
 
 def load_config(experiment: str, path: str | None) -> dict[str, dict]:
-    """Resolve the run configuration: every schema key valid, every required one given, no other."""
-    if path is None:
-        return copy.deepcopy(DEFAULTS[experiment])
+    """Resolve the run configuration of the file at ``path``, or the built-in one when ``path`` is None.
+
+    Each ``SCHEMA`` row takes the file's value if it gives one, else the row's
+    default; a required key is missing only from a file.  Both pass the same
+    cross-key checks, and every problem is raised together.
+    """
     # values are numbers and words, so a '%' is a typo, never an interpolation; no
     # header names the empty section, so [DEFAULT] is an ordinary (unknown) section
     # whose keys reach no other
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # key names match the schema exactly, as section names do
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:  # no section header, a repeated section or key
-        raise ConfigError([f"config file not readable: {exc}"]) from None
-    if not read:
-        raise ConfigError([f"config file not found: {path}"])
+    if path is not None:
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a repeated key, not UTF-8
+            raise ConfigError([f"config file not readable: {exc}"]) from None
+        if not read:
+            raise ConfigError([f"config file not found: {path}"])
     problems = []
     known: dict[str, set[str]] = {}
     for section, key, _, _, _ in SCHEMA[experiment]:
@@ -193,15 +188,17 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
             continue
         problems.extend(f"unknown key [{section}] {key}" for key in parser[section] if key not in known[section])
     config: dict[str, dict] = {}
-    for section, key, typ, required, _ in SCHEMA[experiment]:
+    for section, key, typ, required, default in SCHEMA[experiment]:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
                 config.setdefault(section, {})[key] = typ(raw)
             except ValueError as exc:
                 problems.append(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
-        elif required:
+        elif required and path is not None:
             problems.append(f"missing [{section}] {key}")
+        elif default is not None:
+            config.setdefault(section, {})[key] = copy.deepcopy(default)
     site = config.get("packet", {}).get("center_site")
     n_sites = config.get("model", {}).get("n_sites")
     if site is not None and n_sites is not None and not 1 <= site <= n_sites:
@@ -224,12 +221,13 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                     f"invalid [sweep] grid: the fields from f_start {f_start} in steps of {f_step} "
                     f"include F = {bad[0]} (every field must be finite and nonzero)"
                 )
+    # the ends the file gives, parsed or not: an end that fails to parse is invalid, not missing
+    ends = {end for end in ("window_lo", "window_hi") if parser.has_option("spectrum", end)}
     window = config.get("spectrum", {})
-    ends = {"window_lo", "window_hi"} & window.keys()
     if len(ends) == 1:
         missing = ({"window_lo", "window_hi"} - ends).pop()
         problems.append(f"missing [spectrum] {missing} (a window needs both window_lo and window_hi)")
-    elif ends and window["window_lo"] >= window["window_hi"]:
+    elif {"window_lo", "window_hi"} <= window.keys() and window["window_lo"] >= window["window_hi"]:
         problems.append(
             f"invalid value for [spectrum] window_hi: {window['window_hi']} "
             f"(not above window_lo {window['window_lo']})"
@@ -254,7 +252,7 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     elif experiment == "spectrum" and states is not None:
         from .spectrum import MAX_DENSE_STATES  # a spectrum run loads the module anyway
 
-        if states > MAX_DENSE_STATES and not {"window_lo", "window_hi"} <= config.get("spectrum", {}).keys():
+        if states > MAX_DENSE_STATES and len(ends) < 2:
             problems.append(
                 f"invalid value for [model] n_sites: {n_sites} (more than {MAX_DENSE_STATES} two-boson "
                 "states, which a spectrum without [spectrum] window_lo and window_hi diagonalises densely)"
@@ -285,7 +283,7 @@ def _model_params(config: dict, field: float | None = None) -> ModelParams:
         n_sites=section["n_sites"],
         kappa=section["kappa"],
         u=section["u"],
-        v=section.get("v", 0.0),
+        v=section["v"],
         field=section.get("field", 0.0) if field is None else field,
     )
 
@@ -296,7 +294,7 @@ def _packet_spec(config: dict) -> WavePacketSpec:
         center_momentum=section["k0_pi"] * np.pi,
         width=section["width"],
         center_site=section["center_site"],
-        branch=section.get("branch", "+"),
+        branch=section["branch"],
     )
 
 
@@ -340,9 +338,8 @@ def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
     slices = spectrum.spectrum_vs_field(f_values, _model_params(config), window)
     if not any(s.energies.size for s in slices):
         raise ValueError(f"no level lies in the window [{window[0]}, {window[1]}] at any field")
-    r_threshold = section.get("r_threshold", 1.0)
-    labels = [spectrum.classify_levels(s, r_threshold) for s in slices]
-    scan = spectrum.detect_avoided_crossings(slices, r_threshold=r_threshold)
+    labels = [spectrum.classify_levels(s, section["r_threshold"]) for s in slices]
+    scan = spectrum.detect_avoided_crossings(slices, r_threshold=section["r_threshold"])
     reporting.write_spectrum_csv(out / "spectrum.csv", slices, labels)
     reporting.write_json(out / "crossings.json", reporting.crossing_payload(scan))
     return ["spectrum.csv", "crossings.json"], {}
@@ -430,27 +427,27 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outputs, stats = _RUNNERS[args.experiment](config, out, args.threads)
+        if args.emit_plots:
+            script = args.experiment.replace("-", "_") + ".gp"
+            reporting.write_gnuplot(out / script, args.experiment, outputs[0])
+            outputs.append(script)
+        reporting.write_json(
+            out / "manifest.json",
+            {
+                "experiment": args.experiment,
+                "config": config,
+                "threads": args.threads,
+                "versions": reporting.versions(),
+                "wall_time_seconds": time.perf_counter() - started,
+                "outputs": outputs,
+                "stats": stats,
+            },
+        )
     except IncompleteBandError as exc:  # from the packet check of QuenchWorkspace.prepare, before any writer
         return _config_error([f"invalid [packet] for the bound band of [model]: {exc}"])
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    if args.emit_plots:
-        script = args.experiment.replace("-", "_") + ".gp"
-        reporting.write_gnuplot(out / script, args.experiment, outputs[0])
-        outputs.append(script)
-    reporting.write_json(
-        out / "manifest.json",
-        {
-            "experiment": args.experiment,
-            "config": config,
-            "threads": args.threads,
-            "versions": reporting.versions(),
-            "wall_time_seconds": time.perf_counter() - started,
-            "outputs": outputs,
-            "stats": stats,
-        },
-    )
     for name in outputs:
         print(out / name)
     print(out / "manifest.json")

@@ -295,8 +295,9 @@ class ChebyshevPropagator:
             start = 1
         while start < times.size:
             stop = start + 1
-            if self._is_short(times[start] - base):
-                limit = min(start + SAMPLE_BLOCK, times.size)
+            limit = min(start + SAMPLE_BLOCK, times.size)
+            # a block that cannot hold a second sample asks no step its series: advance builds it
+            if stop < limit and self._is_short(times[start] - base):
                 while stop < limit and self._is_short(times[stop] - times[stop - 1]):
                     stop += 1
             offsets = times[start:stop] - base

@@ -330,10 +330,10 @@ def sweep_transfer(
     and ``stats`` sums them.
     """
     f_values = np.asarray(f_values, dtype=float)
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if np.any(f_values == 0.0):
-        raise ValueError("every field value in the sweep grid must be nonzero")
+    if not 0.0 < t_final < np.inf:  # also a nan
+        raise ValueError("t_final must be positive and finite")
+    if not np.all(np.isfinite(f_values) & (f_values != 0.0)):
+        raise ValueError("every field value in the sweep grid must be finite and nonzero")
     transfer = np.full(f_values.size, np.nan)
     failures: list[tuple[float, str]] = []
     records: list[dict] = []

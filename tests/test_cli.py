@@ -13,7 +13,6 @@ import pairquench
 from pairquench import cli, quench
 from pairquench.bound_band import band_scan
 from pairquench.cli import (
-    DEFAULTS,
     EXPERIMENTS,
     MAX_POINTS,
     SCHEMA,
@@ -390,6 +389,46 @@ def test_unreadable_config_rejected_before_output(tmp_path, capsys, text, messag
     assert not (tmp_path / "out").exists()
 
 
+def test_an_unparsable_window_end_is_one_problem(tmp_path, capsys):
+    # the end that failed to parse was also reported missing, and the lattice too
+    # large for the dense spectrum that a config without a window runs
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SPECTRUM.replace("n_sites = 3", "n_sites = 71") + "window_lo = -20\nwindow_hi = abc\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "configuration error:" and len(lines) == 2
+    assert lines[1].startswith("  invalid value for [spectrum] window_hi: 'abc' (")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_is_read_as_utf8_whatever_the_locale(tmp_path, capsys):
+    # bytes that are not UTF-8 ended in a UnicodeDecodeError traceback, and the
+    # locale's encoding decided which bytes those were
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[model]\nn_sites = 3\xff")
+    assert run(["band", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:\n  config file not readable: ")
+    assert not (tmp_path / "out").exists()
+    cfg = tmp_path / "kappa.ini"
+    cfg.write_text("# hopping \u03ba\n" + SMALL_BAND, encoding="utf-8")
+    out = tmp_path / "ascii"
+    run_python(
+        ["-m", "pairquench", "band", "--config", cfg, "--out", out],
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert (out / "band.csv").exists()
+
+
+def test_an_out_that_cannot_be_made_fails_the_run(tmp_path, capsys):
+    # a directory under a regular file ended in a NotADirectoryError traceback
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SMALL_BAND)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["band", "--config", cfg, "--out", blocker / "sub"]) == 1
+    assert capsys.readouterr().err.startswith("run failed: ")
+
+
 def _ini(config: dict[str, dict]) -> str:
     """INI text of a config of sections, list values joined with commas."""
     return "".join(
@@ -588,9 +627,10 @@ def test_one_band_scan_per_run(tmp_path, monkeypatch, experiment):
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_defaults_round_trip_through_a_config_file(tmp_path, experiment):
     # every built-in default is a schema key that load_config reads back unchanged
+    defaults = load_config(experiment, None)
     cfg = tmp_path / "defaults.ini"
-    cfg.write_text(_ini(DEFAULTS[experiment]))
-    assert load_config(experiment, str(cfg)) == DEFAULTS[experiment]
+    cfg.write_text(_ini(defaults))
+    assert load_config(experiment, str(cfg)) == defaults
 
 
 def test_readme_example_config_is_the_default_quench(tmp_path):
@@ -598,7 +638,31 @@ def test_readme_example_config_is_the_default_quench(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = tmp_path / "readme.ini"
     cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-    assert load_config("quench", str(cfg)) == DEFAULTS["quench"]
+    assert load_config("quench", str(cfg)) == load_config("quench", None)
+
+
+@pytest.mark.parametrize(
+    "experiment, section, key, default",
+    [("quench", "packet", "branch", "+"), ("spectrum", "spectrum", "r_threshold", 1.0)],
+)
+def test_an_omitted_optional_key_takes_its_row_default(tmp_path, experiment, section, key, default):
+    # the runners restated these defaults with .get, and the manifest left the key out
+    assert key not in _sections(CONFIGS[experiment]).get(section, {})
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIGS[experiment])
+    assert load_config(experiment, str(cfg))[section][key] == default
+    out = tmp_path / "out"
+    assert run([experiment, "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"][section][key] == default
+
+
+def test_the_built_in_config_passes_the_cross_key_checks(monkeypatch):
+    # it was returned unchecked, so a default packet off the lattice reached the run
+    rows = [("packet", "center_site", int, True, 500) if row[1] == "center_site" else row for row in SCHEMA["quench"]]
+    monkeypatch.setitem(SCHEMA, "quench", rows)
+    with pytest.raises(ConfigError) as error:
+        load_config("quench", None)
+    assert error.value.problems == ["invalid value for [packet] center_site: 500 (outside sites 1..111)"]
 
 
 @pytest.mark.parametrize("branch", ["lower", "Upper", "+"])
@@ -652,9 +716,9 @@ def test_worker_count_rejected_before_output(tmp_path, capsys, threads):
 
 def test_default_grids_keep_their_points():
     # the 1e-9 of a step keeps each default stop, a whole number of steps, in its grid
-    assert _sweep_grid(DEFAULTS["sweep"]["sweep"]).size == 61
+    assert _sweep_grid(load_config("sweep", None)["sweep"]).size == 61
     for (experiment, section), size in {("quench", "time"): 801, ("three-site", "three_site"): 2001}.items():
-        times = DEFAULTS[experiment][section]
+        times = load_config(experiment, None)[section]
         assert _grid(0.0, times["t_max"], times["dt"]).size == size
 
 

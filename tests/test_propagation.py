@@ -376,6 +376,21 @@ def test_long_steps_are_not_windowed(random_hamiltonian, exact_bounds, fixed_bou
     assert [len(block) for block in blocks] == [1, 1, 1, 2]
 
 
+def test_a_lone_sample_builds_its_series_inside_advance(small_workspace, monkeypatch):
+    # a block that cannot hold a second sample asked _is_short for its step's series,
+    # which built it before advance, outside a traced advance span
+    cached = []
+    advance = ChebyshevPropagator.advance
+
+    def logged(self, psi, dt, earlier=()):
+        cached.append(float(dt) in self._coeff_cache)
+        return advance(self, psi, dt, earlier)
+
+    monkeypatch.setattr(ChebyshevPropagator, "advance", logged)
+    run_quench(small_workspace, -0.2, [0.0, 50.0])
+    assert cached == [False]
+
+
 def test_headline_windows_follow_the_measured_crossover(ref_workspace):
     # windows pay down to about 1.3 terms per unit of halfwidth * step (WINDOW_RATIO): at
     # the headline point a step of 4 (1.67) is windowed and a step of 32 (1.16) is not

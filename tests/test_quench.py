@@ -303,6 +303,15 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
         sweep_transfer(small_workspace, f_values, t_final=-1.0)
 
 
+@pytest.mark.parametrize("f_values, t_final", [([-0.2], np.nan), ([np.nan], 5.0), ([-np.inf, -0.2], 5.0)])
+def test_sweep_rejects_non_finite_input_before_the_pool(small_workspace, recording_pool, f_values, t_final):
+    # a nan t_final failed every point on "a step of nan", and a nan or infinite
+    # field ran with RuntimeWarnings into a recorded failure
+    with pytest.raises(ValueError):
+        sweep_transfer(small_workspace, f_values, t_final=t_final)
+    assert recording_pool == []
+
+
 #: the default 61-point sweep grid
 DEFAULT_GRID = -0.0995 + 7.5e-5 * np.arange(61)
 
