@@ -15,11 +15,12 @@ from pairquench import QuenchWorkspace, run_quench
 from pairquench.cli import _grid, _model_params, _packet_spec, load_config
 from pairquench.reporting import write_trajectory_csv
 
-FIELDS = {"bloch": -0.097120, "decay": -0.097815}
+#: the pair-breaking field next to the headline one, which is the built-in quench config's
+DECAY_FIELD = -0.097815
 
 
 def main():
-    config = load_config("quench", None)  # the CLI's headline model, packet and sample times
+    config = load_config("quench", None)  # the CLI's headline model, packet, field and sample times
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/bloch_vs_decay", metavar="DIR")
     parser.add_argument("--t-max", type=float, default=config["time"]["t_max"])
@@ -31,7 +32,7 @@ def main():
     times = _grid(0.0, args.t_max, config["time"]["dt"])  # none past t_max
 
     out = Path(args.out)
-    for label, field in FIELDS.items():
+    for label, field in (("bloch", config["model"]["field"]), ("decay", DECAY_FIELD)):
         traj = run_quench(workspace, field, times)
         write_trajectory_csv(out / f"trajectory_{label}.csv", traj)
         settled = traj.transfer[times >= args.t_max / 2].mean()

@@ -43,8 +43,10 @@ def _checked(cast: Callable[[str], object], *rules: tuple[Callable[[object], boo
 _FINITE = (np.isfinite, "must be finite")
 _NOT_NEGATIVE = (lambda x: x >= 0.0, "must not be negative")
 _sites = _checked(int, (lambda n: n >= 2, "need at least 2 sites"))
-_odd_sites = _checked(
-    int, (lambda n: n >= 3 and n % 2 == 1, "the ring momentum grid needs an odd site count of at least 3")
+_ODD_RING = (lambda n: n >= 3 and n % 2 == 1, "the ring momentum grid needs an odd site count of at least 3")
+_odd_sites = _checked(int, _ODD_RING)
+_band_sites = _checked(
+    int, _ODD_RING, (lambda n: n <= MAX_POINTS, f"the band scans one momentum per site, at most {MAX_POINTS}")
 )
 _three_sites = _checked(int, (lambda n: n == 3, "the three-site model has n_sites = 3"))
 # no finiteness rule: a nan fails the range
@@ -105,7 +107,7 @@ SCHEMA: dict[str, list[tuple[str, str, Callable[[str], object], bool, object]]] 
         ("three_site", "dt", _positive, True, 0.05),
     ],
     "band": [
-        ("model", "n_sites", _odd_sites, True, 111),
+        ("model", "n_sites", _band_sites, True, 111),
         ("model", "kappa", _non_negative, True, 1.0),
         ("model", "u", _finite, True, -6.24),
     ],
@@ -240,10 +242,14 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
                 f"(more than {MAX_POINTS} samples at dt {times['dt']})"
             )
     model = config.get("model", {})
-    if experiment in ("quench", "sweep") and {"u", "v"} <= model.keys() and model["u"] != model["v"]:
-        problems.append(
-            f"invalid value for [model] v: {model['v']} (the bound-pair band of {experiment} needs v == u = {model['u']})"
-        )
+    # the bound-pair band and the two-level constants of rabi_constants are derived for v == u
+    derived = {
+        "quench": "the bound-pair band of quench needs",
+        "sweep": "the bound-pair band of sweep needs",
+        "three-site": "the two-level Rabi constants of three-site need",
+    }
+    if experiment in derived and {"u", "v"} <= model.keys() and model["u"] != model["v"]:
+        problems.append(f"invalid value for [model] v: {model['v']} ({derived[experiment]} v == u = {model['u']})")
     states = None if n_sites is None else n_sites * (n_sites + 1) // 2
     if experiment in ("quench", "sweep", "spectrum") and states is not None and states > MAX_POINTS:
         problems.append(
@@ -277,15 +283,9 @@ def load_config(experiment: str, path: str | None) -> dict[str, dict]:
     return config
 
 
-def _model_params(config: dict, field: float | None = None) -> ModelParams:
+def _model_params(config: dict) -> ModelParams:
     section = config["model"]
-    return ModelParams(
-        n_sites=section["n_sites"],
-        kappa=section["kappa"],
-        u=section["u"],
-        v=section["v"],
-        field=section.get("field", 0.0) if field is None else field,
-    )
+    return ModelParams(n_sites=section["n_sites"], kappa=section["kappa"], u=section["u"], v=section["v"])
 
 
 def _packet_spec(config: dict) -> WavePacketSpec:
@@ -306,12 +306,12 @@ def _three_site_name(field: float) -> str:
 def _run_three_site(config, out: Path, threads: int) -> tuple[list[str], dict]:
     section = config["three_site"]
     times = _grid(0.0, section["t_max"], section["dt"])
+    params = _model_params(config)
     outputs = []
     for f in section["fields"]:
-        params = _model_params(config, field=f)
         constants = three_site.rabi_constants(f, params.u, params.kappa)
         analytic = three_site.transfer_probability(times, constants)
-        pair_loss, unpair = three_site.exact_pair_dynamics(params, times)
+        pair_loss, unpair = three_site.exact_pair_dynamics(params, f, times)
         name = _three_site_name(f)
         reporting.write_csv(
             out / name,
@@ -346,11 +346,10 @@ def _run_spectrum(config, out: Path, threads: int) -> tuple[list[str], dict]:
 
 
 def _run_quench(config, out: Path, threads: int) -> tuple[list[str], dict]:
-    params = _model_params(config)
-    workspace = QuenchWorkspace.prepare(params, _packet_spec(config))
+    workspace = QuenchWorkspace.prepare(_model_params(config), _packet_spec(config))
     section = config["time"]
     times = _grid(0.0, section["t_max"], section["dt"])
-    trajectory = run_quench(workspace, params.field, times)
+    trajectory = run_quench(workspace, config["model"]["field"], times)
     reporting.write_trajectory_csv(out / "trajectory.csv", trajectory)
     return ["trajectory.csv"], {**trajectory.propagation, "band": workspace.band.completeness()}
 

@@ -46,16 +46,15 @@ def aligned_array(shape, alloc=np.empty) -> np.ndarray:
 class ModelParams:
     """Physical parameters of the open chain.
 
-    ``kappa`` is the hopping amplitude, ``u`` the on-site interaction, ``v``
-    the nearest-neighbour interaction and ``field`` the strength of the
-    linear potential ``field * sum_j j n_j`` (site labels start at 1).
+    ``kappa`` is the hopping amplitude, ``u`` the on-site interaction and
+    ``v`` the nearest-neighbour interaction.  The linear field is an input
+    of each job, not of the chain (``build_hamiltonian(params, field, basis)``).
     """
 
     n_sites: int
     kappa: float
     u: float
-    v: float = 0.0
-    field: float = 0.0
+    v: float
 
     def __post_init__(self):
         if self.n_sites < 2:
@@ -374,12 +373,9 @@ def build_stark(field: float, basis: TwoBosonBasis) -> np.ndarray:
     return field * (basis.i + basis.j)
 
 
-def build_hamiltonian(params: ModelParams, basis: TwoBosonBasis) -> PairHamiltonian:
-    """Full Hamiltonian including the linear field."""
-    h = build_h0(params, basis)
-    if params.field != 0.0:
-        h = h.add_diagonal(build_stark(params.field, basis))
-    return h
+def build_hamiltonian(params: ModelParams, field: float, basis: TwoBosonBasis) -> PairHamiltonian:
+    """The field-free chain plus the linear potential ``field * sum_j j n_j`` (site labels start at 1)."""
+    return build_h0(params, basis).add_diagonal(build_stark(field, basis))
 
 
 def separations(basis: TwoBosonBasis) -> np.ndarray:

@@ -39,7 +39,7 @@ class WavePacketSpec:
     center_momentum: float
     width: float
     center_site: int
-    branch: str = "+"
+    branch: str
 
     def __post_init__(self):
         if abs(self.center_momentum) > np.pi:
@@ -315,7 +315,7 @@ def sweep_transfer(
     f_values,
     t_final: float,
     *,
-    workers: int = 1,
+    workers: int,
 ) -> SweepResult:
     """Long-time bound weight across a grid of quench fields.
 

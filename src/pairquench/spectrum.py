@@ -61,7 +61,7 @@ class SpectrumSlice:
     energies: np.ndarray
     correlations: np.ndarray
     level_ids: np.ndarray
-    ambiguous: tuple[AmbiguousSegment, ...] = ()
+    ambiguous: tuple[AmbiguousSegment, ...]
 
 
 def _csr(h: PairHamiltonian) -> sparse.csr_array:
@@ -89,12 +89,8 @@ def _window_eigenpairs(h: PairHamiltonian, window: tuple[float, float]):
     return vals[keep][order], vecs[:, keep][:, order]
 
 
-def spectrum_vs_field(
-    f_values,
-    params: ModelParams,
-    window: tuple[float, float] | None = None,
-) -> list[SpectrumSlice]:
-    """Diagonalize the driven chain on a grid of field values; ``params.field`` is not read.
+def spectrum_vs_field(f_values, params: ModelParams, window: tuple[float, float] | None) -> list[SpectrumSlice]:
+    """Diagonalize the driven chain on a grid of field values, in ``window`` (all levels: None).
 
     The field-free chain is built once and each field adds its diagonal.
     Small problems (or no window) are solved densely; large windowed ones use
@@ -131,7 +127,7 @@ def _label(rbar: float, r_threshold: float) -> str:
     return LABEL_CORRELATED if rbar <= r_threshold else LABEL_UNCORRELATED
 
 
-def classify_levels(slc: SpectrumSlice, r_threshold: float = 1.0) -> list[str]:
+def classify_levels(slc: SpectrumSlice, r_threshold: float) -> list[str]:
     """Label each level correlated (pair-like) or uncorrelated by its mean separation."""
     return [_label(r, r_threshold) for r in slc.correlations]
 
@@ -183,9 +179,7 @@ def _track_levels(
     return ids, tuple(ambiguous), next_id + unmatched.size
 
 
-def detect_avoided_crossings(
-    slices: list[SpectrumSlice], *, r_threshold: float = 1.0
-) -> CrossingScan:
+def detect_avoided_crossings(slices: list[SpectrumSlice], *, r_threshold: float) -> CrossingScan:
     """Find local gap minima of energy-adjacent tracked level pairs.
 
     Each pair of levels that are neighbours in the sorted spectrum anywhere

@@ -63,8 +63,8 @@ def transfer_probability(t, constants: EffectiveConstants):
     return float(p) if p.ndim == 0 else p
 
 
-def exact_pair_dynamics(params: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """Exact evolution of the site-1 pair on the full three-site chain.
+def exact_pair_dynamics(params: ModelParams, field: float, times) -> tuple[np.ndarray, np.ndarray]:
+    """Exact evolution of the site-1 pair on the full three-site chain in the linear ``field``.
 
     Returns ``(pair_loss, unpair_weight)`` at ``times`` where ``pair_loss(t)
     = 1 - |<pair|psi(t)>|^2`` counts every process that moves weight off the
@@ -77,7 +77,7 @@ def exact_pair_dynamics(params: ModelParams, times) -> tuple[np.ndarray, np.ndar
     if params.n_sites != 3:
         raise ValueError("exact pair dynamics is defined for the three-site chain")
     basis = build_basis(3)
-    energies, vectors = np.linalg.eigh(build_hamiltonian(params, basis).toarray())
+    energies, vectors = np.linalg.eigh(build_hamiltonian(params, field, basis).toarray())
     ends = vectors[[basis.rank(1, 1), basis.rank(1, 3)]]  # rows V[pair], V[unpair]
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), energies))
     # both columns in one matrix product: a matrix-vector product per column sums

@@ -42,7 +42,7 @@ def ref_bound(ref_band, ref_basis):
 
 @pytest.fixture(scope="session")
 def ref_packet_spec():
-    return WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36)
+    return WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36, branch="+")
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def ref_h0_ring():
 @pytest.fixture(scope="session")
 def small_workspace():
     params = ModelParams(15, kappa=1.0, u=-6.24, v=-6.24)
-    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8, branch="+")
     return QuenchWorkspace.prepare(params, packet)
 
 

@@ -42,17 +42,17 @@ def _loop_index(n_sites: int) -> dict[tuple[int, int], int]:
     return {p: k for k, p in enumerate(loop_pairs(n_sites))}
 
 
-def _check_ring(params: ModelParams, ring: bool) -> None:
+def _check_ring(params: ModelParams, ring: bool, field: float = 0.0) -> None:
     """A ring needs 3 sites for two distinct neighbours, and a linear field has no meaning on it."""
-    if ring and params.field != 0.0:
+    if ring and field != 0.0:
         raise ValueError("a linear field is incompatible with ring boundary conditions")
     if ring and params.n_sites < 3:
         raise ValueError("ring boundary needs at least 3 sites")
 
 
-def _bonds(params: ModelParams, ring: bool) -> list[tuple[int, int]]:
-    """Zero-based nearest-neighbour bonds, closed by ``(n - 1, 0)`` on the ring."""
-    _check_ring(params, ring)
+def _bonds(params: ModelParams, ring: bool, field: float) -> list[tuple[int, int]]:
+    """Zero-based nearest-neighbour bonds, closed by ``(n - 1, 0)`` on the ring (which takes no ``field``)."""
+    _check_ring(params, ring, field)
     n = params.n_sites
     return [(x, x + 1) for x in range(n - 1)] + ([(n - 1, 0)] if ring else [])
 
@@ -390,8 +390,10 @@ def fock_operators(n_sites: int, n_max: int = 2) -> list[sparse.csr_array]:
     return ops
 
 
-def fock_hamiltonian(params: ModelParams, n_max: int = 2, *, ring: bool = False) -> sparse.csr_array:
-    bonds = _bonds(params, ring)
+def fock_hamiltonian(
+    params: ModelParams, n_max: int = 2, *, field: float = 0.0, ring: bool = False
+) -> sparse.csr_array:
+    bonds = _bonds(params, ring, field)
     ops = fock_operators(params.n_sites, n_max)
     n = params.n_sites
     num = [op.conj().T @ op for op in ops]
@@ -404,7 +406,7 @@ def fock_hamiltonian(params: ModelParams, n_max: int = 2, *, ring: bool = False)
     for x, y in bonds:
         h = h + params.v * (num[x] @ num[y])
     for j in range(n):
-        h = h + params.field * (j + 1) * num[j]
+        h = h + field * (j + 1) * num[j]
     return h.tocsr()
 
 
@@ -415,10 +417,12 @@ def fock_index(occupation: tuple[int, ...], n_max: int = 2) -> int:
     return idx
 
 
-def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis, *, ring: bool = False) -> np.ndarray:
+def fock_two_boson_matrix(
+    params: ModelParams, basis: TwoBosonBasis, *, field: float = 0.0, ring: bool = False
+) -> np.ndarray:
     """Pair-basis matrix of the Fock Hamiltonian (configurations map to single
     Fock basis vectors, so projection is a row/column selection)."""
-    h = fock_hamiltonian(params, ring=ring).toarray()
+    h = fock_hamiltonian(params, field=field, ring=ring).toarray()
     indices = []
     for i, j in loop_pairs(basis.n_sites):
         occ = [0] * params.n_sites
@@ -429,7 +433,7 @@ def fock_two_boson_matrix(params: ModelParams, basis: TwoBosonBasis, *, ring: bo
     return h[np.ix_(sel, sel)]
 
 
-def fock_sector_matrix(params: ModelParams, *, ring: bool = False) -> np.ndarray:
+def fock_sector_matrix(params: ModelParams, *, field: float = 0.0, ring: bool = False) -> np.ndarray:
     """Dense Hamiltonian on the two-particle sector, configurations in lexicographic order.
 
     Each basis vector is an occupation tuple with two bosons; ``b_x^dag b_y``
@@ -447,10 +451,10 @@ def fock_sector_matrix(params: ModelParams, *, ring: bool = False) -> np.ndarray
         occ[j - 1] += 1
         states.append(tuple(occ))
     index = {occ: k for k, occ in enumerate(states)}
-    bonds = _bonds(params, ring)
+    bonds = _bonds(params, ring, field)
     h = np.zeros((len(states), len(states)))
     for col, occ in enumerate(states):
-        h[col, col] = sum(0.5 * params.u * m * (m - 1) + params.field * (x + 1) * m for x, m in enumerate(occ))
+        h[col, col] = sum(0.5 * params.u * m * (m - 1) + field * (x + 1) * m for x, m in enumerate(occ))
         h[col, col] += sum(params.v * occ[x] * occ[y] for x, y in bonds)
         for x, y in bonds:
             for to, frm in ((x, y), (y, x)):

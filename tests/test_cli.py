@@ -265,9 +265,17 @@ KEY_ERRORS = [
     ("band", "n_sites = 15", "n_sites = -3", "invalid value for [model] n_sites: '-3'"),
     ("quench", "n_sites = 15", "n_sites = 1", "invalid value for [model] n_sites: '1'"),
     ("spectrum", "n_sites = 3", "n_sites = 1", "invalid value for [model] n_sites: '1' (need at least 2 sites)"),
+    # a band scan costs about 21 us and 0.7 KB per ring momentum, one per site: n = 100000001
+    # passed the check, for about 35 min and 70 GB
+    ("band", "n_sites = 15", "n_sites = 100000001",
+     f"invalid value for [model] n_sites: '100000001' (the band scans one momentum per site, at most {MAX_POINTS})"),
     # quench and sweep need u == v: v = 0 failed in QuenchWorkspace.prepare after --out existed
     ("quench", "v = -6.24", "v = 0", "invalid value for [model] v: 0.0 (the bound-pair band of quench needs v == u = -6.24)"),
     ("sweep", "v = -6.24", "v = -3", "invalid value for [model] v: -3.0 (the bound-pair band of sweep needs v == u = -6.24)"),
+    # rabi_constants is derived for v == u: at v = -2 three-site wrote the analytic column of
+    # v = u next to the exact dynamics of v = -2, up to 0.94 apart
+    ("three-site", "v = -6.0", "v = -2",
+     "invalid value for [model] v: -2.0 (the two-level Rabi constants of three-site need v == u = -6.0)"),
     # a negative hopping failed in ModelParams after --out existed, or wrote a band
     ("quench", "kappa = 1.0", "kappa = -1", "invalid value for [model] kappa: '-1' (must not be negative)"),
     ("band", "kappa = 1.0", "kappa = -1", "invalid value for [model] kappa: '-1' (must not be negative)"),
@@ -491,7 +499,7 @@ def test_config_fuzz_accepts_only_runnable_configs(tmp_path_factory, experiment,
         grid, start, stop, step = _sweep_grid(section), section["f_start"], section["f_stop"], section["f_step"]
         assert np.all(np.isfinite(grid) & (grid != 0.0))
     else:
-        assert np.isfinite(params.field)
+        assert np.isfinite(config["model"]["field"])
         start, stop, step = 0.0, config["time"]["t_max"], config["time"]["dt"]
         grid = _grid(start, stop, step)
     assert 1 <= grid.size <= MAX_POINTS
@@ -633,12 +641,23 @@ def test_defaults_round_trip_through_a_config_file(tmp_path, experiment):
     assert load_config(experiment, str(cfg)) == defaults
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_example_config_is_the_default_quench(tmp_path):
     # configparser has no inline comments: a '; ...' after a value became part of it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = tmp_path / "readme.ini"
-    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cfg.write_text(README.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
     assert load_config("quench", str(cfg)) == load_config("quench", None)
+
+
+def test_readme_library_example_runs_as_written():
+    # the README's one example of the library API, run as printed: a signature change
+    # that breaks it fails here
+    example = README.read_text().split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    settled = float(run_python(["-c", code]).stdout)
+    assert settled == pytest.approx(0.93, abs=0.01)
 
 
 @pytest.mark.parametrize(
@@ -939,6 +958,20 @@ def test_bloch_vs_decay_script_writes_both_trajectories(tmp_path):
             header, *rows = (tmp_path / t_max / f"trajectory_{label}.csv").read_text().splitlines()
             assert header == "t,transfer,distance,energy,norm"
             assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+
+
+def test_bloch_vs_decay_script_bloch_run_is_the_built_in_quench(tmp_path):
+    # the script takes its Bloch field, model, packet and dt from the built-in quench
+    # config, so its Bloch trajectory is that of `pairquench quench` to the same t_max
+    config = load_config("quench", None)
+    config["time"]["t_max"] = 40.0
+    cfg = tmp_path / "builtin.ini"
+    cfg.write_text(_ini(config))
+    run_python(["-m", "pairquench", "quench", "--config", cfg, "--out", tmp_path / "cli"])
+    run_python([BLOCH_VS_DECAY, "--t-max", "40", "--out", tmp_path / "script"])
+    cli_csv = (tmp_path / "cli" / "trajectory.csv").read_bytes()
+    assert len(cli_csv.splitlines()) == 42
+    assert (tmp_path / "script" / "trajectory_bloch.csv").read_bytes() == cli_csv
 
 
 def test_bloch_vs_decay_script_rejects_a_negative_t_max(tmp_path):

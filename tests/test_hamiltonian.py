@@ -69,13 +69,12 @@ def test_stark_diagonal():
 
 
 def test_ring_field_rejected():
-    # only the oracles build the ring; they refuse a linear field on it and a ring of two sites
+    # only the oracles build the ring; the Fock builders refuse a linear field on it and a
+    # ring of two sites (loop_build_h0 builds the field-free chain only)
     with pytest.raises(ValueError):
-        loop_build_h0(ModelParams(5, kappa=1.0, u=-1.0, field=-0.1), ring=True)
+        fock_sector_matrix(ModelParams(5, kappa=1.0, u=-1.0, v=0.0), field=-0.1, ring=True)
     with pytest.raises(ValueError):
-        fock_sector_matrix(ModelParams(5, kappa=1.0, u=-1.0, field=-0.1), ring=True)
-    with pytest.raises(ValueError):
-        fock_two_boson_matrix(ModelParams(2, kappa=1.0, u=-1.0), build_basis(2), ring=True)
+        fock_two_boson_matrix(ModelParams(2, kappa=1.0, u=-1.0, v=0.0), build_basis(2), ring=True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -84,14 +83,14 @@ def test_ring_field_rejected():
     [
         {"u": -6.0, "v": -6.0, "field": -3.0},
         {"u": 4.0, "v": -1.5, "field": 0.7},
-        {"u": -6.24, "v": -6.24},
+        {"u": -6.24, "v": -6.24, "field": 0.0},
     ],
 )
 def test_matches_fock_construction_open(n, kwargs):
-    params = ModelParams(n, kappa=0.8, **kwargs)
+    params = ModelParams(n, kappa=0.8, u=kwargs["u"], v=kwargs["v"])
     basis = build_basis(n)
-    ours = build_hamiltonian(params, basis).toarray()
-    reference = fock_two_boson_matrix(params, basis)
+    ours = build_hamiltonian(params, kwargs["field"], basis).toarray()
+    reference = fock_two_boson_matrix(params, basis, field=kwargs["field"])
     assert np.max(np.abs(ours - reference)) < 1e-12
 
 
@@ -105,8 +104,7 @@ def test_matches_fock_construction_ring(n):
 
 
 def test_exactly_symmetric_and_sparse():
-    params = ModelParams(9, kappa=1.3, u=-2.0, v=-0.5, field=-0.3)
-    h = build_hamiltonian(params, build_basis(9))
+    h = build_hamiltonian(ModelParams(9, kappa=1.3, u=-2.0, v=-0.5), -0.3, build_basis(9))
     dense = h.toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
     _, (rows, _) = h.coo()
@@ -132,7 +130,9 @@ def test_three_site_levels_match_dense_oracle():
     assert np.allclose(ours, reference, atol=1e-12)
 
 
-OPERATOR_CASES = [ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=-0.37) for n in (2, 3, 4, 5, 6, 15)]
+OPERATOR_CASES = [ModelParams(n, kappa=0.8, u=-6.0, v=-2.0) for n in (2, 3, 4, 5, 6, 15)]
+#: the linear field of every operator case
+OPERATOR_FIELD = -0.37
 
 
 def _case_id(params):
@@ -142,16 +142,16 @@ def _case_id(params):
 @pytest.mark.parametrize("n, boundary", [(n, "open") for n in (2, 3, 4, 5)] + [(n, "ring") for n in (3, 4, 5)])
 def test_sector_oracle_matches_the_product_space_oracle(n, boundary):
     ring = boundary == "ring"
-    params = ModelParams(n, kappa=0.8, u=-6.0, v=-2.0, field=0.0 if ring else -0.37)
-    reference = fock_two_boson_matrix(params, build_basis(n), ring=ring)
-    assert np.max(np.abs(fock_sector_matrix(params, ring=ring) - reference)) < 1e-14
+    params, field = ModelParams(n, kappa=0.8, u=-6.0, v=-2.0), 0.0 if ring else OPERATOR_FIELD
+    reference = fock_two_boson_matrix(params, build_basis(n), field=field, ring=ring)
+    assert np.max(np.abs(fock_sector_matrix(params, field=field, ring=ring) - reference)) < 1e-14
 
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
 def test_operator_products_match_fock_oracle(params):
     # 1-D states and 2-D row blocks, through the packed stencil and back
     basis = build_basis(params.n_sites)
-    h, reference = build_hamiltonian(params, basis), fock_sector_matrix(params)
+    h, reference = build_hamiltonian(params, OPERATOR_FIELD, basis), fock_sector_matrix(params, field=OPERATOR_FIELD)
     rng = np.random.default_rng(params.n_sites)
     block = rng.standard_normal((5, basis.dim)) + 1j * rng.standard_normal((5, basis.dim))
     block /= np.linalg.norm(block, axis=1, keepdims=True)
@@ -165,7 +165,7 @@ def test_operator_products_match_fock_oracle(params):
 def test_packed_norms_and_cell_weights_match_basis_order(params):
     # |phi|^2 / S^2 summed over the slots of every row of a block; the halo cells weigh nothing
     basis = build_basis(params.n_sites)
-    h = build_hamiltonian(params, basis)
+    h = build_hamiltonian(params, OPERATOR_FIELD, basis)
     rng = np.random.default_rng(params.n_sites)
     block = rng.standard_normal((5, basis.dim)) + 1j * rng.standard_normal((5, basis.dim))
     packed = h.pack(block)
@@ -180,7 +180,7 @@ def test_packed_norms_and_cell_weights_match_basis_order(params):
 def test_expectations_match_fock_oracle(params):
     # Re <psi|H|psi> on the packed layout: the halo cells carry values but weigh nothing
     basis = build_basis(params.n_sites)
-    h, reference = build_hamiltonian(params, basis), fock_sector_matrix(params)
+    h, reference = build_hamiltonian(params, OPERATOR_FIELD, basis), fock_sector_matrix(params, field=OPERATOR_FIELD)
     rng = np.random.default_rng(params.n_sites)
     block = rng.standard_normal((5, basis.dim)) + 1j * rng.standard_normal((5, basis.dim))
     block /= np.linalg.norm(block, axis=1, keepdims=True)
@@ -192,10 +192,10 @@ def test_expectations_match_fock_oracle(params):
 def test_spectral_bounds_are_the_dense_row_sum_interval(params):
     # the interval of the row sums weighted by unit (Gershgorin's) and by random positive
     # weights, against the dense matrix; spectral_bounds lies inside Gershgorin's
-    reference = fock_sector_matrix(params)
+    reference = fock_sector_matrix(params, field=OPERATOR_FIELD)
     diag = np.diag(reference)
     offdiag = np.abs(reference - np.diag(diag))
-    h = build_hamiltonian(params, build_basis(params.n_sites))
+    h = build_hamiltonian(params, OPERATOR_FIELD, build_basis(params.n_sites))
     ones = np.ones(diag.size)
     below, above = np.random.default_rng(params.n_sites).uniform(0.1, 1.0, (2, diag.size))
     for d_lo, d_hi in [(ones, ones), (below, above)]:
@@ -209,17 +209,17 @@ def test_spectral_bounds_are_the_dense_row_sum_interval(params):
 
 @pytest.mark.parametrize("params", OPERATOR_CASES, ids=_case_id)
 def test_spectrum_csr_matches_fock_oracle(params):
-    csr = _csr(build_hamiltonian(params, build_basis(params.n_sites)))
+    csr = _csr(build_hamiltonian(params, OPERATOR_FIELD, build_basis(params.n_sites)))
     assert isinstance(csr, sparse.csr_array)
-    assert np.max(np.abs(csr.toarray() - fock_sector_matrix(params))) < 1e-14
+    assert np.max(np.abs(csr.toarray() - fock_sector_matrix(params, field=OPERATOR_FIELD))) < 1e-14
 
 
 def test_operator_keeps_the_ghosts_of_packed_states_zero():
     # odd and even lattices fold the rows of separation d and n - d on different seams
-    for params in (ModelParams(n, kappa=1.0, u=-6.0, v=-6.0, field=-0.2) for n in (2, 3, 6, 15)):
+    for params in (ModelParams(n, kappa=1.0, u=-6.0, v=-6.0) for n in (2, 3, 6, 15)):
         n = params.n_sites
         basis = build_basis(n)
-        h = build_hamiltonian(params, basis)
+        h = build_hamiltonian(params, -0.2, basis)
         hop = h._hopping
         d = basis.j - basis.i
         fold = d > n // 2
@@ -244,7 +244,7 @@ def test_bound_kernels_match_fresh_steps_bitwise(n):
     # a recursion on a ring of 4 buffers, each bound once (ghost rows zeroed once), against
     # a step into a fresh buffer per term
     basis = build_basis(n)
-    b = build_hamiltonian(ModelParams(n, kappa=1.0, u=-6.24, v=-6.24, field=-0.09712), basis).scaled(-14.0, -0.12j)
+    b = build_hamiltonian(ModelParams(n, kappa=1.0, u=-6.24, v=-6.24), -0.09712, basis).scaled(-14.0, -0.12j)
     rng = np.random.default_rng(n)
     first, second = (b.pack(rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)) for _ in range(2))
     ring = b.empty_packed(4)
@@ -265,7 +265,7 @@ def _on_cache_lines(*blocks) -> bool:
 @pytest.mark.parametrize("n", [6, 15, 111])
 def test_packed_buffers_start_on_cache_lines(n, monkeypatch):
     basis = build_basis(n)
-    h = build_hamiltonian(ModelParams(n, kappa=1.0, u=-6.24, v=-6.24, field=-0.09712), basis)
+    h = build_hamiltonian(ModelParams(n, kappa=1.0, u=-6.24, v=-6.24), -0.09712, basis)
     rng = np.random.default_rng(n)
     psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     psi /= np.linalg.norm(psi)
@@ -299,9 +299,9 @@ def test_packed_buffers_start_on_cache_lines(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [111, 112])
 def test_headline_size_products_match_loop_reference(n):
-    params = ModelParams(n, kappa=1.0, u=-6.24, v=-6.24, field=-0.09712)
-    h = build_hamiltonian(params, build_basis(n))
-    stark = params.field * np.array(loop_pairs(n)).sum(axis=1)
+    params, field = ModelParams(n, kappa=1.0, u=-6.24, v=-6.24), -0.09712
+    h = build_hamiltonian(params, field, build_basis(n))
+    stark = field * np.array(loop_pairs(n)).sum(axis=1)
     reference = loop_build_h0(params) + sparse.diags_array(stark)
     rng = np.random.default_rng(n)
     block = rng.standard_normal((5, h.shape[0])) + 1j * rng.standard_normal((5, h.shape[0]))

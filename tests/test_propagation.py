@@ -169,16 +169,17 @@ def chain31():
 @pytest.mark.parametrize(
     "params",
     [
-        ModelParams(15, 1.0, -6.24, -6.24, field=-0.21),  # the quenched 15-site chain
-        ModelParams(15, 1.0, -6.24, -6.24),  # the field-free 15-site chain
-        ModelParams(31, 1.0, -6.24, -6.24, field=-0.2),  # chain31
-        ModelParams(5, 0.8, -6.0, -2.0, field=-0.37),
-        ModelParams(43, 1.0, -6.24, -6.24, field=-0.21),
-        ModelParams(43, 0.6, 2.5, -1.0, field=1.3),
+        (ModelParams(15, 1.0, -6.24, -6.24), -0.21),  # the quenched 15-site chain
+        (ModelParams(15, 1.0, -6.24, -6.24), 0.0),  # the field-free 15-site chain
+        (ModelParams(31, 1.0, -6.24, -6.24), -0.2),  # chain31
+        (ModelParams(5, 0.8, -6.0, -2.0), -0.37),
+        (ModelParams(43, 1.0, -6.24, -6.24), -0.21),
+        (ModelParams(43, 0.6, 2.5, -1.0), 1.3),
     ],
 )
 def test_bounds_contain_dense_spectrum(params):
-    h = build_hamiltonian(params, build_basis(params.n_sites))
+    params, field = params  # the chain and its linear field
+    h = build_hamiltonian(params, field, build_basis(params.n_sites))
     vals = np.linalg.eigvalsh(h.toarray())
     lo, hi, source = spectral_bounds(h)
     assert lo <= vals[0] and vals[-1] <= hi
@@ -197,23 +198,24 @@ def test_bounds_contain_dense_spectrum(params):
 @pytest.mark.parametrize(
     "params, interval",
     [
-        (ModelParams(111, 1.0, -6.24, -6.24, field=-0.09712), (-32.33770712474619, 3.41728)),
-        (ModelParams(43, 1.0, -6.24, -6.24, field=-0.21), (-28.498427124746193, 2.74)),
-        (ModelParams(15, 0.8, -6.0, -2.0, field=-0.37), (-18.62274169979695, 0.9800000000000004)),
-        (ModelParams(6, 0.8, -6.0, -2.0, field=-0.37), (-11.962741699796952, 0.9800000000000004)),
-        (ModelParams(2, 0.8, -6.0, -2.0, field=-0.37), (-8.611370849898476, -0.8472583002030474)),
+        ((ModelParams(111, 1.0, -6.24, -6.24), -0.09712), (-32.33770712474619, 3.41728)),
+        ((ModelParams(43, 1.0, -6.24, -6.24), -0.21), (-28.498427124746193, 2.74)),
+        ((ModelParams(15, 0.8, -6.0, -2.0), -0.37), (-18.62274169979695, 0.9800000000000004)),
+        ((ModelParams(6, 0.8, -6.0, -2.0), -0.37), (-11.962741699796952, 0.9800000000000004)),
+        ((ModelParams(2, 0.8, -6.0, -2.0), -0.37), (-8.611370849898476, -0.8472583002030474)),
     ],
 )
 def test_unit_weights_give_the_gershgorin_interval_bit_for_bit(params, interval):
     # min(h_ii - R_i) and max(h_ii + R_i) of the Gershgorin radii R the operator computed before weights
-    h = build_hamiltonian(params, build_basis(params.n_sites))
+    params, field = params  # the chain and its linear field
+    h = build_hamiltonian(params, field, build_basis(params.n_sites))
     ones = np.ones(h.shape[0])
     assert _ends(*h.bounding(), ones, ones) == interval
 
 
 def test_underflowing_weights_fall_back_to_gershgorin():
     # a hopping of 1e-300 feeds the far entries of the iterates too little: one underflows to 0
-    h = build_hamiltonian(ModelParams(5, 1e-300, -6.24, -6.24, field=-1.0), build_basis(5))
+    h = build_hamiltonian(ModelParams(5, 1e-300, -6.24, -6.24), -1.0, build_basis(5))
     ones = np.ones(h.shape[0])
     lo, hi = _ends(*h.bounding(), ones, ones)
     assert np.any(_power_weights(h.bounding()[1].scaled(lo, 1.0)) == 0.0)

@@ -68,7 +68,7 @@ def test_packet_sits_at_requested_site(ref_basis, ref_psi0):
 
 def test_packet_requires_complete_branch():
     band = band_scan(1.0, -5.0, 41)
-    spec = WavePacketSpec(center_momentum=0.0, width=0.2, center_site=21)
+    spec = WavePacketSpec(center_momentum=0.0, width=0.2, center_site=21, branch="+")
     with pytest.raises(IncompleteBandError):
         prepare_wavepacket(spec, band, band.bound_matrix(build_basis(41)))
 
@@ -80,7 +80,7 @@ def test_packet_requires_complete_branch():
 def test_packet_matches_per_state_sum(n_sites, interaction, width, center_site):
     band = band_scan(1.0, interaction, n_sites)
     basis = build_basis(n_sites)
-    spec = WavePacketSpec(center_momentum=-0.9 * np.pi, width=width, center_site=center_site)
+    spec = WavePacketSpec(center_momentum=-0.9 * np.pi, width=width, center_site=center_site, branch="+")
     weights = np.exp(-((band.momenta - spec.center_momentum) ** 2) / (2.0 * width**2))
     if interaction == -5.5:
         # three upper momenta are missing, where the packet weight is below the floor
@@ -99,9 +99,9 @@ def test_packet_matches_per_state_sum(n_sites, interaction, width, center_site):
 
 def test_packet_spec_validation():
     with pytest.raises(ValueError):
-        WavePacketSpec(center_momentum=4.0, width=0.2, center_site=5)
+        WavePacketSpec(center_momentum=4.0, width=0.2, center_site=5, branch="+")
     with pytest.raises(ValueError):
-        WavePacketSpec(center_momentum=0.0, width=-0.1, center_site=5)
+        WavePacketSpec(center_momentum=0.0, width=-0.1, center_site=5, branch="+")
     with pytest.raises(ValueError):
         WavePacketSpec(center_momentum=0.0, width=0.2, center_site=5, branch="top")
 
@@ -110,7 +110,7 @@ def test_workspace_requires_equal_interactions():
     with pytest.raises(ValueError):
         QuenchWorkspace.prepare(
             ModelParams(15, kappa=1.0, u=-6.24, v=-3.0),
-            WavePacketSpec(center_momentum=0.0, width=0.2, center_site=8),
+            WavePacketSpec(center_momentum=0.0, width=0.2, center_site=8, branch="+"),
         )
 
 
@@ -147,7 +147,7 @@ def test_backends_agree_on_small_quench():
     # -15 by up to 1.1e-12 at n = 43
     for n_sites, center_site, t_max in ((15, 8, 200.0), (43, 22, 300.0)):
         params = ModelParams(n_sites, kappa=1.0, u=-6.24, v=-6.24)
-        packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=center_site)
+        packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=center_site, branch="+")
         ws = QuenchWorkspace.prepare(params, packet)
         times = np.arange(0.0, t_max + 1.0)
         cheb = run_quench(ws, -0.21, times)
@@ -280,7 +280,7 @@ def test_estimate_period_flat_series():
 
 def test_sweep_point_is_a_two_sample_quench(small_workspace, recording_pool):
     # a grid point runs the quench's own path to t_final, and keeps its run record
-    sweep = sweep_transfer(small_workspace, [-0.2], t_final=50.0)
+    sweep = sweep_transfer(small_workspace, [-0.2], t_final=50.0, workers=1)
     trajectory = run_quench(small_workspace, -0.2, [0.0, 50.0])
     assert sweep.transfer[0] == trajectory.transfer[-1]
     record = trajectory.propagation
@@ -298,9 +298,9 @@ def test_small_sweep_is_deterministic_and_bounded(small_workspace):
     assert np.all((serial.transfer >= 0.0) & (serial.transfer <= 1.0))
     assert serial.period.period is None  # five samples cannot support a peak
     with pytest.raises(ValueError):
-        sweep_transfer(small_workspace, [0.0, -0.1], t_final=50.0)
+        sweep_transfer(small_workspace, [0.0, -0.1], t_final=50.0, workers=1)
     with pytest.raises(ValueError):
-        sweep_transfer(small_workspace, f_values, t_final=-1.0)
+        sweep_transfer(small_workspace, f_values, t_final=-1.0, workers=1)
 
 
 @pytest.mark.parametrize("f_values, t_final", [([-0.2], np.nan), ([np.nan], 5.0), ([-np.inf, -0.2], 5.0)])
@@ -308,7 +308,7 @@ def test_sweep_rejects_non_finite_input_before_the_pool(small_workspace, recordi
     # a nan t_final failed every point on "a step of nan", and a nan or infinite
     # field ran with RuntimeWarnings into a recorded failure
     with pytest.raises(ValueError):
-        sweep_transfer(small_workspace, f_values, t_final=t_final)
+        sweep_transfer(small_workspace, f_values, t_final=t_final, workers=1)
     assert recording_pool == []
 
 
@@ -332,9 +332,9 @@ def test_sweep_period_needs_every_grid_point(monkeypatch):
     # the pool pickles the point function, so it is a module-level one
     f_values = DEFAULT_GRID
     monkeypatch.setattr(quench, "_sweep_point", periodic_point)
-    assert sweep_transfer(None, f_values, t_final=1.0).period.period == pytest.approx(0.0015)
+    assert sweep_transfer(None, f_values, t_final=1.0, workers=1).period.period == pytest.approx(0.0015)
     monkeypatch.setattr(quench, "_sweep_point", functools.partial(periodic_point, failing=frozenset(range(1, 61, 2))))
-    gapped = sweep_transfer(None, f_values, t_final=1.0)
+    gapped = sweep_transfer(None, f_values, t_final=1.0, workers=1)
     assert len(gapped.failures) == 30
     assert gapped.period.period is None
     assert gapped.stats["failures"] == 30
@@ -441,7 +441,7 @@ def test_errors_survive_a_pickle_round_trip(error):
 
 def test_serial_sweep_keeps_no_reference_to_the_workspace():
     params = ModelParams(15, kappa=1.0, u=-6.24, v=-6.24)
-    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=8, branch="+")
     workspace = QuenchWorkspace.prepare(params, packet)
     sweep_transfer(workspace, [-0.2, -0.19], t_final=5.0, workers=1)
     psi0 = weakref.ref(workspace.psi0)
@@ -476,7 +476,7 @@ def test_headline_quench_keeps_its_traced_peak_low():
     # quench; it was 5.1 MiB while every window was unpacked beside the last block and the term
     # buffer, and is 4.0 MiB with the blocks on the packed layout
     params = ModelParams(111, kappa=1.0, u=-6.24, v=-6.24)
-    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.2, center_site=36, branch="+")
     ws = QuenchWorkspace.prepare(params, packet)
     tracemalloc.start()
     try:
@@ -502,7 +502,7 @@ def test_total_energy_is_expectation_of_the_hamiltonian(small_workspace, backend
 
 def test_chebyshev_transfer_converges_in_tol():
     params = ModelParams(31, kappa=1.0, u=-6.24, v=-6.24)
-    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=10)
+    packet = WavePacketSpec(center_momentum=-0.9 * np.pi, width=0.35, center_site=10, branch="+")
     ws = QuenchWorkspace.prepare(params, packet)
     times = np.arange(0.0, 101.0)
     h = ws.hamiltonian(-0.2)

@@ -19,7 +19,7 @@ THREE_SITE = ModelParams(3, kappa=0.4, u=-6.0, v=-6.0)
 
 
 def test_slice_has_full_spectrum():
-    slices = spectrum_vs_field([-3.0], THREE_SITE)
+    slices = spectrum_vs_field([-3.0], THREE_SITE, None)
     assert len(slices) == 1
     assert slices[0].energies.shape == (6,)
     assert np.all(np.diff(slices[0].energies) >= 0)
@@ -30,7 +30,7 @@ def test_zero_hopping_levels_are_linear_with_integer_slopes():
     params = ModelParams(3, kappa=0.0, u=-6.0, v=-6.0)
     basis = build_basis(3)
     f_a, f_b = -4.0, -3.9
-    slice_a, slice_b = spectrum_vs_field([f_a, f_b], params)
+    slice_a, slice_b = spectrum_vs_field([f_a, f_b], params, None)
     # diagonal Hamiltonian: each configuration (i, j) is an eigenstate with
     # slope i + j and separation j - i, which identify it
     found = []
@@ -44,8 +44,8 @@ def test_zero_hopping_levels_are_linear_with_integer_slopes():
 
 
 def test_classify_pair_dominated_level():
-    slc = spectrum_vs_field([-4.0], THREE_SITE)[0]
-    labels = classify_levels(slc)
+    slc = spectrum_vs_field([-4.0], THREE_SITE, None)[0]
+    labels = classify_levels(slc, 1.0)
     assert labels[-1] == "correlated"  # topmost level at F=-4 is the site-1 pair
     assert labels[-2] == "uncorrelated"
 
@@ -64,15 +64,16 @@ def test_classify_extended_scattering_state():
         energies=np.array([energy]),
         correlations=np.array([rbar]),
         level_ids=np.array([0]),
+        ambiguous=(),
     )
-    assert classify_levels(slc) == ["uncorrelated"]
+    assert classify_levels(slc, 1.0) == ["uncorrelated"]
     assert 2.0 < rbar < n / 2
 
 
 def test_single_avoided_crossing_of_top_levels():
     fields = np.arange(-5.0, -1.0 + 1e-9, 0.05)
-    slices = spectrum_vs_field(fields, THREE_SITE)
-    scan = detect_avoided_crossings(slices)
+    slices = spectrum_vs_field(fields, THREE_SITE, None)
+    scan = detect_avoided_crossings(slices, r_threshold=1.0)
     assert scan.ambiguous == []
     assert scan.true_crossings == []
 
@@ -94,7 +95,7 @@ def test_single_avoided_crossing_of_top_levels():
 def test_zero_hopping_exact_crossing_reported():
     params = ModelParams(3, kappa=0.0, u=-6.0, v=-6.0)
     fields = np.arange(-3.5, -2.5 + 1e-9, 0.05)
-    scan = detect_avoided_crossings(spectrum_vs_field(fields, params))
+    scan = detect_avoided_crossings(spectrum_vs_field(fields, params, None), r_threshold=1.0)
     assert len(scan.true_crossings) == 1
     event = scan.true_crossings[0]
     assert event.f_center == pytest.approx(-3.0, abs=1e-12)
@@ -103,7 +104,7 @@ def test_zero_hopping_exact_crossing_reported():
 
 def test_tracked_level_swaps_character_through_crossing():
     fields = np.arange(-4.0, -2.0 + 1e-9, 0.05)
-    slices = spectrum_vs_field(fields, THREE_SITE)
+    slices = spectrum_vs_field(fields, THREE_SITE, None)
     first_ids, last_ids = slices[0].level_ids, slices[-1].level_ids
     top_track = int(first_ids[np.argmax(slices[0].energies)])
     r_start = slices[0].correlations[list(first_ids).index(top_track)]
@@ -169,7 +170,7 @@ def test_detection_matches_the_per_slice_loop(params, fields, window):
 
 def test_detection_needs_three_slices():
     with pytest.raises(ValueError):
-        detect_avoided_crossings(spectrum_vs_field([-3.0, -2.9], THREE_SITE))
+        detect_avoided_crossings(spectrum_vs_field([-3.0, -2.9], THREE_SITE, None), r_threshold=1.0)
 
 
 def test_unwindowed_scan_keeps_two_slices_of_eigenvectors():
@@ -181,7 +182,7 @@ def test_unwindowed_scan_keeps_two_slices_of_eigenvectors():
     for f_count in (3, 21):
         tracemalloc.start()
         try:
-            spectrum_vs_field(np.linspace(-0.3, -0.1, f_count), params)
+            spectrum_vs_field(np.linspace(-0.3, -0.1, f_count), params, None)
             peaks[f_count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -16,6 +16,7 @@ from oracles import SpectralPropagator, pair_unpair_hamiltonian
 
 KAPPA = 0.4
 U = -6.0
+CHAIN = ModelParams(3, kappa=KAPPA, u=U, v=U)
 
 
 def hump_times(times, values, height_frac=0.6, min_sep=10.0):
@@ -98,9 +99,8 @@ def test_detuned_analytic_transfer_is_negligible():
 
 
 def test_exact_resonant_oscillation_matches_two_level_model():
-    params = ModelParams(3, kappa=KAPPA, u=U, v=U, field=-3.0)
     times = np.arange(0.0, 100.0, 0.01)
-    pair_loss, _ = exact_pair_dynamics(params, times)
+    pair_loss, _ = exact_pair_dynamics(CHAIN, -3.0, times)
     amplitude = pair_loss.max()
     assert amplitude == pytest.approx(18 / 19, rel=0.1)
     humps = hump_times(times, pair_loss)
@@ -110,29 +110,27 @@ def test_exact_resonant_oscillation_matches_two_level_model():
 
 
 def test_exact_detuned_pair_stays_paired():
-    params = ModelParams(3, kappa=KAPPA, u=U, v=U, field=-1.0)
     times = np.arange(0.0, 200.0, 0.01)
-    _, unpair_weight = exact_pair_dynamics(params, times)
+    _, unpair_weight = exact_pair_dynamics(CHAIN, -1.0, times)
     assert unpair_weight.max() < 0.01
 
 
 @pytest.mark.parametrize("field", [-3.0, -1.0])
 def test_closed_form_matches_spectral_propagator(field):
-    params = ModelParams(3, kappa=KAPPA, u=U, v=U, field=field)
     basis = build_basis(3)
     times = np.arange(0.0, 100.0 + 0.025, 0.05)
-    prop = SpectralPropagator(build_hamiltonian(params, basis))
+    prop = SpectralPropagator(build_hamiltonian(CHAIN, field, basis))
     psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[basis.rank(1, 1)] = 1.0
     psi_t = prop.h.unpack(np.vstack(list(prop.samples(psi0, times))))
-    pair_loss, unpair_weight = exact_pair_dynamics(params, times)
+    pair_loss, unpair_weight = exact_pair_dynamics(CHAIN, field, times)
     assert np.max(np.abs(pair_loss - (1.0 - np.abs(psi_t[:, basis.rank(1, 1)]) ** 2))) < 1e-14
     assert np.max(np.abs(unpair_weight - np.abs(psi_t[:, basis.rank(1, 3)]) ** 2)) < 1e-14
 
 
 def test_exact_dynamics_requires_three_sites():
     with pytest.raises(ValueError):
-        exact_pair_dynamics(ModelParams(4, kappa=KAPPA, u=U, v=U), [0.0, 1.0])
+        exact_pair_dynamics(ModelParams(4, kappa=KAPPA, u=U, v=U), -3.0, [0.0, 1.0])
 
 
 def test_top_gap_minimum_near_half_interaction():
@@ -140,7 +138,7 @@ def test_top_gap_minimum_near_half_interaction():
     fields = np.arange(-5.0, -1.0, 0.01)
     gaps = []
     for f in fields:
-        h = build_hamiltonian(ModelParams(3, kappa=KAPPA, u=U, v=U, field=f), basis).toarray()
+        h = build_hamiltonian(CHAIN, f, basis).toarray()
         vals = np.linalg.eigvalsh(h)
         gaps.append(vals[-1] - vals[-2])
     assert fields[int(np.argmin(gaps))] == pytest.approx(U / 2, abs=0.2)
@@ -150,7 +148,7 @@ def test_top_levels_exchange_pair_character():
     basis = build_basis(3)
 
     def top_two_rbar(field):
-        h = build_hamiltonian(ModelParams(3, kappa=KAPPA, u=U, v=U, field=field), basis)
+        h = build_hamiltonian(CHAIN, field, basis)
         vals, vecs = np.linalg.eigh(h.toarray())
         return list(separations(basis) @ np.abs(vecs[:, [-1, -2]]) ** 2)
 
